@@ -11,7 +11,6 @@ from .graph import (
     bw_to_plain_gadget,
     is_1_scattered,
 )
-from .sparsity import SparsityConfig
 
 __all__ = [
     "ALL_CONFIGS",
@@ -23,7 +22,6 @@ __all__ = [
     "Instance",
     "KernelReport",
     "OracleSizeError",
-    "SparsityConfig",
     "WHITE",
     "bw_to_plain_gadget",
     "exact_dom",

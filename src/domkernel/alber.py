@@ -9,50 +9,23 @@ whitened.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .graph import BLACK, WHITE, ColoredGraph, Instance
 
 
-@dataclass(frozen=True)
-class SinglePartition:
-    v: int
-    n1: frozenset
-    n2: frozenset
-    n3: frozenset
-
-
-@dataclass(frozen=True)
-class PairPartition:
-    v: int
-    w: int
-    n1: frozenset
-    n2: frozenset
-    n3: frozenset
-
-
-def partition_single(g: ColoredGraph, v: int) -> SinglePartition:
-    """Split N(v): n1 = exits from N[v], n2 = rest touching n1, n3 = rest."""
+def partition(g: ColoredGraph, *centers: int) -> tuple[set, set, set]:
+    """Split the joint open neighborhood of the centers (one vertex or a
+    pair) into n1 = exits from the joint closed neighborhood, n2 = the rest
+    touching n1, and n3 = the rest."""
+    if len(set(centers)) != len(centers):
+        raise ValueError("partition needs distinct centers")
     adj = g.adj
-    nv = adj[v]
-    ball = nv | {v}
-    n1 = {u for u in nv if adj[u] - ball}
-    n2 = {u for u in nv if u not in n1 and adj[u] & n1}
-    n3 = nv - n1 - n2
-    return SinglePartition(v, frozenset(n1), frozenset(n2), frozenset(n3))
-
-
-def partition_pair(g: ColoredGraph, v: int, w: int) -> PairPartition:
-    """Same split for N(v, w) = (N(v) u N(w)) - {v, w}."""
-    if v == w:
-        raise ValueError("pair partition needs two distinct vertices")
-    adj = g.adj
-    nvw = (adj[v] | adj[w]) - {v, w}
-    ball = adj[v] | adj[w] | {v, w}
-    n1 = {u for u in nvw if adj[u] - ball}
-    n2 = {u for u in nvw if u not in n1 and adj[u] & n1}
-    n3 = nvw - n1 - n2
-    return PairPartition(v, w, frozenset(n1), frozenset(n2), frozenset(n3))
+    ball = set(centers)
+    for c in centers:
+        ball |= adj[c]
+    shell = ball.difference(centers)
+    n1 = {u for u in shell if not adj[u] <= ball}
+    n2 = {u for u in shell - n1 if not adj[u].isdisjoint(n1)}
+    return n1, n2, shell - n1 - n2
 
 
 def alber_rule1(inst: Instance, v: int) -> bool:
@@ -62,9 +35,9 @@ def alber_rule1(inst: Instance, v: int) -> bool:
     candidate x there has N[x] inside N[v], so swapping x for v never hurts.
     """
     g = inst.graph
-    part = partition_single(g, v)
+    _, _, n3 = partition(g, v)
     col = g.color
-    if not any(col[u] is BLACK for u in part.n3):
+    if not any(col[u] is BLACK for u in n3):
         return False
     inst.take_into_solution(v)
     inst.stats["alber_single"] += 1
@@ -78,13 +51,13 @@ def alber_rule2(inst: Instance, v: int, w: int) -> bool:
     whitens what the pair would cover.
     """
     g = inst.graph
-    part = partition_pair(g, v, w)
+    _, n2, n3 = partition(g, v, w)
     adj = g.adj
     col = g.color
-    n3_black = {u for u in part.n3 if col[u] is BLACK}
+    n3_black = {u for u in n3 if col[u] is BLACK}
     if len(n3_black) < 2:
         return False
-    for x in part.n2 | part.n3:
+    for x in n2 | n3:
         if n3_black <= adj[x] | {x}:
             return False
     v_covers = n3_black <= adj[v]
@@ -97,7 +70,7 @@ def alber_rule2(inst: Instance, v: int, w: int) -> bool:
         # in, so at least 9 vertices must lose their black color.
         whiten = {
             u
-            for u in part.n3 | (part.n2 & adj[v] & adj[w])
+            for u in n3 | (n2 & adj[v] & adj[w])
             if col[u] is BLACK
         }
         if len(whiten) <= 8:

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .edgelist import load_graph
-from .engine import ApproachConfig, kernelize
+from .engine import ALL_CONFIGS, ApproachConfig, kernelize
 from .graph import Instance
-from .sparsity import SparsityConfig
 
 CSV_COLUMNS = (
     "kind",
@@ -52,7 +51,6 @@ class BenchTask:
     path: str
     white_path: str | None
     config_name: str
-    sparsity_config: SparsityConfig
 
 
 @dataclass(frozen=True)
@@ -84,39 +82,15 @@ def _run_task(task: BenchTask):
     try:
         g = load_graph(task.path, task.white_path)
         inst = Instance.from_graph(g)
-        report = kernelize(
-            inst,
-            ApproachConfig.from_name(task.config_name),
-            task.sparsity_config,
-        )
+        report = kernelize(inst, ApproachConfig.from_name(task.config_name))
     except Exception as exc:
         return ("error", task.path, f"{type(exc).__name__}: {exc}")
-    return (
-        "ok",
-        {
-            "kind": "instance",
-            "group": task.group,
-            "dataset": task.dataset,
-            "config": report.config,
-            "initial_vertices": report.initial_vertices,
-            "initial_edges": report.initial_edges,
-            "final_vertices": report.final_vertices,
-            "final_edges": report.final_edges,
-            "solution_size": report.solution_size,
-            "fully_solved": report.fully_solved,
-            "attempts": report.attempts,
-            "remaining_vertex_fraction": report.remaining_vertex_fraction,
-            "remaining_edge_fraction": report.remaining_edge_fraction,
-        },
-    )
+    full = report.to_dict()
+    full.update(kind="instance", group=task.group, dataset=task.dataset)
+    return ("ok", {c: full[c] for c in CSV_COLUMNS})
 
 
-def run_bench(
-    entries,
-    configs=None,
-    workers: int = 1,
-    sparsity_config: SparsityConfig = SparsityConfig(),
-) -> BenchResult:
+def run_bench(entries, configs=None, workers: int = 1) -> BenchResult:
     """Kernelize every manifest entry under every configuration.
 
     Tasks run dataset-major (all configurations of a file together) and the
@@ -124,7 +98,7 @@ def run_bench(
     first file that fails aborts the run with the file named.
     """
     if configs is None:
-        configs = [c.name for c in _default_configs()]
+        configs = [c.name for c in ALL_CONFIGS]
     tasks = [
         BenchTask(
             group=e["group"],
@@ -132,7 +106,6 @@ def run_bench(
             path=e["path"],
             white_path=e.get("white_path"),
             config_name=name,
-            sparsity_config=sparsity_config,
         )
         for e in entries
         for name in configs
@@ -150,12 +123,6 @@ def run_bench(
     means = aggregate_means(rows, configs)
     notes = worse_than_baseline_notes(rows)
     return BenchResult(tuple(rows), tuple(means), tuple(notes))
-
-
-def _default_configs():
-    from .engine import ALL_CONFIGS
-
-    return ALL_CONFIGS
 
 
 def aggregate_means(rows, configs):

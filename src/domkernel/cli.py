@@ -15,11 +15,10 @@ from pathlib import Path
 
 from .bench import BenchRunError, read_manifest, run_bench, write_csv
 from .edgelist import EdgeListError, load_graph, write_edge_list
-from .engine import ALL_CONFIGS, ApproachConfig, kernelize
+from .engine import ApproachConfig, kernelize
 from .exact import OracleSizeError, exact_dom
 from .graph import Instance
 from .plangen import canonical_groups, generate_group
-from .sparsity import SparsityConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -60,7 +59,6 @@ def _build_parser() -> _Parser:
     ker.add_argument(
         "--kernel-out", default=None, help="write the reduced edge list here"
     )
-    ker.add_argument("--hub-threshold", type=int, default=7)
 
     ben = sub.add_parser("bench", help="run the benchmark over a dataset")
     ben.add_argument("--manifest", required=True, help="dataset manifest.json")
@@ -73,7 +71,6 @@ def _build_parser() -> _Parser:
         "--workers", type=int, default=None,
         help="parallel workers (default: DOMKERNEL_WORKERS or 1)",
     )
-    ben.add_argument("--hub-threshold", type=int, default=7)
 
     sol = sub.add_parser("solve-exact", help="exact optimum of a small instance")
     sol.add_argument("edges", help="edge list file")
@@ -117,9 +114,7 @@ def _cmd_kernelize(args) -> int:
     config = ApproachConfig.from_name(args.config)
     g = load_graph(args.edges, args.white)
     inst = Instance.from_graph(g)
-    report = kernelize(
-        inst, config, SparsityConfig(hub_threshold=args.hub_threshold)
-    )
+    report = kernelize(inst, config)
     print(f"input: {args.edges}")
     print(f"config: {report.config}")
     print(
@@ -149,21 +144,15 @@ def _cmd_kernelize(args) -> int:
 
 def _cmd_bench(args) -> int:
     entries = read_manifest(args.manifest)
-    if args.configs is None:
-        configs = [c.name for c in ALL_CONFIGS]
-    else:
+    configs = None
+    if args.configs is not None:
         configs = [s.strip() for s in args.configs.split(",") if s.strip()]
         for name in configs:
             ApproachConfig.from_name(name)
     workers = args.workers
     if workers is None:
         workers = int(os.environ.get("DOMKERNEL_WORKERS", "1"))
-    result = run_bench(
-        entries,
-        configs,
-        workers=workers,
-        sparsity_config=SparsityConfig(hub_threshold=args.hub_threshold),
-    )
+    result = run_bench(entries, configs, workers=workers)
     write_csv(args.csv, result)
     for note in result.notes:
         print(f"note: {note}", file=sys.stderr)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from .alber import apply_alber_pair_first, apply_alber_single_first
 from .graph import Instance
 from .simple_rules import apply_simple_exhaustively
-from .sparsity import SparsityConfig, sparsity_reduce
+from .sparsity import sparsity_reduce
 
 ALBER_MODES = ("none", "one", "both")
 
@@ -111,9 +111,7 @@ class KernelReport:
 
 
 def kernelize(
-    inst: Instance,
-    config: ApproachConfig = ApproachConfig(),
-    sparsity_config: SparsityConfig = SparsityConfig(),
+    inst: Instance, config: ApproachConfig = ApproachConfig()
 ) -> KernelReport:
     """Reduce the instance in place to a fixed point of the configured rule
     families and report what happened.  Deterministic for a given input and
@@ -137,7 +135,7 @@ def kernelize(
                 continue
         if config.sparsity:
             attempts += 1
-            if sparsity_reduce(inst, sparsity_config) > 0:
+            if sparsity_reduce(inst) > 0:
                 continue
         break
     applications = {k: inst.stats.get(k, 0) for k in STAT_KEYS}

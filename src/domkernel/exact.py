@@ -96,14 +96,3 @@ def _greedy_cover(closed, blacks) -> set[int]:
         out.add(v)
         remaining -= closed[v]
     return out
-
-
-def verify_rule_safety(
-    before, after, limit: int = DEFAULT_VERTEX_LIMIT
-) -> bool:
-    """Oracle check of the conservation law across a rule application:
-    optimum(before.graph) + |before.solution| must equal the same quantity
-    for after.  Both graphs must fit under the solver limit."""
-    lhs = exact_dom(before.graph, limit).size + len(before.solution)
-    rhs = exact_dom(after.graph, limit).size + len(after.solution)
-    return lhs == rhs

@@ -228,20 +228,18 @@ class Instance:
     def copy(self) -> "Instance":
         return Instance(self.graph.copy(), set(self.solution), Counter(self.stats))
 
-    @property
-    def phi(self) -> int:
-        """Termination potential: #vertices + #edges + #black."""
-        g = self.graph
-        return g.vertex_count + g.edge_count + len(g.black_vertices())
 
-
-def is_1_scattered(g: ColoredGraph, vs) -> bool:
+def is_1_scattered(g: ColoredGraph, vs, removed=frozenset()) -> bool:
     """True iff the closed neighborhoods of the given vertices are pairwise
-    disjoint (equivalently, all pairwise distances are at least 3)."""
+    disjoint (equivalently, all pairwise distances are at least 3) in g
+    with the vertex set `removed` deleted.  A removed member fails."""
     seen: set[int] = set()
     for v in sorted(vs):
-        nb = g.closed_neighborhood(v)
-        if seen & nb:
+        if v in removed:
+            return False
+        nb = g.adj[v] - removed
+        nb.add(v)
+        if not seen.isdisjoint(nb):
             return False
         seen |= nb
     return True

@@ -34,15 +34,12 @@ class SimpleRule(IntEnum):
     ISOLATED_BLACK = 4   # take an isolated black
     DEGREE1_BLACK = 5    # take the sole neighbor of a degree-1 black
 
-    @property
-    def stat_name(self) -> str:
-        return self.name.lower()
-
 
 # -- applicability predicates -----------------------------------------
 #
-# Each predicate reads only the color and adjacency of v and of v's current
-# neighbors.  The fixed-point driver relies on that locality.
+# Each predicate returns the witness its rule fires with when the rule
+# applies at v, else None.  It reads only the color and adjacency of v and
+# of v's current neighbors; the fixed-point driver relies on that locality.
 
 
 def _ww_partner(g: ColoredGraph, v: int) -> int | None:
@@ -58,11 +55,11 @@ def _ww_partner(g: ColoredGraph, v: int) -> int | None:
     return best
 
 
-def _white_no_black(g: ColoredGraph, v: int) -> bool:
+def _white_no_black(g: ColoredGraph, v: int) -> int | None:
     if g.color[v] is not WHITE:
-        return False
+        return None
     col = g.color
-    return not any(col[u] is BLACK for u in g.adj[v])
+    return None if any(col[u] is BLACK for u in g.adj[v]) else v
 
 
 def _white_subsumed_partner(g: ColoredGraph, u: int) -> int | None:
@@ -92,117 +89,58 @@ def _black_to_white_partner(g: ColoredGraph, u: int) -> int | None:
     return None
 
 
-def _isolated_black(g: ColoredGraph, v: int) -> bool:
-    return g.color[v] is BLACK and not g.adj[v]
+def _isolated_black(g: ColoredGraph, v: int) -> int | None:
+    return v if g.color[v] is BLACK and not g.adj[v] else None
 
 
-def _degree1_black(g: ColoredGraph, v: int) -> bool:
-    return g.color[v] is BLACK and len(g.adj[v]) == 1
+def _degree1_support(g: ColoredGraph, v: int) -> int | None:
+    """The sole neighbor of degree-1 black v."""
+    if g.color[v] is not BLACK or len(g.adj[v]) != 1:
+        return None
+    return next(iter(g.adj[v]))
+
+
+PREDICATES = (  # indexed by SimpleRule
+    _ww_partner,
+    _white_no_black,
+    _white_subsumed_partner,
+    _black_to_white_partner,
+    _isolated_black,
+    _degree1_support,
+)
+
+_STAT_NAMES = tuple(rule.name.lower() for rule in SimpleRule)
 
 
 def applies(g: ColoredGraph, rule: SimpleRule, v: int) -> bool:
-    if rule is SimpleRule.WW_EDGE:
-        return _ww_partner(g, v) is not None
-    if rule is SimpleRule.WHITE_NO_BLACK:
-        return _white_no_black(g, v)
-    if rule is SimpleRule.WHITE_SUBSUMED:
-        return _white_subsumed_partner(g, v) is not None
-    if rule is SimpleRule.BLACK_TO_WHITE:
-        return _black_to_white_partner(g, v) is not None
-    if rule is SimpleRule.ISOLATED_BLACK:
-        return _isolated_black(g, v)
-    return _degree1_black(g, v)
+    return PREDICATES[rule](g, v) is not None
 
 
-def _fire(inst: Instance, rule: SimpleRule, v: int) -> tuple:
-    """Apply rule at v (caller has checked applicability).  Returns the
+def fire(inst: Instance, rule: int, v: int, witness: int) -> tuple:
+    """Apply rule at v with the witness its predicate returned.  Returns the
     vertices whose adjacency or color the mutation touched; only vertices
     at distance <= 1 from a touched one can change applicability."""
     g = inst.graph
-    if rule is SimpleRule.WW_EDGE:
-        u = _ww_partner(g, v)
-        g.remove_edge(v, u)
-        touched = (v, u)
-    elif rule is SimpleRule.WHITE_NO_BLACK or rule is SimpleRule.WHITE_SUBSUMED:
+    if rule == SimpleRule.WW_EDGE:
+        g.remove_edge(v, witness)
+        touched = (v, witness)
+    elif rule == SimpleRule.WHITE_NO_BLACK or rule == SimpleRule.WHITE_SUBSUMED:
         touched = tuple(g.adj[v])
         g.remove_vertex(v)
-    elif rule is SimpleRule.BLACK_TO_WHITE:
+    elif rule == SimpleRule.BLACK_TO_WHITE:
         g.set_color(v, WHITE)
         touched = (v,)
-    elif rule is SimpleRule.ISOLATED_BLACK:
+    elif rule == SimpleRule.ISOLATED_BLACK:
         inst.take_into_solution(v)
         touched = ()
     else:
-        u = next(iter(g.adj[v]))
-        touched = tuple(g.adj[u])
-        inst.take_into_solution(u)
-    inst.stats[rule.stat_name] += 1
+        touched = tuple(g.adj[witness])
+        inst.take_into_solution(witness)
+    inst.stats[_STAT_NAMES[rule]] += 1
     return touched
 
 
-# -- single-application entry points ----------------------------------
-
-
-def _apply_first(inst: Instance, rule: SimpleRule) -> bool:
-    g = inst.graph
-    for v in sorted(g.adj, reverse=True):
-        if applies(g, rule, v):
-            _fire(inst, rule, v)
-            return True
-    return False
-
-
-def rule_ww_edge(inst: Instance) -> bool:
-    """Remove one white-white edge, at the largest white endpoint."""
-    return _apply_first(inst, SimpleRule.WW_EDGE)
-
-
-def rule_white_no_black(inst: Instance) -> bool:
-    """Remove one white vertex with no black neighbor."""
-    return _apply_first(inst, SimpleRule.WHITE_NO_BLACK)
-
-
-def rule_white_subsumed(inst: Instance) -> bool:
-    """Remove one white vertex whose black coverage some neighbor matches."""
-    return _apply_first(inst, SimpleRule.WHITE_SUBSUMED)
-
-
-def rule_black_to_white(inst: Instance) -> bool:
-    """Whiten one black vertex dominated-by-containment by a black neighbor."""
-    return _apply_first(inst, SimpleRule.BLACK_TO_WHITE)
-
-
-def rule_isolated_black(inst: Instance) -> bool:
-    """Take one isolated black vertex into the solution."""
-    return _apply_first(inst, SimpleRule.ISOLATED_BLACK)
-
-
-def rule_degree1_black(inst: Instance) -> bool:
-    """Take the unique neighbor of one degree-1 black vertex."""
-    return _apply_first(inst, SimpleRule.DEGREE1_BLACK)
-
-
-def apply_one_simple_rule(inst: Instance) -> SimpleRule | None:
-    """Reference single step: lowest applicable rule, largest vertex."""
-    for rule in SimpleRule:
-        if _apply_first(inst, rule):
-            return rule
-    return None
-
-
-def apply_simple_exhaustively_naive(inst: Instance) -> int:
-    """Reference fixed point: repeat single steps until none applies.
-    Quadratic and only meant as the golden model for equivalence tests."""
-    count = 0
-    while apply_one_simple_rule(inst) is not None:
-        count += 1
-    return count
-
-
 # -- incremental fixed point ------------------------------------------
-
-_KEY_SHIFT = 32
-_KEY_MASK = (1 << _KEY_SHIFT) - 1
 
 
 def apply_simple_exhaustively(inst: Instance) -> int:
@@ -215,29 +153,33 @@ def apply_simple_exhaustively(inst: Instance) -> int:
     (the touched vertices and their surviving neighbors) are re-queued for
     every rule.  Stale heap entries are discarded on pop by re-validation.
 
-    Vertex ids must fit in 32 bits; the heap packs (rule, complemented
-    vertex) into one integer so ordering and dedup stay cheap.
+    Each key packs (rule, complemented vertex) into one integer, so ordering
+    and dedup stay cheap; the vertex field is as wide as the largest id, and
+    the rules never add vertices.
     """
     g = inst.graph
     adj = g.adj
+    shift = max(adj, default=0).bit_length()
+    mask = (1 << shift) - 1
     heap = []
     for v in adj:
         for r in range(6):
-            heap.append((r << _KEY_SHIFT) | (_KEY_MASK - v))
+            heap.append((r << shift) | (mask - v))
     heapq.heapify(heap)
     queued = set(heap)
-    rules = list(SimpleRule)
+    predicates = PREDICATES
     count = 0
     while heap:
         key = heapq.heappop(heap)
         queued.discard(key)
-        v = _KEY_MASK - (key & _KEY_MASK)
+        v = mask - (key & mask)
         if v not in adj:
             continue
-        rule = rules[key >> _KEY_SHIFT]
-        if not applies(g, rule, v):
+        rule = key >> shift
+        witness = predicates[rule](g, v)
+        if witness is None:
             continue
-        touched = _fire(inst, rule, v)
+        touched = fire(inst, rule, v, witness)
         count += 1
         affected = set()
         for t in touched:
@@ -245,9 +187,9 @@ def apply_simple_exhaustively(inst: Instance) -> int:
                 affected.add(t)
                 affected.update(adj[t])
         for x in affected:
-            comp = _KEY_MASK - x
+            comp = mask - x
             for r in range(6):
-                k = (r << _KEY_SHIFT) | comp
+                k = (r << shift) | comp
                 if k not in queued:
                     queued.add(k)
                     heapq.heappush(heap, k)

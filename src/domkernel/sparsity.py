@@ -12,42 +12,17 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from .graph import BLACK, WHITE, ColoredGraph, Instance
+from .graph import BLACK, WHITE, ColoredGraph, Instance, is_1_scattered
 
-
-@dataclass(frozen=True)
-class SparsityConfig:
-    """Knobs for the scatter heuristic and the escalation loop.
-
-    hub_threshold: escalation stops once no vertex outside D' has more than
-        this many D' neighbors.
-    hub_cutoff: residual degree above which scatter deletes hubs; None
-        derives max(8, twice the average degree of the graph passed in).
-    deletion_cap: most hubs one scatter call may delete; None derives the
-        square root of the candidate count.
-    escalate_toward_black: rank escalation picks by undominated-black
-        contact instead of D' contact (an experiment toggle).
-    """
-
-    hub_threshold: int = 7
-    hub_cutoff: int | None = None
-    deletion_cap: int | None = None
-    escalate_toward_black: bool = False
+# Escalation stops once no vertex outside D' has more than this many D'
+# neighbors.
+HUB_THRESHOLD = 7
 
 
 @dataclass(frozen=True)
 class ScatterResult:
     scattered: frozenset
     deleted: frozenset
-
-
-@dataclass(frozen=True)
-class SparsityContext:
-    """Pools a group-reduction step works against: D' is the escalating
-    dominator pool, d is D' plus the hubs the scatter call deleted."""
-
-    d_prime: frozenset
-    d: frozenset
 
 
 def greedy_dominating_set(g: ColoredGraph, targets) -> set[int]:
@@ -82,17 +57,15 @@ def greedy_dominating_set(g: ColoredGraph, targets) -> set[int]:
     return out
 
 
-def uqw_scatter(
-    g: ColoredGraph, candidates, config: SparsityConfig = SparsityConfig()
-) -> ScatterResult:
+def uqw_scatter(g: ColoredGraph, candidates) -> ScatterResult:
     """Pull a 1-scattered subset out of the candidates.
 
     First deletes up to sqrt(#candidates) hub vertices whose residual degree
-    exceeds the cutoff (highest degree first, ties to the smaller id), since
-    hubs glue neighborhoods together and starve the scatter.  Then greedily
-    accepts candidates in ascending residual degree order, blocking the
-    radius-2 ball of every acceptance.  The scatter property of the output
-    is validated before returning.
+    exceeds max(8, twice the average degree of g), highest degree first,
+    ties to the smaller id, since hubs glue neighborhoods together and
+    starve the scatter.  Then greedily accepts candidates in ascending
+    residual degree order, blocking the radius-2 ball of every acceptance.
+    The scatter property of the output is validated before returning.
     """
     adj = g.adj
     n = len(adj)
@@ -100,12 +73,8 @@ def uqw_scatter(
     if n == 0 or not candidates:
         return ScatterResult(frozenset(), frozenset())
 
-    cutoff = config.hub_cutoff
-    if cutoff is None:
-        cutoff = max(8.0, 4.0 * g.edge_count / n)
-    cap = config.deletion_cap
-    if cap is None:
-        cap = math.sqrt(len(candidates))
+    cutoff = max(8.0, 4.0 * g.edge_count / n)
+    cap = math.sqrt(len(candidates))
 
     deg = {v: len(adj[v]) for v in adj}
     deleted: set[int] = set()
@@ -137,28 +106,14 @@ def uqw_scatter(
             ball.update(x for x in adj[u] if x not in deleted)
         blocked |= ball
 
-    if not _scattered_excluding(g, scattered, deleted):
+    if not is_1_scattered(g, scattered, deleted):
         raise AssertionError("scatter output is not 1-scattered")
     return ScatterResult(frozenset(scattered), frozenset(deleted))
 
 
-def _scattered_excluding(g: ColoredGraph, vs, removed) -> bool:
-    """1-scattered check for vs in the graph with removed deleted."""
-    adj = g.adj
-    seen: set[int] = set()
-    for v in sorted(vs):
-        if v in removed:
-            return False
-        ball = {x for x in adj[v] if x not in removed}
-        ball.add(v)
-        if seen & ball:
-            return False
-        seen |= ball
-    return True
-
-
-def group_and_reduce(inst: Instance, ctx: SparsityContext, scattered) -> int:
-    """Whiten irrelevant dominatees inside a 1-scattered family.
+def group_and_reduce(inst: Instance, d: frozenset, scattered) -> int:
+    """Whiten irrelevant dominatees inside a 1-scattered family, against the
+    pool d: D' plus the hubs the scatter call deleted.
 
     Members are grouped by the pair (direct pool contact, two-step contact
     with black pool members).  For a group B the counting argument: the
@@ -171,11 +126,10 @@ def group_and_reduce(inst: Instance, ctx: SparsityContext, scattered) -> int:
     g = inst.graph
     adj = g.adj
     col = g.color
-    d = ctx.d
     for f in scattered:
         if col[f] is not BLACK:
             raise AssertionError(f"scattered vertex {f} is not black")
-    if not _scattered_excluding(g, scattered, d):
+    if not is_1_scattered(g, scattered, d):
         raise AssertionError("family is not 1-scattered outside the pool")
 
     pool_blacks = {x for x in d if col[x] is BLACK}
@@ -210,15 +164,13 @@ def group_and_reduce(inst: Instance, ctx: SparsityContext, scattered) -> int:
     return whitened
 
 
-def sparsity_reduce(
-    inst: Instance, config: SparsityConfig = SparsityConfig()
-) -> int:
+def sparsity_reduce(inst: Instance) -> int:
     """One full escalation run; returns how many blacks were whitened.
 
     Starts from a greedy dominating pool of the current blacks.  Each pass
     scatters the blacks outside the pool, whitens irrelevant dominatees
     group by group, then checks for a hub: the vertex outside D' with the
-    most D' neighbors.  While that count exceeds the threshold the hub
+    most D' neighbors.  While that count exceeds HUB_THRESHOLD the hub
     joins D' and the pass repeats; pool growth bounds the loop.
     """
     g = inst.graph
@@ -230,25 +182,20 @@ def sparsity_reduce(
     while True:
         inst.stats["sparsity_passes"] += 1
         residual = g.without(d_prime)
-        candidates = residual.black_vertices()
-        scatter = uqw_scatter(residual, candidates, config)
+        scatter = uqw_scatter(residual, residual.black_vertices())
         inst.stats["sparsity_scatter_calls"] += 1
-        d = frozenset(d_prime | scatter.deleted)
-        ctx = SparsityContext(frozenset(d_prime), d)
-        total += group_and_reduce(inst, ctx, scatter.scattered)
+        total += group_and_reduce(
+            inst, frozenset(d_prime | scatter.deleted), scatter.scattered
+        )
 
-        if config.escalate_toward_black:
-            rank_pool = {v for v in g.black_vertices() if v not in d}
-        else:
-            rank_pool = d_prime
         best, best_v = -1, None
         for v in sorted(g.adj):
             if v in d_prime:
                 continue
-            c = len(g.adj[v] & rank_pool)
+            c = len(g.adj[v] & d_prime)
             if c > best:
                 best, best_v = c, v
-        if best_v is None or best <= config.hub_threshold:
+        if best_v is None or best <= HUB_THRESHOLD:
             break
         d_prime.add(best_v)
     return total

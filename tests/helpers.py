@@ -1,6 +1,7 @@
 """Shared test utilities: tiny graph builders, brute-force oracles kept
-independent of the package's own solver, and hypothesis strategies for
-small random colored instances."""
+independent of the package's own solver, golden reference models the
+production code is checked against, and hypothesis strategies for small
+random colored instances."""
 
 from __future__ import annotations
 
@@ -9,8 +10,9 @@ import random
 
 from hypothesis import strategies as st
 
-from domkernel.exact import dominates
+from domkernel.exact import DEFAULT_VERTEX_LIMIT, dominates, exact_dom
 from domkernel.graph import WHITE, ColoredGraph
+from domkernel.simple_rules import PREDICATES, SimpleRule, fire
 
 
 # -- builders ----------------------------------------------------------
@@ -77,6 +79,52 @@ def bfs_distances(g: ColoredGraph, source: int) -> dict[int, int]:
                     nxt.append(u)
         frontier = nxt
     return dist
+
+
+def phi(inst) -> int:
+    """Termination potential: #vertices + #edges + #black."""
+    g = inst.graph
+    return g.vertex_count + g.edge_count + len(g.black_vertices())
+
+
+def verify_rule_safety(before, after, limit: int = DEFAULT_VERTEX_LIMIT) -> bool:
+    """Oracle check of the conservation law across a rule application:
+    optimum(before.graph) + |before.solution| must equal the same quantity
+    for after.  Both graphs must fit under the solver limit."""
+    lhs = exact_dom(before.graph, limit).size + len(before.solution)
+    rhs = exact_dom(after.graph, limit).size + len(after.solution)
+    return lhs == rhs
+
+
+# -- golden models of the simple rules ---------------------------------
+
+
+def apply_first(inst, rule: SimpleRule) -> bool:
+    """Apply rule once, at its largest applicable vertex."""
+    g = inst.graph
+    for v in sorted(g.adj, reverse=True):
+        witness = PREDICATES[rule](g, v)
+        if witness is not None:
+            fire(inst, rule, v, witness)
+            return True
+    return False
+
+
+def apply_one_simple_rule(inst) -> SimpleRule | None:
+    """Reference single step: lowest applicable rule, largest vertex."""
+    for rule in SimpleRule:
+        if apply_first(inst, rule):
+            return rule
+    return None
+
+
+def apply_simple_exhaustively_naive(inst) -> int:
+    """Reference fixed point: repeat single steps until none applies.
+    Quadratic and only meant as the golden model for equivalence tests."""
+    count = 0
+    while apply_one_simple_rule(inst) is not None:
+        count += 1
+    return count
 
 
 # -- random instances --------------------------------------------------

@@ -28,10 +28,9 @@ from domkernel.graph import (
     is_1_scattered,
 )
 from domkernel.plangen import GroupSpec, canonical_groups, generate_group, generate_instance
-from domkernel.simple_rules import apply_one_simple_rule
 from domkernel.sparsity import sparsity_reduce
 
-from helpers import apex_stars, mixed_instance_stream
+from helpers import apex_stars, apply_one_simple_rule, mixed_instance_stream
 
 FRACTION_METRICS = ("remaining_vertex_fraction", "remaining_edge_fraction")
 
@@ -67,8 +66,8 @@ def bench_run(tmp_path_factory):
     audit = {"calls": 0, "violations": 0}
     real = sparsity_mod.uqw_scatter
 
-    def audited(g, candidates, config=sparsity_mod.SparsityConfig()):
-        result = real(g, candidates, config)
+    def audited(g, candidates):
+        result = real(g, candidates)
         audit["calls"] += 1
         residual = g.without(result.deleted)
         if not is_1_scattered(residual, result.scattered):

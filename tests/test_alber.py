@@ -8,10 +8,9 @@ from domkernel.alber import (
     alber_rule2,
     apply_alber_pair_first,
     apply_alber_single_first,
-    partition_pair,
-    partition_single,
+    partition,
 )
-from domkernel.exact import exact_dom, verify_rule_safety
+from domkernel.exact import exact_dom
 from domkernel.graph import BLACK, WHITE, ColoredGraph, Instance
 
 from helpers import (
@@ -20,7 +19,9 @@ from helpers import (
     cycle_graph,
     mixed_instance_stream,
     path_graph,
+    phi,
     star_graph,
+    verify_rule_safety,
 )
 
 
@@ -41,62 +42,46 @@ def both_cover_graph(shared: int) -> ColoredGraph:
 
 class TestPartitionSingle:
     def test_star_center(self):
-        part = partition_single(star_graph(4), 0)
-        assert part.n1 == frozenset()
-        assert part.n2 == frozenset()
-        assert part.n3 == frozenset({1, 2, 3, 4})
+        assert partition(star_graph(4), 0) == (set(), set(), {1, 2, 3, 4})
 
     def test_triangle(self):
-        part = partition_single(cycle_graph(3), 0)
-        assert part.n1 == frozenset()
-        assert part.n2 == frozenset()
-        assert part.n3 == frozenset({1, 2})
+        assert partition(cycle_graph(3), 0) == (set(), set(), {1, 2})
 
     def test_path_interior(self):
         # At vertex 1 of 0-1-2-3: vertex 2 escapes to 3, vertex 0 touches
         # nothing escaping.
-        part = partition_single(path_graph(4), 1)
-        assert part.n1 == frozenset({2})
-        assert part.n2 == frozenset()
-        assert part.n3 == frozenset({0})
+        assert partition(path_graph(4), 1) == ({2}, set(), {0})
 
     def test_unknown_vertex(self):
         with pytest.raises(KeyError):
-            partition_single(path_graph(2), 9)
+            partition(path_graph(2), 9)
 
     @given(colored_graphs(min_vertices=2, max_vertices=10))
     @settings(max_examples=150)
     def test_is_a_partition_with_contained_n3(self, g):
         for v in g.vertices():
-            part = partition_single(g, v)
-            shells = [part.n1, part.n2, part.n3]
-            assert part.n1 | part.n2 | part.n3 == g.neighbors(v)
-            assert sum(len(s) for s in shells) == len(g.neighbors(v))
+            n1, n2, n3 = partition(g, v)
+            assert n1 | n2 | n3 == g.neighbors(v)
+            assert len(n1) + len(n2) + len(n3) == len(g.neighbors(v))
             ball = g.closed_neighborhood(v)
-            for u in part.n3:
+            for u in n3:
                 assert g.closed_neighborhood(u) <= ball
 
 
 class TestPartitionPair:
     def test_rejects_equal_endpoints(self):
         with pytest.raises(ValueError):
-            partition_pair(path_graph(3), 1, 1)
+            partition(path_graph(3), 1, 1)
 
     def test_h_graph_shell_is_all_n3(self):
-        part = partition_pair(h_graph(), 0, 1)
-        assert part.n1 == frozenset()
-        assert part.n2 == frozenset()
-        assert part.n3 == frozenset({2, 3, 4})
+        assert partition(h_graph(), 0, 1) == (set(), set(), {2, 3, 4})
 
     def test_exit_pushes_into_n1_and_n2(self):
         # 2 exits to 5; 3 touches 2, 4 touches neither.
         g = ColoredGraph.from_edges(
             [(0, 2), (0, 3), (1, 4), (2, 5), (2, 3)]
         )
-        part = partition_pair(g, 0, 1)
-        assert part.n1 == frozenset({2})
-        assert part.n2 == frozenset({3})
-        assert part.n3 == frozenset({4})
+        assert partition(g, 0, 1) == ({2}, {3}, {4})
 
     @given(colored_graphs(min_vertices=2, max_vertices=10), st.data())
     @settings(max_examples=150)
@@ -106,12 +91,12 @@ class TestPartitionPair:
         w = data.draw(st.sampled_from([x for x in vs if x != v] or vs))
         if v == w:
             return
-        part = partition_pair(g, v, w)
+        n1, n2, n3 = partition(g, v, w)
         nvw = (g.neighbors(v) | g.neighbors(w)) - {v, w}
-        assert part.n1 | part.n2 | part.n3 == nvw
-        assert len(part.n1) + len(part.n2) + len(part.n3) == len(nvw)
+        assert n1 | n2 | n3 == nvw
+        assert len(n1) + len(n2) + len(n3) == len(nvw)
         joint = g.closed_neighborhood(v) | g.closed_neighborhood(w)
-        for u in part.n3:
+        for u in n3:
             assert g.closed_neighborhood(u) <= joint
 
 
@@ -174,7 +159,7 @@ class TestAlberRule2:
     def test_both_cover_large_shell_rewrites_with_witness_pair(self):
         inst = Instance.from_graph(both_cover_graph(9))
         before = inst.copy()
-        phi = inst.phi
+        potential = phi(inst)
         assert alber_rule2(inst, 0, 1)
         g = inst.graph
         z1, z2 = 11, 12
@@ -183,7 +168,7 @@ class TestAlberRule2:
         assert g.neighbors(z1) == {0, 1}
         assert g.neighbors(z2) == {0, 1}
         assert z2 not in g.neighbors(z1)
-        assert inst.phi < phi
+        assert phi(inst) < potential
         assert inst.stats["alber_pair_gadget"] == 1
         assert verify_rule_safety(before, inst)
 
@@ -269,10 +254,10 @@ class TestOracleSafety:
     def test_every_firing_decreases_phi(self):
         for g in mixed_instance_stream(seed=79, count=120, max_n=12):
             inst = Instance.from_graph(g)
-            phi = inst.phi
+            potential = phi(inst)
             if apply_alber_single_first(inst):
-                assert inst.phi < phi
+                assert phi(inst) < potential
             inst = Instance.from_graph(g.copy())
-            phi = inst.phi
+            potential = phi(inst)
             if apply_alber_pair_first(inst):
-                assert inst.phi < phi
+                assert phi(inst) < potential

@@ -17,6 +17,15 @@ from domkernel.simple_rules import SimpleRule, applies
 from helpers import brute_force_dom, mixed_instance_stream, path_graph, star_graph
 
 
+def shifted(g: ColoredGraph, offset: int) -> ColoredGraph:
+    """g with every vertex id moved by offset."""
+    return ColoredGraph.from_edges(
+        [(u + offset, v + offset) for u, v in g.edges()],
+        white=[v + offset for v in g.white_vertices()],
+        isolated=[v + offset for v in g.vertices()],
+    )
+
+
 class TestApproachConfig:
     def test_canonical_order(self):
         assert [c.name for c in ALL_CONFIGS] == [
@@ -160,3 +169,17 @@ class TestKernelize:
             report = kernelize(inst, ApproachConfig.from_name("off.both"))
             assert report.rule_applications["sparsity_scatter_calls"] == 0
             assert report.rule_applications["sparsity_passes"] == 0
+
+    @pytest.mark.parametrize("offset", [1 << 32, 1 << 40], ids=["2^32", "2^40"])
+    def test_large_ids_reduce_like_small_ones(self, offset):
+        for g in mixed_instance_stream(seed=21, count=40):
+            for config in ALL_CONFIGS:
+                small = Instance.from_graph(shifted(g, 0))
+                large = Instance.from_graph(shifted(g, offset))
+                a = kernelize(small, config).to_dict()
+                b = kernelize(large, config).to_dict()
+                assert shifted(large.graph, -offset).adj == small.graph.adj
+                assert shifted(large.graph, -offset).color == small.graph.color
+                assert {v - offset for v in large.solution} == small.solution
+                for key in ("solution_size", "attempts", "rule_applications"):
+                    assert a[key] == b[key]

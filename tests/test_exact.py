@@ -10,7 +10,6 @@ from domkernel.exact import (
     OracleSizeError,
     dominates,
     exact_dom,
-    verify_rule_safety,
 )
 from domkernel.graph import ColoredGraph, Instance
 
@@ -21,6 +20,7 @@ from helpers import (
     path_graph,
     random_colored_graph,
     star_graph,
+    verify_rule_safety,
 )
 
 

@@ -21,6 +21,7 @@ from helpers import (
     brute_force_dom,
     colored_graphs,
     path_graph,
+    phi,
     random_colored_graph,
     star_graph,
 )
@@ -163,7 +164,7 @@ class TestInstance:
 
     def test_phi_counts_vertices_edges_blacks(self):
         inst = Instance.from_graph(path_graph(4, white=[1]))
-        assert inst.phi == 4 + 3 + 3
+        assert phi(inst) == 4 + 3 + 3
 
     def test_copy_detaches_solution_and_stats(self):
         inst = Instance.from_graph(star_graph(2))
@@ -187,6 +188,12 @@ class TestScatteredCheck:
         g = path_graph(3)
         assert is_1_scattered(g, [])
         assert is_1_scattered(g, [1])
+
+    def test_removed_vertices_are_deleted_first(self):
+        g = path_graph(5)
+        assert is_1_scattered(g, [0, 2], removed={1})
+        assert not is_1_scattered(g, [0, 2], removed={3})
+        assert not is_1_scattered(g, [0, 1], removed={1})
 
     @given(colored_graphs(min_vertices=2, max_vertices=10))
     @settings(max_examples=150)

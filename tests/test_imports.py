@@ -1,0 +1,31 @@
+"""The package imports nothing outside the standard library."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).parent.parent / "src" / "domkernel").glob("*.py"))
+
+
+def absolute_imports(path):
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_sources_found():
+    assert any(p.name == "engine.py" for p in SOURCES)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_stdlib_and_package_imports(path):
+    outside = {
+        name
+        for name in absolute_imports(path)
+        if name != "domkernel" and name not in sys.stdlib_module_names
+    }
+    assert not outside, f"{path.name} imports {sorted(outside)}"

@@ -6,62 +6,45 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from domkernel.exact import verify_rule_safety
 from domkernel.graph import BLACK, WHITE, ColoredGraph, Instance
-from domkernel.simple_rules import (
-    SimpleRule,
-    applies,
-    apply_one_simple_rule,
-    apply_simple_exhaustively,
-    apply_simple_exhaustively_naive,
-    rule_black_to_white,
-    rule_degree1_black,
-    rule_isolated_black,
-    rule_white_no_black,
-    rule_white_subsumed,
-    rule_ww_edge,
-)
+from domkernel.simple_rules import SimpleRule, applies, apply_simple_exhaustively
 
 from helpers import (
+    apply_first,
+    apply_one_simple_rule,
+    apply_simple_exhaustively_naive,
     colored_graphs,
     cycle_graph,
     mixed_instance_stream,
     path_graph,
+    phi,
     star_graph,
+    verify_rule_safety,
 )
-
-RULE_OPS = {
-    SimpleRule.WW_EDGE: rule_ww_edge,
-    SimpleRule.WHITE_NO_BLACK: rule_white_no_black,
-    SimpleRule.WHITE_SUBSUMED: rule_white_subsumed,
-    SimpleRule.BLACK_TO_WHITE: rule_black_to_white,
-    SimpleRule.ISOLATED_BLACK: rule_isolated_black,
-    SimpleRule.DEGREE1_BLACK: rule_degree1_black,
-}
 
 
 class TestWwEdge:
     def test_removes_a_white_white_edge(self):
         inst = Instance.from_graph(path_graph(2, white=[0, 1]))
-        assert rule_ww_edge(inst)
+        assert apply_first(inst, SimpleRule.WW_EDGE)
         assert inst.graph.edge_count == 0
         assert inst.graph.vertex_count == 2
 
     def test_needs_both_endpoints_white(self):
         inst = Instance.from_graph(path_graph(2, white=[0]))
-        assert not rule_ww_edge(inst)
+        assert not apply_first(inst, SimpleRule.WW_EDGE)
         assert inst.graph.edge_count == 1
 
     def test_all_black_graph(self):
         inst = Instance.from_graph(cycle_graph(4))
-        assert not rule_ww_edge(inst)
+        assert not apply_first(inst, SimpleRule.WW_EDGE)
 
     def test_picks_largest_endpoint_then_largest_neighbor(self):
         g = ColoredGraph.from_edges(
             [(0, 1), (0, 2), (1, 2)], white=[0, 1, 2]
         )
         inst = Instance.from_graph(g)
-        assert rule_ww_edge(inst)
+        assert apply_first(inst, SimpleRule.WW_EDGE)
         assert inst.graph.edges() == [(0, 1), (0, 2)]
 
 
@@ -69,17 +52,17 @@ class TestWhiteNoBlack:
     def test_isolated_white_removed(self):
         g = ColoredGraph.from_edges([], white=[0], isolated=[0])
         inst = Instance.from_graph(g)
-        assert rule_white_no_black(inst)
+        assert apply_first(inst, SimpleRule.WHITE_NO_BLACK)
         assert inst.graph.vertex_count == 0
 
     def test_white_among_whites_removed(self):
         inst = Instance.from_graph(path_graph(3, white=[0, 1, 2]))
-        assert rule_white_no_black(inst)
+        assert apply_first(inst, SimpleRule.WHITE_NO_BLACK)
         assert inst.graph.vertex_count == 2
 
     def test_white_with_black_neighbor_kept(self):
         inst = Instance.from_graph(path_graph(2, white=[0]))
-        assert not rule_white_no_black(inst)
+        assert not apply_first(inst, SimpleRule.WHITE_NO_BLACK)
 
 
 class TestWhiteSubsumed:
@@ -88,7 +71,7 @@ class TestWhiteSubsumed:
         # whose closed black neighborhood trivially contains it.
         g = ColoredGraph.from_edges([(0, 1), (1, 2), (1, 3)], white=[3])
         inst = Instance.from_graph(g)
-        assert rule_white_subsumed(inst)
+        assert apply_first(inst, SimpleRule.WHITE_SUBSUMED)
         assert 3 not in inst.graph
 
     def test_twin_whites_drop_the_larger(self):
@@ -96,7 +79,7 @@ class TestWhiteSubsumed:
             [(0, 3), (0, 4), (1, 3), (1, 4), (3, 4)], white=[3, 4]
         )
         inst = Instance.from_graph(g)
-        assert rule_white_subsumed(inst)
+        assert apply_first(inst, SimpleRule.WHITE_SUBSUMED)
         assert 4 not in inst.graph
         assert 3 in inst.graph
 
@@ -104,70 +87,70 @@ class TestWhiteSubsumed:
         # The middle of black-white-black covers both endpoints; neither
         # neighbor covers the other, so no candidate subsumes it.
         inst = Instance.from_graph(path_graph(3, white=[1]))
-        assert not rule_white_subsumed(inst)
+        assert not apply_first(inst, SimpleRule.WHITE_SUBSUMED)
 
 
 class TestBlackToWhite:
     def test_triangle_whitens_down_to_one_black(self):
         inst = Instance.from_graph(cycle_graph(3))
-        assert rule_black_to_white(inst)
-        assert rule_black_to_white(inst)
-        assert not rule_black_to_white(inst)
+        assert apply_first(inst, SimpleRule.BLACK_TO_WHITE)
+        assert apply_first(inst, SimpleRule.BLACK_TO_WHITE)
+        assert not apply_first(inst, SimpleRule.BLACK_TO_WHITE)
         assert len(inst.graph.black_vertices()) == 1
         assert inst.graph.vertex_count == 3
 
     def test_black_pendant_pair(self):
         inst = Instance.from_graph(path_graph(2))
-        assert rule_black_to_white(inst)
+        assert apply_first(inst, SimpleRule.BLACK_TO_WHITE)
         assert inst.graph.black_vertices() == {0}
         assert inst.graph.white_vertices() == {1}
 
     def test_star_center_whitened(self):
         inst = Instance.from_graph(star_graph(3))
-        assert rule_black_to_white(inst)
+        assert apply_first(inst, SimpleRule.BLACK_TO_WHITE)
         assert inst.graph.is_white(0)
         assert inst.graph.black_vertices() == {1, 2, 3}
 
     def test_needs_black_witness_neighbor(self):
         inst = Instance.from_graph(star_graph(3, white=[1, 2, 3]))
-        assert not rule_black_to_white(inst)
+        assert not apply_first(inst, SimpleRule.BLACK_TO_WHITE)
 
 
 class TestIsolatedBlack:
     def test_taken_into_solution(self):
         g = ColoredGraph.from_edges([], isolated=[5])
         inst = Instance.from_graph(g)
-        assert rule_isolated_black(inst)
+        assert apply_first(inst, SimpleRule.ISOLATED_BLACK)
         assert inst.solution == {5}
         assert inst.graph.vertex_count == 0
 
     def test_isolated_white_is_not_this_rule(self):
         g = ColoredGraph.from_edges([], white=[5], isolated=[5])
         inst = Instance.from_graph(g)
-        assert not rule_isolated_black(inst)
-        assert rule_white_no_black(inst)
+        assert not apply_first(inst, SimpleRule.ISOLATED_BLACK)
+        assert apply_first(inst, SimpleRule.WHITE_NO_BLACK)
 
     def test_no_isolated_vertices(self):
         inst = Instance.from_graph(path_graph(3))
-        assert not rule_isolated_black(inst)
+        assert not apply_first(inst, SimpleRule.ISOLATED_BLACK)
 
 
 class TestDegree1Black:
     def test_pendant_forces_its_support(self):
         inst = Instance.from_graph(path_graph(2))
-        assert rule_degree1_black(inst)
+        assert apply_first(inst, SimpleRule.DEGREE1_BLACK)
         assert len(inst.solution) == 1
         assert inst.graph.black_vertices() == set()
 
     def test_star_solved_through_any_leaf(self):
         inst = Instance.from_graph(star_graph(5))
-        assert rule_degree1_black(inst)
+        assert apply_first(inst, SimpleRule.DEGREE1_BLACK)
         assert inst.solution == {0}
         assert inst.graph.black_vertices() == set()
 
     def test_degree_two_blacks_do_not_fire(self):
         inst = Instance.from_graph(cycle_graph(4))
-        assert not rule_degree1_black(inst)
+        assert not apply_first(inst, SimpleRule.DEGREE1_BLACK)
 
 
 class TestExhaustive:
@@ -243,10 +226,10 @@ class TestRuleProperties:
     def test_each_application_strictly_decreases_phi(self):
         for g in mixed_instance_stream(seed=47, count=60):
             inst = Instance.from_graph(g)
-            phi = inst.phi
+            before = phi(inst)
             while apply_one_simple_rule(inst) is not None:
-                assert inst.phi < phi
-                phi = inst.phi
+                assert phi(inst) < before
+                before = phi(inst)
 
     @pytest.mark.parametrize("rule", list(SimpleRule), ids=lambda r: r.name.lower())
     def test_single_application_preserves_optimum(self, rule):
@@ -254,7 +237,7 @@ class TestRuleProperties:
         for g in mixed_instance_stream(seed=1000 + rule, count=150, max_n=12):
             inst = Instance.from_graph(g)
             before = inst.copy()
-            if RULE_OPS[rule](inst):
+            if apply_first(inst, rule):
                 fired += 1
                 assert verify_rule_safety(before, inst)
         assert fired > 10

@@ -5,12 +5,10 @@ import random
 
 import pytest
 
-from domkernel.exact import dominates, exact_dom, verify_rule_safety
+from domkernel.exact import dominates, exact_dom
 from domkernel.graph import BLACK, WHITE, ColoredGraph, Instance, is_1_scattered
 from domkernel.sparsity import (
     ScatterResult,
-    SparsityConfig,
-    SparsityContext,
     greedy_dominating_set,
     group_and_reduce,
     sparsity_reduce,
@@ -24,6 +22,7 @@ from helpers import (
     path_graph,
     random_colored_graph,
     star_graph,
+    verify_rule_safety,
 )
 
 
@@ -74,6 +73,19 @@ class TestGreedyDominatingSet:
             assert greedy_dominating_set(g, targets) == naive_greedy(g, targets)
 
 
+def hub_graph(dominators: int) -> ColoredGraph:
+    """`dominators` vertices with ten private leaves each, plus one vertex
+    (the largest id) joined to every dominator."""
+    edges = []
+    nxt = dominators
+    for d in range(dominators):
+        for _ in range(10):
+            edges.append((d, nxt))
+            nxt += 1
+    edges.extend((d, nxt) for d in range(dominators))
+    return ColoredGraph.from_edges(edges)
+
+
 class TestUqwScatter:
     def test_empty_inputs(self):
         assert uqw_scatter(ColoredGraph(), set()) == ScatterResult(
@@ -106,16 +118,36 @@ class TestUqwScatter:
         assert result.scattered == frozenset({0, 4})
 
     def test_cutoff_knob_forces_deletion(self):
-        config = SparsityConfig(hub_cutoff=2)
-        result = uqw_scatter(star_graph(4), {1, 2, 3, 4}, config)
-        assert result.deleted == frozenset({0})
-        assert result.scattered == frozenset({1, 2, 3, 4})
+        # The hub cutoff is max(8, 4m/n): a star center of degree 8 sits at
+        # it and stays, one of degree 9 exceeds it and is deleted.
+        kept = uqw_scatter(star_graph(8), set(range(1, 9)))
+        assert kept.deleted == frozenset()
+        assert kept.scattered == frozenset({1})
+        gone = uqw_scatter(star_graph(9), set(range(1, 10)))
+        assert gone.deleted == frozenset({0})
+        assert gone.scattered == frozenset(range(1, 10))
+        # In K12 every degree is 11, above 8 but under 4m/n = 22.
+        k12 = ColoredGraph.from_edges(
+            [(u, v) for u in range(12) for v in range(u + 1, 12)]
+        )
+        dense = uqw_scatter(k12, set(range(12)))
+        assert dense.deleted == frozenset()
+        assert dense.scattered == frozenset({0})
 
     def test_deletion_cap_knob(self):
-        config = SparsityConfig(hub_cutoff=2, deletion_cap=0)
-        result = uqw_scatter(star_graph(4), {1, 2, 3, 4}, config)
-        assert result.deleted == frozenset()
-        assert result.scattered == frozenset({1})
+        # Three disjoint stars with centers 0, 1, 2 of degrees 12, 11, 10,
+        # all above the cutoff of 8.  Four candidates allow sqrt(4) = 2
+        # deletions, so center 2 survives and its leaves block each other.
+        edges, nxt = [], 3
+        for center, leaves in enumerate((12, 11, 10)):
+            for _ in range(leaves):
+                edges.append((center, nxt))
+                nxt += 1
+        g = ColoredGraph.from_edges(edges)
+        star2 = sorted(g.neighbors(2))[:4]
+        result = uqw_scatter(g, set(star2))
+        assert result.deleted == frozenset({0, 1})
+        assert result.scattered == frozenset({star2[0]})
 
     def test_output_is_scattered_in_the_residual(self):
         rng = random.Random(5)
@@ -131,35 +163,30 @@ class TestGroupAndReduce:
     def test_rejects_non_black_members(self):
         g = path_graph(3, white=[2])
         inst = Instance.from_graph(g)
-        ctx = SparsityContext(frozenset({1}), frozenset({1}))
         with pytest.raises(AssertionError):
-            group_and_reduce(inst, ctx, [2])
+            group_and_reduce(inst, frozenset({1}), [2])
 
     def test_rejects_unscattered_family(self):
         g = path_graph(3)
         inst = Instance.from_graph(g)
-        ctx = SparsityContext(frozenset(), frozenset())
         with pytest.raises(AssertionError):
-            group_and_reduce(inst, ctx, [0, 1])
+            group_and_reduce(inst, frozenset(), [0, 1])
 
     def test_empty_family(self):
         inst = Instance.from_graph(path_graph(3))
-        ctx = SparsityContext(frozenset({1}), frozenset({1}))
-        assert group_and_reduce(inst, ctx, []) == 0
+        assert group_and_reduce(inst, frozenset({1}), []) == 0
 
     def test_group_at_the_counting_boundary_keeps_everything(self):
         # Two leaves against a one-vertex cover of their reach: the excess
         # max(0, 2 - 1 - 1) is zero.
         inst = Instance.from_graph(star_graph(2))
-        ctx = SparsityContext(frozenset({0}), frozenset({0}))
-        assert group_and_reduce(inst, ctx, [1, 2]) == 0
+        assert group_and_reduce(inst, frozenset({0}), [1, 2]) == 0
         assert inst.graph.white_vertices() == set()
 
     def test_contactless_members_are_skipped(self):
         g = ColoredGraph.from_edges([(0, 1)], isolated=[5])
         inst = Instance.from_graph(g)
-        ctx = SparsityContext(frozenset({0}), frozenset({0}))
-        assert group_and_reduce(inst, ctx, [1, 5]) == 0
+        assert group_and_reduce(inst, frozenset({0}), [1, 5]) == 0
 
     def test_five_members_against_a_two_cover(self):
         # Five vertices all joined to both pool hubs 0 and 1; their reach
@@ -169,8 +196,7 @@ class TestGroupAndReduce:
         g = ColoredGraph.from_edges(edges)
         inst = Instance.from_graph(g)
         before = exact_dom(g.copy()).size
-        ctx = SparsityContext(frozenset({0, 1}), frozenset({0, 1}))
-        assert group_and_reduce(inst, ctx, [2, 3, 4, 5, 6]) == 2
+        assert group_and_reduce(inst, frozenset({0, 1}), [2, 3, 4, 5, 6]) == 2
         assert inst.graph.white_vertices() == {5, 6}
         assert inst.stats["sparsity_whitened"] == 2
         assert exact_dom(inst.graph).size == before
@@ -179,8 +205,7 @@ class TestGroupAndReduce:
         edges = [(h, x) for h in (0, 1) for x in range(2, 7)]
         g = ColoredGraph.from_edges(edges)
         inst = Instance.from_graph(g.copy())
-        ctx = SparsityContext(frozenset({0, 1}), frozenset({0, 1}))
-        group_and_reduce(inst, ctx, [2, 3, 4, 5, 6])
+        group_and_reduce(inst, frozenset({0, 1}), [2, 3, 4, 5, 6])
         for z in inst.graph.white_vertices():
             relaxed = g.copy()
             relaxed.set_color(z, WHITE)
@@ -225,40 +250,19 @@ class TestSparsityReduce:
         # joined to all nine dominators: after the first pass that vertex
         # has nine pool neighbors, beyond the threshold of seven, so it
         # joins the pool and a second pass runs.
-        edges = []
-        nxt = 9
-        for d in range(9):
-            for _ in range(10):
-                edges.append((d, nxt))
-                nxt += 1
-        hub = nxt
-        edges.extend((d, hub) for d in range(9))
-        inst = Instance.from_graph(ColoredGraph.from_edges(edges))
+        inst = Instance.from_graph(hub_graph(9))
         whitened = sparsity_reduce(inst)
         assert inst.stats["sparsity_passes"] == 2
         assert inst.stats["sparsity_scatter_calls"] == 2
         assert whitened == 72
 
-    def test_threshold_knob_stops_escalation(self):
-        edges = []
-        nxt = 9
-        for d in range(9):
-            for _ in range(10):
-                edges.append((d, nxt))
-                nxt += 1
-        hub = nxt
-        edges.extend((d, hub) for d in range(9))
-        inst = Instance.from_graph(ColoredGraph.from_edges(edges))
-        sparsity_reduce(inst, SparsityConfig(hub_threshold=9))
-        assert inst.stats["sparsity_passes"] == 1
-
-    def test_escalation_toggle_still_preserves_optimum(self):
-        config = SparsityConfig(escalate_toward_black=True)
-        for g in mixed_instance_stream(seed=91, count=60, max_n=12):
-            inst = Instance.from_graph(g)
-            before = inst.copy()
-            sparsity_reduce(inst, config)
-            assert verify_rule_safety(before, inst)
+    def test_hub_threshold_boundary(self):
+        # Seven pool neighbors sit at the threshold and stop escalation;
+        # eight exceed it.
+        for dominators, passes in ((7, 1), (8, 2)):
+            inst = Instance.from_graph(hub_graph(dominators))
+            sparsity_reduce(inst)
+            assert inst.stats["sparsity_passes"] == passes
 
     def test_never_mutates_anything_but_colors(self):
         for g in mixed_instance_stream(seed=92, count=40, max_n=14):
@@ -288,11 +292,3 @@ class TestSparsityReduce:
                 checked += 1
         assert checked > 0
 
-
-class TestConfigDefaults:
-    def test_default_knobs(self):
-        config = SparsityConfig()
-        assert config.hub_threshold == 7
-        assert config.hub_cutoff is None
-        assert config.deletion_cap is None
-        assert config.escalate_toward_black is False
