@@ -19,6 +19,8 @@ from .edgelist import load_graph
 from .engine import ALL_CONFIGS, ApproachConfig, kernelize
 from .graph import Instance
 
+FRACTIONS = ("remaining_vertex_fraction", "remaining_edge_fraction")
+
 CSV_COLUMNS = (
     "kind",
     "group",
@@ -31,9 +33,7 @@ CSV_COLUMNS = (
     "solution_size",
     "fully_solved",
     "attempts",
-    "remaining_vertex_fraction",
-    "remaining_edge_fraction",
-)
+) + FRACTIONS
 
 
 class BenchRunError(RuntimeError):
@@ -45,15 +45,6 @@ class BenchRunError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class BenchTask:
-    group: str
-    dataset: str
-    path: str
-    white_path: str | None
-    config_name: str
-
-
-@dataclass(frozen=True)
 class BenchResult:
     rows: tuple
     means: tuple
@@ -61,12 +52,27 @@ class BenchResult:
 
 
 def read_manifest(path):
-    """Load the dataset manifest; file paths resolve relative to it."""
+    """Load the dataset manifest; file paths resolve relative to it.  A
+    manifest of the wrong shape raises BenchRunError naming the file."""
     path = Path(path)
     data = json.loads(path.read_text())
+    files = data.get("files", []) if isinstance(data, dict) else None
+    if not isinstance(files, list):
+        raise BenchRunError(str(path), "expected an object with a 'files' list")
     base = path.parent
     entries = []
-    for item in data.get("files", []):
+    for i, item in enumerate(files):
+        if not (
+            isinstance(item, dict)
+            and isinstance(item.get("group"), str)
+            and isinstance(item.get("path"), str)
+            and isinstance(item.get("white"), (str, type(None)))
+        ):
+            raise BenchRunError(
+                str(path),
+                f"files[{i}] needs string 'group' and 'path' and a string"
+                " or null 'white'",
+            )
         entries.append(
             {
                 "group": item["group"],
@@ -78,15 +84,15 @@ def read_manifest(path):
     return entries
 
 
-def _run_task(task: BenchTask):
+def _run_task(entry, config_name):
     try:
-        g = load_graph(task.path, task.white_path)
+        g = load_graph(entry["path"], entry.get("white_path"))
         inst = Instance.from_graph(g)
-        report = kernelize(inst, ApproachConfig.from_name(task.config_name))
+        report = kernelize(inst, ApproachConfig.from_name(config_name))
     except Exception as exc:
-        return ("error", task.path, f"{type(exc).__name__}: {exc}")
+        return ("error", entry["path"], f"{type(exc).__name__}: {exc}")
     full = report.to_dict()
-    full.update(kind="instance", group=task.group, dataset=task.dataset)
+    full.update(kind="instance", group=entry["group"], dataset=entry["dataset"])
     return ("ok", {c: full[c] for c in CSV_COLUMNS})
 
 
@@ -99,22 +105,12 @@ def run_bench(entries, configs=None, workers: int = 1) -> BenchResult:
     """
     if configs is None:
         configs = [c.name for c in ALL_CONFIGS]
-    tasks = [
-        BenchTask(
-            group=e["group"],
-            dataset=e["dataset"],
-            path=e["path"],
-            white_path=e.get("white_path"),
-            config_name=name,
-        )
-        for e in entries
-        for name in configs
-    ]
+    tasks = [(e, name) for e in entries for name in configs]
     if workers > 1 and len(tasks) > 1:
         with multiprocessing.Pool(processes=workers) as pool:
-            outcomes = list(pool.imap(_run_task, tasks, chunksize=1))
+            outcomes = pool.starmap(_run_task, tasks, chunksize=1)
     else:
-        outcomes = [_run_task(t) for t in tasks]
+        outcomes = [_run_task(*t) for t in tasks]
     rows = []
     for outcome in outcomes:
         if outcome[0] == "error":
@@ -138,30 +134,11 @@ def aggregate_means(rows, configs):
             sub = [r for r in rows if r["group"] == group and r["config"] == config]
             if not sub:
                 continue
-            n = len(sub)
-            means.append(
-                {
-                    "kind": "group-mean",
-                    "group": group,
-                    "dataset": "",
-                    "config": config,
-                    "initial_vertices": "",
-                    "initial_edges": "",
-                    "final_vertices": "",
-                    "final_edges": "",
-                    "solution_size": "",
-                    "fully_solved": sum(r["fully_solved"] for r in sub) / n,
-                    "attempts": "",
-                    "remaining_vertex_fraction": sum(
-                        r["remaining_vertex_fraction"] for r in sub
-                    )
-                    / n,
-                    "remaining_edge_fraction": sum(
-                        r["remaining_edge_fraction"] for r in sub
-                    )
-                    / n,
-                }
-            )
+            row = dict.fromkeys(CSV_COLUMNS, "")
+            row.update(kind="group-mean", group=group, config=config)
+            for key in ("fully_solved",) + FRACTIONS:
+                row[key] = sum(r[key] for r in sub) / len(sub)
+            means.append(row)
     return means
 
 
@@ -181,7 +158,7 @@ def worse_than_baseline_notes(rows):
         off = baseline.get((r["group"], r["dataset"], "off." + r["config"][3:]))
         if off is None:
             continue
-        for metric in ("remaining_vertex_fraction", "remaining_edge_fraction"):
+        for metric in FRACTIONS:
             if r[metric] > off[metric]:
                 notes.append(
                     f"{r['group']}/{r['dataset']}: {r['config']} kept "

@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
 from .bench import BenchRunError, read_manifest, run_bench, write_csv
-from .edgelist import EdgeListError, load_graph, write_edge_list
+from .edgelist import EdgeListError, load_graph, write_edge_list, write_white_list
 from .engine import ApproachConfig, kernelize
 from .exact import OracleSizeError, exact_dom
 from .graph import Instance
@@ -57,7 +56,8 @@ def _build_parser() -> _Parser:
     ker.add_argument("--config", default="off.none", help="configuration name")
     ker.add_argument("--report", default=None, help="write a JSON report here")
     ker.add_argument(
-        "--kernel-out", default=None, help="write the reduced edge list here"
+        "--kernel-out", default=None,
+        help="write the reduced edge list here, and its whites to <path>.white",
     )
 
     ben = sub.add_parser("bench", help="run the benchmark over a dataset")
@@ -68,8 +68,7 @@ def _build_parser() -> _Parser:
         help="comma-separated configuration names (default: all six)",
     )
     ben.add_argument(
-        "--workers", type=int, default=None,
-        help="parallel workers (default: DOMKERNEL_WORKERS or 1)",
+        "--workers", type=int, default=1, help="parallel workers (default 1)"
     )
 
     sol = sub.add_parser("solve-exact", help="exact optimum of a small instance")
@@ -139,6 +138,7 @@ def _cmd_kernelize(args) -> int:
         Path(args.report).write_text(json.dumps(payload, indent=2) + "\n")
     if args.kernel_out:
         write_edge_list(args.kernel_out, inst.graph)
+        write_white_list(f"{args.kernel_out}.white", inst.graph)
     return EXIT_OK
 
 
@@ -149,10 +149,7 @@ def _cmd_bench(args) -> int:
         configs = [s.strip() for s in args.configs.split(",") if s.strip()]
         for name in configs:
             ApproachConfig.from_name(name)
-    workers = args.workers
-    if workers is None:
-        workers = int(os.environ.get("DOMKERNEL_WORKERS", "1"))
-    result = run_bench(entries, configs, workers=workers)
+    result = run_bench(entries, configs, workers=args.workers)
     write_csv(args.csv, result)
     for note in result.notes:
         print(f"note: {note}", file=sys.stderr)

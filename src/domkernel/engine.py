@@ -9,24 +9,18 @@ ever run on graphs the cheap rules cannot shrink further.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .alber import apply_alber_pair_first, apply_alber_single_first
 from .graph import Instance
-from .simple_rules import apply_simple_exhaustively
+from .simple_rules import STAT_NAMES, apply_simple_exhaustively
 from .sparsity import sparsity_reduce
 
 ALBER_MODES = ("none", "one", "both")
 
 ATTEMPT_LIMIT = 10_000_000
 
-STAT_KEYS = (
-    "ww_edge",
-    "white_no_black",
-    "white_subsumed",
-    "black_to_white",
-    "isolated_black",
-    "degree1_black",
+STAT_KEYS = STAT_NAMES + (
     "alber_single",
     "alber_pair",
     "alber_pair_gadget",
@@ -94,20 +88,11 @@ class KernelReport:
         return self.final_edges / self.initial_edges
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "initial_vertices": self.initial_vertices,
-            "initial_edges": self.initial_edges,
-            "final_vertices": self.final_vertices,
-            "final_edges": self.final_edges,
-            "solution_size": self.solution_size,
-            "fully_solved": self.fully_solved,
-            "attempts": self.attempts,
-            "elapsed_seconds": self.elapsed_seconds,
-            "remaining_vertex_fraction": self.remaining_vertex_fraction,
-            "remaining_edge_fraction": self.remaining_edge_fraction,
-            "rule_applications": dict(sorted(self.rule_applications.items())),
-        }
+        out = asdict(self)
+        out["rule_applications"] = dict(sorted(self.rule_applications.items()))
+        out["remaining_vertex_fraction"] = self.remaining_vertex_fraction
+        out["remaining_edge_fraction"] = self.remaining_edge_fraction
+        return out
 
 
 def kernelize(

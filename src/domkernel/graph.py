@@ -26,13 +26,12 @@ WHITE = Color.WHITE
 class ColoredGraph:
     """Simple undirected graph with a black/white color per vertex."""
 
-    __slots__ = ("adj", "color", "_next_id", "_m")
+    __slots__ = ("adj", "color", "_next_id")
 
     def __init__(self) -> None:
         self.adj: dict[int, set[int]] = {}
         self.color: dict[int, Color] = {}
         self._next_id = 0
-        self._m = 0
 
     # -- construction and mutation ------------------------------------
 
@@ -54,22 +53,18 @@ class ColoredGraph:
     def add_edge(self, u: int, v: int) -> None:
         if u == v:
             raise ValueError(f"self-loop at {u} rejected")
-        au, av = self.adj[u], self.adj[v]
-        if v not in au:
-            au.add(v)
-            av.add(u)
-            self._m += 1
+        au, av = self.adj[u], self.adj[v]  # both looked up before either changes
+        au.add(v)
+        av.add(u)
 
     def remove_edge(self, u: int, v: int) -> None:
         self.adj[u].remove(v)
         self.adj[v].remove(u)
-        self._m -= 1
 
     def remove_vertex(self, v: int) -> None:
         nv = self.adj.pop(v)
         for u in nv:
             self.adj[u].remove(v)
-        self._m -= len(nv)
         del self.color[v]
 
     def set_color(self, v: int, color: Color) -> None:
@@ -82,16 +77,13 @@ class ColoredGraph:
     def __contains__(self, v: int) -> bool:
         return v in self.adj
 
-    def __len__(self) -> int:
-        return len(self.adj)
-
     @property
     def vertex_count(self) -> int:
         return len(self.adj)
 
     @property
     def edge_count(self) -> int:
-        return self._m
+        return sum(map(len, self.adj.values())) // 2
 
     def vertices(self) -> list[int]:
         return sorted(self.adj)
@@ -106,19 +98,6 @@ class ColoredGraph:
         out.sort()
         return out
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
-    def neighbors(self, v: int) -> set[int]:
-        """N(v).  The returned set is live; treat it as read-only."""
-        return self.adj[v]
-
-    def closed_neighborhood(self, v: int) -> set[int]:
-        """N[v] as a fresh set."""
-        out = set(self.adj[v])
-        out.add(v)
-        return out
-
     def closed_neighborhood_of_set(self, vs) -> set[int]:
         """N[U] = union of N[u] over u in U."""
         out: set[int] = set()
@@ -126,12 +105,6 @@ class ColoredGraph:
             out.update(self.adj[v])
             out.add(v)
         return out
-
-    def is_black(self, v: int) -> bool:
-        return self.color[v] is BLACK
-
-    def is_white(self, v: int) -> bool:
-        return self.color[v] is WHITE
 
     def black_vertices(self) -> set[int]:
         return {v for v, c in self.color.items() if c is BLACK}
@@ -146,39 +119,29 @@ class ColoredGraph:
         out.adj = {v: set(nv) for v, nv in self.adj.items()}
         out.color = dict(self.color)
         out._next_id = self._next_id
-        out._m = self._m
         return out
 
     def without(self, removed) -> "ColoredGraph":
         """Copy with the given vertices (and their edges) deleted."""
         removed = set(removed)
         out = ColoredGraph()
-        m = 0
         for v, nv in self.adj.items():
-            if v in removed:
-                continue
-            keep = nv - removed
-            out.adj[v] = keep
-            out.color[v] = self.color[v]
-            m += len(keep)
+            if v not in removed:
+                out.adj[v] = nv - removed
+                out.color[v] = self.color[v]
         out._next_id = self._next_id
-        out._m = m // 2
         return out
 
     # -- auditing ------------------------------------------------------
 
     def check_invariants(self) -> None:
-        """Debug audit: symmetry, simplicity, color totality, edge counter."""
-        m = 0
+        """Debug audit: symmetry, simplicity, color totality."""
         for v, nv in self.adj.items():
             if v in nv:
                 raise AssertionError(f"self-loop at {v}")
             for u in nv:
                 if u not in self.adj or v not in self.adj[u]:
                     raise AssertionError(f"asymmetric edge {v}-{u}")
-            m += len(nv)
-        if m % 2 != 0 or m // 2 != self._m:
-            raise AssertionError(f"edge counter {self._m} != {m // 2}")
         if set(self.color) != set(self.adj):
             raise AssertionError("color map does not match vertex set")
 

@@ -109,11 +109,7 @@ PREDICATES = (  # indexed by SimpleRule
     _degree1_support,
 )
 
-_STAT_NAMES = tuple(rule.name.lower() for rule in SimpleRule)
-
-
-def applies(g: ColoredGraph, rule: SimpleRule, v: int) -> bool:
-    return PREDICATES[rule](g, v) is not None
+STAT_NAMES = tuple(rule.name.lower() for rule in SimpleRule)
 
 
 def fire(inst: Instance, rule: int, v: int, witness: int) -> tuple:
@@ -136,7 +132,7 @@ def fire(inst: Instance, rule: int, v: int, witness: int) -> tuple:
     else:
         touched = tuple(g.adj[witness])
         inst.take_into_solution(witness)
-    inst.stats[_STAT_NAMES[rule]] += 1
+    inst.stats[STAT_NAMES[rule]] += 1
     return touched
 
 

@@ -61,11 +61,11 @@ class TestPartitionSingle:
     def test_is_a_partition_with_contained_n3(self, g):
         for v in g.vertices():
             n1, n2, n3 = partition(g, v)
-            assert n1 | n2 | n3 == g.neighbors(v)
-            assert len(n1) + len(n2) + len(n3) == len(g.neighbors(v))
-            ball = g.closed_neighborhood(v)
+            assert n1 | n2 | n3 == g.adj[v]
+            assert len(n1) + len(n2) + len(n3) == len(g.adj[v])
+            ball = g.adj[v] | {v}
             for u in n3:
-                assert g.closed_neighborhood(u) <= ball
+                assert (g.adj[u] | {u}) <= ball
 
 
 class TestPartitionPair:
@@ -92,12 +92,12 @@ class TestPartitionPair:
         if v == w:
             return
         n1, n2, n3 = partition(g, v, w)
-        nvw = (g.neighbors(v) | g.neighbors(w)) - {v, w}
+        nvw = (g.adj[v] | g.adj[w]) - {v, w}
         assert n1 | n2 | n3 == nvw
         assert len(n1) + len(n2) + len(n3) == len(nvw)
-        joint = g.closed_neighborhood(v) | g.closed_neighborhood(w)
+        joint = g.adj[v] | g.adj[w] | {v, w}
         for u in n3:
-            assert g.closed_neighborhood(u) <= joint
+            assert (g.adj[u] | {u}) <= joint
 
 
 class TestAlberRule1:
@@ -165,9 +165,9 @@ class TestAlberRule2:
         z1, z2 = 11, 12
         assert g.black_vertices() == {0, 1, z1, z2}
         assert {x for x in range(2, 11)} <= g.white_vertices()
-        assert g.neighbors(z1) == {0, 1}
-        assert g.neighbors(z2) == {0, 1}
-        assert z2 not in g.neighbors(z1)
+        assert g.adj[z1] == {0, 1}
+        assert g.adj[z2] == {0, 1}
+        assert z2 not in g.adj[z1]
         assert phi(inst) < potential
         assert inst.stats["alber_pair_gadget"] == 1
         assert verify_rule_safety(before, inst)

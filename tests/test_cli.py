@@ -2,11 +2,16 @@
 (0 ok, 1 usage, 2 data, 3 oracle refusal)."""
 
 import json
+import random
 
 import pytest
 
 from domkernel.cli import main
 from domkernel.edgelist import write_edge_list, write_white_list
+from domkernel.engine import ALL_CONFIGS
+from domkernel.exact import exact_dom
+from domkernel.graph import WHITE
+from domkernel.plangen import GroupSpec, generate_instance
 
 from helpers import cycle_graph, path_graph, star_graph
 
@@ -68,6 +73,7 @@ class TestKernelize:
         assert payload["solution_size"] == 1
         assert payload["input"] == str(edges)
         assert kernel.read_text() == "# 0 0\n"
+        assert (tmp_path / "kernel.edges.white").read_text() == "# 0 white vertices\n"
 
     def test_white_sidecar_respected(self, tmp_path, capsys):
         # All-white input needs no dominators at all; without the sidecar
@@ -81,6 +87,34 @@ class TestKernelize:
         assert "solution: 0" in capsys.readouterr().out
         assert main(["kernelize", str(edges)]) == 0
         assert "solution: 1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("config", [c.name for c in ALL_CONFIGS])
+    def test_written_kernel_keeps_the_optimum(self, tmp_path, capsys, config):
+        # optimum(original) == |solution| + optimum(written kernel), with the
+        # kernel read back from --kernel-out and its .white sidecar.
+        kernel = tmp_path / "kernel.edges"
+        kernel_whites = 0
+        for index in range(6):
+            g = generate_instance(GroupSpec(50, 110), index, 0)
+            for v in random.Random(index).sample(sorted(g.adj), 15):
+                g.set_color(v, WHITE)
+            edges = write_graph(tmp_path, g)
+            white = tmp_path / "g.white"
+            write_white_list(white, g)
+            report = tmp_path / "report.json"
+            assert main(["kernelize", str(edges), "--white", str(white),
+                         "--config", config, "--report", str(report),
+                         "--kernel-out", str(kernel)]) == 0
+            solution = json.loads(report.read_text())["solution_size"]
+            kernel_white = tmp_path / "kernel.edges.white"
+            kernel_whites += len(kernel_white.read_text().splitlines()) - 1
+            capsys.readouterr()
+            assert main(["solve-exact", str(kernel), "--white",
+                         str(kernel_white)]) == 0
+            out = capsys.readouterr().out
+            rest = int(out.split("optimum: ")[1].split()[0])
+            assert exact_dom(g).size == solution + rest, f"instance {index}"
+        assert kernel_whites > 0
 
     def test_config_flag_changes_the_run(self, tmp_path, capsys):
         edges = write_graph(tmp_path, cycle_graph(9))
@@ -138,6 +172,27 @@ class TestBench:
         )
         assert code == 2
         assert "malformed JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            [1, 2],
+            {"files": {"path": "x.edges"}},
+            {"files": [{"path": "x.edges"}]},
+            {"files": [{"group": "g", "path": "x.edges", "white": 5}]},
+        ],
+        ids=["top-level-list", "files-not-a-list", "no-group", "white-not-a-string"],
+    )
+    def test_manifest_of_the_wrong_shape_is_a_data_error(
+        self, tmp_path, capsys, body
+    ):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(body))
+        code = main(
+            ["bench", "--manifest", str(manifest), "--csv", str(tmp_path / "x.csv")]
+        )
+        assert code == 2
+        assert "manifest.json" in capsys.readouterr().err
 
     def test_missing_dataset_file_is_a_data_error(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.json"

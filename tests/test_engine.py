@@ -2,6 +2,7 @@
 
 import pytest
 
+from domkernel.bench import CSV_COLUMNS
 from domkernel.engine import (
     ALL_CONFIGS,
     ATTEMPT_LIMIT,
@@ -12,7 +13,7 @@ from domkernel.engine import (
 )
 from domkernel.exact import exact_dom
 from domkernel.graph import ColoredGraph, Instance
-from domkernel.simple_rules import SimpleRule, applies
+from domkernel.simple_rules import PREDICATES, SimpleRule
 
 from helpers import brute_force_dom, mixed_instance_stream, path_graph, star_graph
 
@@ -76,7 +77,9 @@ class TestKernelReport:
         assert payload["config"] == "off.none"
         assert payload["fully_solved"] is True
         assert payload["remaining_vertex_fraction"] == 0.0
-        assert set(payload["rule_applications"]) == set(STAT_KEYS)
+        assert list(payload["rule_applications"]) == sorted(STAT_KEYS)
+        assert STAT_KEYS[:6] == tuple(rule.name.lower() for rule in SimpleRule)
+        assert set(CSV_COLUMNS) - {"kind", "group", "dataset"} <= payload.keys()
 
 
 class TestKernelize:
@@ -115,7 +118,7 @@ class TestKernelize:
                 assert again.initial_edges == again.final_edges
                 for rule in SimpleRule:
                     for v in inst.graph.vertices():
-                        assert not applies(inst.graph, rule, v)
+                        assert PREDICATES[rule](inst.graph, v) is None
 
     def test_reports_are_deterministic_up_to_elapsed(self):
         for g in mixed_instance_stream(seed=17, count=20):

@@ -75,14 +75,13 @@ class TestColoredGraph:
 
     def test_neighborhood_queries(self):
         g = path_graph(4)
-        assert g.neighbors(1) == {0, 2}
-        assert g.closed_neighborhood(1) == {0, 1, 2}
+        assert g.adj[1] == {0, 2}
         assert g.closed_neighborhood_of_set([0, 3]) == {0, 1, 2, 3}
-        assert g.degree(1) == 2 and g.degree(0) == 1
+        assert len(g.adj[1]) == 2 and len(g.adj[0]) == 1
 
     def test_color_queries(self):
         g = path_graph(3, white=[1])
-        assert g.is_white(1) and g.is_black(0)
+        assert g.color[1] is WHITE and g.color[0] is BLACK
         assert g.black_vertices() == {0, 2}
         assert g.white_vertices() == {1}
 
@@ -96,7 +95,7 @@ class TestColoredGraph:
         h = g.copy()
         h.remove_vertex(0)
         h.set_color(1, BLACK)
-        assert g.vertex_count == 3 and g.is_white(2)
+        assert g.vertex_count == 3 and g.color[2] is WHITE
         assert h.add_vertex() == 3
 
     def test_without(self):
@@ -116,12 +115,6 @@ class TestColoredGraph:
     def test_check_invariants_catches_asymmetry(self):
         g = path_graph(2)
         g.adj[0].discard(1)
-        with pytest.raises(AssertionError):
-            g.check_invariants()
-
-    def test_check_invariants_catches_bad_edge_count(self):
-        g = path_graph(3)
-        g._m = 5
         with pytest.raises(AssertionError):
             g.check_invariants()
 
@@ -216,14 +209,14 @@ class TestColorRemovalGadget:
         assert out.edge_count == 3
         assert out.white_vertices() == set()
         pendant, hub = 3, 4
-        assert out.neighbors(pendant) == {hub}
+        assert out.adj[pendant] == {hub}
         assert exact_dom(out).size == exact_dom(g).size + 1
 
     def test_hub_attaches_to_former_whites(self):
         g = path_graph(3, white=[0, 2])
         out = bw_to_plain_gadget(g)
         pendant, hub = 3, 4
-        assert out.neighbors(hub) == {pendant, 0, 2}
+        assert out.adj[hub] == {pendant, 0, 2}
         assert out.black_vertices() == {0, 1, 2, 3, 4}
 
     def test_white_middle_path(self):

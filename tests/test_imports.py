@@ -1,4 +1,5 @@
-"""The package imports nothing outside the standard library."""
+"""The package and the scripts import nothing outside the standard
+library."""
 
 import ast
 import sys
@@ -6,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).parent.parent / "src" / "domkernel").glob("*.py"))
+ROOT = Path(__file__).parent.parent
+SOURCES = sorted((ROOT / "src" / "domkernel").glob("*.py"))
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
 def absolute_imports(path):
@@ -19,9 +22,10 @@ def absolute_imports(path):
 
 def test_sources_found():
     assert any(p.name == "engine.py" for p in SOURCES)
+    assert any(p.name == "run_bench.py" for p in SCRIPTS)
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES + SCRIPTS, ids=lambda p: p.name)
 def test_only_stdlib_and_package_imports(path):
     outside = {
         name

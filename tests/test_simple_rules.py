@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from domkernel.graph import BLACK, WHITE, ColoredGraph, Instance
-from domkernel.simple_rules import SimpleRule, applies, apply_simple_exhaustively
+from domkernel.simple_rules import PREDICATES, SimpleRule, apply_simple_exhaustively
 
 from helpers import (
     apply_first,
@@ -108,7 +108,7 @@ class TestBlackToWhite:
     def test_star_center_whitened(self):
         inst = Instance.from_graph(star_graph(3))
         assert apply_first(inst, SimpleRule.BLACK_TO_WHITE)
-        assert inst.graph.is_white(0)
+        assert inst.graph.color[0] is WHITE
         assert inst.graph.black_vertices() == {1, 2, 3}
 
     def test_needs_black_witness_neighbor(self):
@@ -173,7 +173,7 @@ class TestExhaustive:
             apply_simple_exhaustively(inst)
             for rule in SimpleRule:
                 for v in inst.graph.vertices():
-                    assert not applies(inst.graph, rule, v)
+                    assert PREDICATES[rule](inst.graph, v) is None
 
     def test_stats_track_every_application(self):
         inst = Instance.from_graph(star_graph(5))
@@ -218,10 +218,12 @@ class TestRuleProperties:
     def test_subsumption_generalizes_lonely_white_removal(self):
         # Wherever the no-black-neighbor rule fires on a non-isolated
         # vertex, the subsumption rule fires there too.
+        no_black = PREDICATES[SimpleRule.WHITE_NO_BLACK]
+        subsumed = PREDICATES[SimpleRule.WHITE_SUBSUMED]
         for g in mixed_instance_stream(seed=31, count=120):
             for v in g.vertices():
-                if applies(g, SimpleRule.WHITE_NO_BLACK, v) and g.degree(v) > 0:
-                    assert applies(g, SimpleRule.WHITE_SUBSUMED, v)
+                if g.adj[v] and no_black(g, v) is not None:
+                    assert subsumed(g, v) is not None
 
     def test_each_application_strictly_decreases_phi(self):
         for g in mixed_instance_stream(seed=47, count=60):

@@ -144,7 +144,7 @@ class TestUqwScatter:
                 edges.append((center, nxt))
                 nxt += 1
         g = ColoredGraph.from_edges(edges)
-        star2 = sorted(g.neighbors(2))[:4]
+        star2 = sorted(g.adj[2])[:4]
         result = uqw_scatter(g, set(star2))
         assert result.deleted == frozenset({0, 1})
         assert result.scattered == frozenset({star2[0]})
