@@ -19,9 +19,7 @@ def partition(g: ColoredGraph, *centers: int) -> tuple[set, set, set]:
     if len(set(centers)) != len(centers):
         raise ValueError("partition needs distinct centers")
     adj = g.adj
-    ball = set(centers)
-    for c in centers:
-        ball |= adj[c]
+    ball = g.closed_neighborhood_of_set(centers)
     shell = ball.difference(centers)
     n1 = {u for u in shell if not adj[u] <= ball}
     n2 = {u for u in shell - n1 if not adj[u].isdisjoint(n1)}
@@ -77,8 +75,8 @@ def alber_rule2(inst: Instance, v: int, w: int) -> bool:
             return False
         for u in sorted(whiten):
             g.set_color(u, WHITE)
-        z1 = g.add_vertex(color=BLACK)
-        z2 = g.add_vertex(color=BLACK)
+        z1 = g.add_vertex()
+        z2 = g.add_vertex()
         for z in (z1, z2):
             g.add_edge(z, v)
             g.add_edge(z, w)
@@ -92,17 +90,6 @@ def alber_rule2(inst: Instance, v: int, w: int) -> bool:
         inst.take_into_solution(w)
     inst.stats["alber_pair"] += 1
     return True
-
-
-def _ball3(g: ColoredGraph, v: int) -> set[int]:
-    adj = g.adj
-    out = set(adj[v])
-    for u in list(out):
-        out |= adj[u]
-    for u in list(out):
-        out |= adj[u]
-    out.discard(v)
-    return out
 
 
 def apply_alber_single_first(inst: Instance) -> bool:
@@ -119,7 +106,10 @@ def apply_alber_pair_first(inst: Instance) -> bool:
     rule at the first hit."""
     g = inst.graph
     for v in sorted(g.adj):
-        for w in sorted(_ball3(g, v)):
+        ball = {v}
+        for _ in range(3):
+            ball = g.closed_neighborhood_of_set(ball)
+        for w in sorted(ball):
             if w <= v:
                 continue
             if alber_rule2(inst, v, w):

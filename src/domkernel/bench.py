@@ -55,7 +55,10 @@ def read_manifest(path):
     """Load the dataset manifest; file paths resolve relative to it.  A
     manifest of the wrong shape raises BenchRunError naming the file."""
     path = Path(path)
-    data = json.loads(path.read_text())
+    try:
+        data = json.loads(path.read_text())
+    except UnicodeDecodeError as exc:
+        raise BenchRunError(str(path), f"undecodable text: {exc}") from None
     files = data.get("files", []) if isinstance(data, dict) else None
     if not isinstance(files, list):
         raise BenchRunError(str(path), "expected an object with a 'files' list")

@@ -1,8 +1,8 @@
 """Command line entry points.
 
 Exit codes: 0 success, 1 usage errors (bad flags, unknown configuration),
-2 data errors (unreadable or malformed input files), 3 exact-solver refusal
-on an oversized instance.
+2 data errors (unreadable, undecodable or malformed input files), 3
+exact-solver refusal on an oversized instance.
 """
 
 from __future__ import annotations
@@ -143,12 +143,16 @@ def _cmd_kernelize(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    entries = read_manifest(args.manifest)
+    if args.workers < 1:
+        raise ValueError(f"--workers must be at least 1, got {args.workers}")
     configs = None
     if args.configs is not None:
         configs = [s.strip() for s in args.configs.split(",") if s.strip()]
+        if not configs or len(set(configs)) != len(configs):
+            raise ValueError(f"--configs needs distinct names, got {args.configs!r}")
         for name in configs:
             ApproachConfig.from_name(name)
+    entries = read_manifest(args.manifest)
     result = run_bench(entries, configs, workers=args.workers)
     write_csv(args.csv, result)
     for note in result.notes:

@@ -25,7 +25,10 @@ class EdgeListError(ValueError):
 
 
 def _data_lines(path):
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise EdgeListError(path, None, f"undecodable text: {exc}") from None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):

@@ -35,9 +35,9 @@ class ColoredGraph:
 
     # -- construction and mutation ------------------------------------
 
-    def add_vertex(self, v: int | None = None, color: Color = BLACK) -> int:
-        """Add a vertex; with ``v=None`` a fresh id (larger than any id ever
-        used) is allocated."""
+    def add_vertex(self, v: int | None = None) -> int:
+        """Add a black vertex; with ``v=None`` a fresh id (larger than any id
+        ever used) is allocated."""
         if v is None:
             v = self._next_id
         if v < 0:
@@ -45,7 +45,7 @@ class ColoredGraph:
         if v in self.adj:
             raise ValueError(f"vertex {v} already present")
         self.adj[v] = set()
-        self.color[v] = color
+        self.color[v] = BLACK
         if v >= self._next_id:
             self._next_id = v + 1
         return v
@@ -118,17 +118,6 @@ class ColoredGraph:
         out = ColoredGraph()
         out.adj = {v: set(nv) for v, nv in self.adj.items()}
         out.color = dict(self.color)
-        out._next_id = self._next_id
-        return out
-
-    def without(self, removed) -> "ColoredGraph":
-        """Copy with the given vertices (and their edges) deleted."""
-        removed = set(removed)
-        out = ColoredGraph()
-        for v, nv in self.adj.items():
-            if v not in removed:
-                out.adj[v] = nv - removed
-                out.color[v] = self.color[v]
         out._next_id = self._next_id
         return out
 
@@ -219,8 +208,8 @@ def bw_to_plain_gadget(g: ColoredGraph) -> ColoredGraph:
     """
     out = g.copy()
     whites = sorted(out.white_vertices())
-    pendant = out.add_vertex(color=BLACK)
-    hub = out.add_vertex(color=BLACK)
+    pendant = out.add_vertex()
+    hub = out.add_vertex()
     out.add_edge(pendant, hub)
     for w in whites:
         out.add_edge(hub, w)

@@ -29,6 +29,8 @@ class GroupSpec:
     def __post_init__(self) -> None:
         if self.vertices < 3:
             raise ValueError("need at least 3 vertices")
+        if self.instances < 0:
+            raise ValueError(f"instance count {self.instances} is negative")
         if not 0 <= self.edges <= 3 * self.vertices - 6:
             raise ValueError(
                 f"edge target {self.edges} outside [0, {3 * self.vertices - 6}]"

@@ -10,19 +10,12 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 
 from .graph import BLACK, WHITE, ColoredGraph, Instance, is_1_scattered
 
 # Escalation stops once no vertex outside D' has more than this many D'
 # neighbors.
 HUB_THRESHOLD = 7
-
-
-@dataclass(frozen=True)
-class ScatterResult:
-    scattered: frozenset
-    deleted: frozenset
 
 
 def greedy_dominating_set(g: ColoredGraph, targets) -> set[int]:
@@ -57,26 +50,30 @@ def greedy_dominating_set(g: ColoredGraph, targets) -> set[int]:
     return out
 
 
-def uqw_scatter(g: ColoredGraph, candidates) -> ScatterResult:
-    """Pull a 1-scattered subset out of the candidates.
+def uqw_scatter(
+    g: ColoredGraph, candidates, removed=frozenset()
+) -> tuple[frozenset, frozenset]:
+    """Pull a 1-scattered subset out of the candidates in g with `removed`
+    masked out: its vertices, their edges and candidates among them are
+    ignored, as if deleted from g.
 
     First deletes up to sqrt(#candidates) hub vertices whose residual degree
-    exceeds max(8, twice the average degree of g), highest degree first,
-    ties to the smaller id, since hubs glue neighborhoods together and
+    exceeds max(8, twice the average degree of g - removed), highest degree
+    first, ties to the smaller id, since hubs glue neighborhoods together and
     starve the scatter.  Then greedily accepts candidates in ascending
     residual degree order, blocking the radius-2 ball of every acceptance.
-    The scatter property of the output is validated before returning.
+    Returns (scattered, deleted); the scatter property of the output in
+    g - removed - deleted is validated before returning.
     """
     adj = g.adj
-    n = len(adj)
-    candidates = set(candidates)
-    if n == 0 or not candidates:
-        return ScatterResult(frozenset(), frozenset())
+    deg = {v: len(adj[v] - removed) for v in adj if v not in removed}
+    candidates = set(candidates) - removed
+    if not deg or not candidates:
+        return frozenset(), frozenset()
 
-    cutoff = max(8.0, 4.0 * g.edge_count / n)
+    cutoff = max(8.0, 4.0 * (sum(deg.values()) // 2) / len(deg))
     cap = math.sqrt(len(candidates))
 
-    deg = {v: len(adj[v]) for v in adj}
     deleted: set[int] = set()
     while len(deleted) < cap:
         v = min(deg, key=lambda x: (-deg[x], x))
@@ -88,27 +85,22 @@ def uqw_scatter(g: ColoredGraph, candidates) -> ScatterResult:
             if u in deg:
                 deg[u] -= 1
 
-    order = sorted(
-        (c for c in candidates if c not in deleted),
-        key=lambda c: (deg[c], c),
-    )
+    gone = removed | deleted
+    order = sorted(candidates - deleted, key=lambda c: (deg[c], c))
     blocked: set[int] = set()
     scattered: list[int] = []
     for c in order:
         if c in blocked:
             continue
         scattered.append(c)
-        ball = {c}
-        for u in adj[c]:
-            if u in deleted:
-                continue
-            ball.add(u)
-            ball.update(x for x in adj[u] if x not in deleted)
-        blocked |= ball
+        blocked.add(c)
+        for u in adj[c] - gone:
+            blocked.add(u)
+            blocked.update(adj[u] - gone)
 
-    if not is_1_scattered(g, scattered, deleted):
+    if not is_1_scattered(g, scattered, gone):
         raise AssertionError("scatter output is not 1-scattered")
-    return ScatterResult(frozenset(scattered), frozenset(deleted))
+    return frozenset(scattered), frozenset(deleted)
 
 
 def group_and_reduce(inst: Instance, d: frozenset, scattered) -> int:
@@ -181,12 +173,9 @@ def sparsity_reduce(inst: Instance) -> int:
     total = 0
     while True:
         inst.stats["sparsity_passes"] += 1
-        residual = g.without(d_prime)
-        scatter = uqw_scatter(residual, residual.black_vertices())
+        scattered, deleted = uqw_scatter(g, g.black_vertices() - d_prime, d_prime)
         inst.stats["sparsity_scatter_calls"] += 1
-        total += group_and_reduce(
-            inst, frozenset(d_prime | scatter.deleted), scatter.scattered
-        )
+        total += group_and_reduce(inst, frozenset(d_prime | deleted), scattered)
 
         best, best_v = -1, None
         for v in sorted(g.adj):

@@ -96,6 +96,19 @@ def verify_rule_safety(before, after, limit: int = DEFAULT_VERTEX_LIMIT) -> bool
     return lhs == rhs
 
 
+# -- golden model of the scatter mask ----------------------------------
+
+
+def residual(g: ColoredGraph, removed) -> ColoredGraph:
+    """g - removed as a fresh copy: the graph that `uqw_scatter` reads
+    through its `removed` mask."""
+    out = g.copy()
+    for v in removed:
+        if v in out:
+            out.remove_vertex(v)
+    return out
+
+
 # -- golden models of the simple rules ---------------------------------
 
 

@@ -54,6 +54,12 @@ class TestGen:
         assert code == 1
         assert "unknown group" in capsys.readouterr().err
 
+    def test_negative_instance_count_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert main(["gen", "--out", str(out), "--instances", "-2"]) == 1
+        assert "negative" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestKernelize:
     def test_star_fully_solved(self, tmp_path, capsys):
@@ -164,6 +170,24 @@ class TestBench:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--configs", ","], ["--configs", "off.none, off.none"],
+         ["--workers", "0"], ["--workers", "-3"]],
+        ids=["no-configs", "repeated-config", "zero-workers", "negative-workers"],
+    )
+    def test_nonsense_run_shape_is_a_usage_error(self, tmp_path, capsys, flags):
+        out = tmp_path / "data"
+        main(["gen", "--out", str(out), "--groups", "302x900", "--instances", "1"])
+        csv_path = tmp_path / "x.csv"
+        code = main(
+            ["bench", "--manifest", str(out / "manifest.json"),
+             "--csv", str(csv_path)] + flags
+        )
+        assert code == 1
+        assert flags[0] in capsys.readouterr().err
+        assert not csv_path.exists()
+
     def test_malformed_manifest_is_a_data_error(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.json"
         manifest.write_text("{not json")
@@ -238,6 +262,23 @@ class TestSolveExact:
         edges = write_graph(tmp_path, path_graph(6))
         assert main(["solve-exact", str(edges), "--limit", "5"]) == 3
         assert main(["solve-exact", str(edges)]) == 0
+
+
+@pytest.mark.parametrize(
+    "command", ["kernelize", "solve-exact", "kernelize-white", "bench"]
+)
+def test_undecodable_input_is_a_data_error(tmp_path, capsys, command):
+    good = write_graph(tmp_path, path_graph(3))
+    bad = tmp_path / "undecodable"
+    bad.write_bytes(b"\xff\xfe0 1\n")
+    argv = {
+        "kernelize": ["kernelize", str(bad)],
+        "solve-exact": ["solve-exact", str(bad)],
+        "kernelize-white": ["kernelize", str(good), "--white", str(bad)],
+        "bench": ["bench", "--manifest", str(bad), "--csv", str(tmp_path / "x.csv")],
+    }[command]
+    assert main(argv) == 2
+    assert f"{bad}: undecodable text" in capsys.readouterr().err
 
 
 class TestUsageErrors:

@@ -23,6 +23,7 @@ from helpers import (
     path_graph,
     phi,
     random_colored_graph,
+    residual,
     star_graph,
 )
 
@@ -100,7 +101,7 @@ class TestColoredGraph:
 
     def test_without(self):
         g = star_graph(4)
-        h = g.without([0])
+        h = residual(g, [0])
         assert h.vertices() == [1, 2, 3, 4]
         assert h.edge_count == 0
         h.check_invariants()

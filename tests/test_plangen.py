@@ -38,6 +38,11 @@ class TestGroupSpec:
             GroupSpec(10, -1)
         GroupSpec(10, 24)
 
+    def test_rejects_a_negative_instance_count(self):
+        with pytest.raises(ValueError):
+            GroupSpec(10, 24, -1)
+        assert GroupSpec(10, 24, 0).instances == 0
+
     def test_canonical_groups(self):
         groups = canonical_groups()
         assert [g.name for g in groups] == [

@@ -8,7 +8,6 @@ import pytest
 from domkernel.exact import dominates, exact_dom
 from domkernel.graph import BLACK, WHITE, ColoredGraph, Instance, is_1_scattered
 from domkernel.sparsity import (
-    ScatterResult,
     greedy_dominating_set,
     group_and_reduce,
     sparsity_reduce,
@@ -21,6 +20,7 @@ from helpers import (
     mixed_instance_stream,
     path_graph,
     random_colored_graph,
+    residual,
     star_graph,
     verify_rule_safety,
 )
@@ -88,51 +88,48 @@ def hub_graph(dominators: int) -> ColoredGraph:
 
 class TestUqwScatter:
     def test_empty_inputs(self):
-        assert uqw_scatter(ColoredGraph(), set()) == ScatterResult(
-            frozenset(), frozenset()
-        )
+        assert uqw_scatter(ColoredGraph(), set()) == (frozenset(), frozenset())
         g = path_graph(3)
-        assert uqw_scatter(g, set()).scattered == frozenset()
+        assert uqw_scatter(g, set()) == (frozenset(), frozenset())
+        assert uqw_scatter(g, {0, 1, 2}, {0, 1, 2}) == (frozenset(), frozenset())
 
     def test_isolated_candidates_all_kept(self):
         g = ColoredGraph.from_edges([], isolated=range(5))
-        result = uqw_scatter(g, set(range(5)))
-        assert result.scattered == frozenset(range(5))
-        assert result.deleted == frozenset()
+        assert uqw_scatter(g, set(range(5))) == (frozenset(range(5)), frozenset())
 
     def test_small_star_keeps_one_leaf(self):
         # Center degree 5 sits under the hub cutoff, so no deletion; the
         # first leaf blocks the rest through the center.
-        result = uqw_scatter(star_graph(5), {1, 2, 3, 4, 5})
-        assert result.deleted == frozenset()
-        assert result.scattered == frozenset({1})
+        scattered, deleted = uqw_scatter(star_graph(5), {1, 2, 3, 4, 5})
+        assert deleted == frozenset()
+        assert scattered == frozenset({1})
 
     def test_large_star_deletes_the_center(self):
-        result = uqw_scatter(star_graph(10), set(range(1, 11)))
-        assert result.deleted == frozenset({0})
-        assert result.scattered == frozenset(range(1, 11))
+        scattered, deleted = uqw_scatter(star_graph(10), set(range(1, 11)))
+        assert deleted == frozenset({0})
+        assert scattered == frozenset(range(1, 11))
 
     def test_five_path_scatters_the_ends(self):
-        result = uqw_scatter(path_graph(5), {0, 1, 2, 3, 4})
-        assert result.deleted == frozenset()
-        assert result.scattered == frozenset({0, 4})
+        scattered, deleted = uqw_scatter(path_graph(5), {0, 1, 2, 3, 4})
+        assert deleted == frozenset()
+        assert scattered == frozenset({0, 4})
 
     def test_cutoff_knob_forces_deletion(self):
         # The hub cutoff is max(8, 4m/n): a star center of degree 8 sits at
         # it and stays, one of degree 9 exceeds it and is deleted.
-        kept = uqw_scatter(star_graph(8), set(range(1, 9)))
-        assert kept.deleted == frozenset()
-        assert kept.scattered == frozenset({1})
-        gone = uqw_scatter(star_graph(9), set(range(1, 10)))
-        assert gone.deleted == frozenset({0})
-        assert gone.scattered == frozenset(range(1, 10))
+        scattered, deleted = uqw_scatter(star_graph(8), set(range(1, 9)))
+        assert deleted == frozenset()
+        assert scattered == frozenset({1})
+        scattered, deleted = uqw_scatter(star_graph(9), set(range(1, 10)))
+        assert deleted == frozenset({0})
+        assert scattered == frozenset(range(1, 10))
         # In K12 every degree is 11, above 8 but under 4m/n = 22.
         k12 = ColoredGraph.from_edges(
             [(u, v) for u in range(12) for v in range(u + 1, 12)]
         )
-        dense = uqw_scatter(k12, set(range(12)))
-        assert dense.deleted == frozenset()
-        assert dense.scattered == frozenset({0})
+        scattered, deleted = uqw_scatter(k12, set(range(12)))
+        assert deleted == frozenset()
+        assert scattered == frozenset({0})
 
     def test_deletion_cap_knob(self):
         # Three disjoint stars with centers 0, 1, 2 of degrees 12, 11, 10,
@@ -145,18 +142,35 @@ class TestUqwScatter:
                 nxt += 1
         g = ColoredGraph.from_edges(edges)
         star2 = sorted(g.adj[2])[:4]
-        result = uqw_scatter(g, set(star2))
-        assert result.deleted == frozenset({0, 1})
-        assert result.scattered == frozenset({star2[0]})
+        scattered, deleted = uqw_scatter(g, set(star2))
+        assert deleted == frozenset({0, 1})
+        assert scattered == frozenset({star2[0]})
 
     def test_output_is_scattered_in_the_residual(self):
         rng = random.Random(5)
         for g in mixed_instance_stream(seed=5, count=150, max_n=16):
             candidates = {v for v in g.vertices() if rng.random() < 0.8}
-            result = uqw_scatter(g, candidates)
-            assert result.scattered <= candidates - result.deleted
-            residual = g.without(result.deleted)
-            assert is_1_scattered(residual, result.scattered)
+            scattered, deleted = uqw_scatter(g, candidates)
+            assert scattered <= candidates - deleted
+            assert is_1_scattered(residual(g, deleted), scattered)
+
+    def test_mask_matches_the_residual_copy(self):
+        # The mask must read g exactly as a copy with `removed` deleted
+        # would: same cutoff, same hub deletions, same scatter.  The hub
+        # graphs push degrees past the cutoff so that deletions happen.
+        rng = random.Random(6)
+        graphs = list(mixed_instance_stream(seed=6, count=200, max_n=24))
+        graphs += [hub_graph(k) for k in range(1, 10)]
+        graphs += [apex_stars(k, 9) for k in range(1, 6)]
+        deletions = 0
+        for g in graphs:
+            vs = g.vertices()
+            removed = {v for v in vs if rng.random() < 0.3}
+            candidates = {v for v in vs if rng.random() < 0.8}
+            masked = uqw_scatter(g, candidates, removed)
+            assert masked == uqw_scatter(residual(g, removed), candidates - removed)
+            deletions += len(masked[1])
+        assert deletions > 0
 
 
 class TestGroupAndReduce:
