@@ -53,13 +53,14 @@ class BenchResult:
 
 def read_manifest(path):
     """Load the dataset manifest; file paths resolve relative to it.  A
-    manifest of the wrong shape raises BenchRunError naming the file."""
+    manifest of the wrong shape, or one that lists a path twice, raises
+    BenchRunError naming the file."""
     path = Path(path)
     try:
         data = json.loads(path.read_text())
     except UnicodeDecodeError as exc:
         raise BenchRunError(str(path), f"undecodable text: {exc}") from None
-    files = data.get("files", []) if isinstance(data, dict) else None
+    files = data.get("files") if isinstance(data, dict) else None
     if not isinstance(files, list):
         raise BenchRunError(str(path), "expected an object with a 'files' list")
     base = path.parent
@@ -84,6 +85,8 @@ def read_manifest(path):
                 "white_path": str(base / item["white"]) if item.get("white") else None,
             }
         )
+    if len({e["path"] for e in entries}) != len(entries):
+        raise BenchRunError(str(path), "a 'path' is listed more than once")
     return entries
 
 

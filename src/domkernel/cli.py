@@ -84,6 +84,8 @@ def _cmd_gen(args) -> int:
     groups = canonical_groups(args.instances)
     if args.groups is not None:
         wanted = [s.strip() for s in args.groups.split(",") if s.strip()]
+        if not wanted or len(set(wanted)) != len(wanted):
+            raise ValueError(f"--groups needs distinct names, got {args.groups!r}")
         by_name = {g.name: g for g in groups}
         missing = [w for w in wanted if w not in by_name]
         if missing:
@@ -169,6 +171,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_solve_exact(args) -> int:
+    if args.limit < 0:
+        raise ValueError(f"--limit must be non-negative, got {args.limit}")
     g = load_graph(args.edges, args.white)
     result = exact_dom(g, limit=args.limit)
     print(f"optimum: {result.size}")

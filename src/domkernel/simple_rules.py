@@ -111,6 +111,8 @@ PREDICATES = (  # indexed by SimpleRule
 
 STAT_NAMES = tuple(rule.name.lower() for rule in SimpleRule)
 
+RULES_OF = {WHITE: (0, 1, 2), BLACK: (3, 4, 5)}  # the rules each color can fire
+
 
 def fire(inst: Instance, rule: int, v: int, witness: int) -> tuple:
     """Apply rule at v with the witness its predicate returned.  Returns the
@@ -126,10 +128,7 @@ def fire(inst: Instance, rule: int, v: int, witness: int) -> tuple:
     elif rule == SimpleRule.BLACK_TO_WHITE:
         g.set_color(v, WHITE)
         touched = (v,)
-    elif rule == SimpleRule.ISOLATED_BLACK:
-        inst.take_into_solution(v)
-        touched = ()
-    else:
+    else:  # ISOLATED_BLACK is its own witness and has no neighbors
         touched = tuple(g.adj[witness])
         inst.take_into_solution(witness)
     inst.stats[STAT_NAMES[rule]] += 1
@@ -142,25 +141,21 @@ def fire(inst: Instance, rule: int, v: int, witness: int) -> tuple:
 def apply_simple_exhaustively(inst: Instance) -> int:
     """Apply the six rules to a fixed point; returns the application count.
 
-    Behaviorally identical to the naive loop: candidates live in one heap
-    keyed by (rule, vertex descending), so the popped valid candidate is
-    always the lowest-numbered applicable rule at its largest vertex.  After
-    a firing, exactly the vertices whose predicate inputs could have changed
-    (the touched vertices and their surviving neighbors) are re-queued for
-    every rule.  Stale heap entries are discarded on pop by re-validation.
-
-    Each key packs (rule, complemented vertex) into one integer, so ordering
-    and dedup stay cheap; the vertex field is as wide as the largest id, and
-    the rules never add vertices.
+    Behaviorally identical to the naive loop: candidates live in one heap of
+    (rule, -vertex) keys, so the popped valid candidate is always the
+    lowest-numbered applicable rule at its largest vertex.  A vertex is
+    queued only under the rules its color can fire (RULES_OF).  After a
+    firing, exactly the vertices whose predicate inputs could have changed
+    (the touched vertices and their surviving neighbors) are re-queued under
+    the rules of their current color.  Tier 1 never turns a white vertex
+    black, and every vertex it whitens is re-queued, so no applicable
+    candidate is missed.  Stale heap entries, such as the black rules of a
+    whitened vertex, are discarded on pop by re-validation.
     """
     g = inst.graph
     adj = g.adj
-    shift = max(adj, default=0).bit_length()
-    mask = (1 << shift) - 1
-    heap = []
-    for v in adj:
-        for r in range(6):
-            heap.append((r << shift) | (mask - v))
+    col = g.color
+    heap = [(r, -v) for v in adj for r in RULES_OF[col[v]]]
     heapq.heapify(heap)
     queued = set(heap)
     predicates = PREDICATES
@@ -168,25 +163,18 @@ def apply_simple_exhaustively(inst: Instance) -> int:
     while heap:
         key = heapq.heappop(heap)
         queued.discard(key)
-        v = mask - (key & mask)
+        rule, v = key[0], -key[1]
         if v not in adj:
             continue
-        rule = key >> shift
         witness = predicates[rule](g, v)
         if witness is None:
             continue
         touched = fire(inst, rule, v, witness)
         count += 1
-        affected = set()
-        for t in touched:
-            if t in adj:
-                affected.add(t)
-                affected.update(adj[t])
-        for x in affected:
-            comp = mask - x
-            for r in range(6):
-                k = (r << shift) | comp
-                if k not in queued:
-                    queued.add(k)
-                    heapq.heappush(heap, k)
+        for x in g.closed_neighborhood_of_set(t for t in touched if t in adj):
+            for r in RULES_OF[col[x]]:
+                key = (r, -x)
+                if key not in queued:
+                    queued.add(key)
+                    heapq.heappush(heap, key)
     return count

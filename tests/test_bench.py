@@ -59,8 +59,9 @@ class TestReadManifest:
         assert entries[1]["white_path"] == str(tmp_path / "g" / "b.white")
 
     def test_empty_manifest(self, tmp_path):
+        # An empty file list; a manifest with no 'files' key is refused.
         manifest = tmp_path / "manifest.json"
-        manifest.write_text("{}")
+        manifest.write_text('{"files": []}')
         assert read_manifest(manifest) == []
 
 

@@ -54,6 +54,15 @@ class TestGen:
         assert code == 1
         assert "unknown group" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "groups", [",", "302x900,302x900"], ids=["no-groups", "repeated-group"]
+    )
+    def test_nonsense_group_list_is_a_usage_error(self, tmp_path, capsys, groups):
+        out = tmp_path / "x"
+        assert main(["gen", "--out", str(out), "--groups", groups]) == 1
+        assert "--groups" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_instance_count_is_a_usage_error(self, tmp_path, capsys):
         out = tmp_path / "x"
         assert main(["gen", "--out", str(out), "--instances", "-2"]) == 1
@@ -204,12 +213,17 @@ class TestBench:
             {"files": {"path": "x.edges"}},
             {"files": [{"path": "x.edges"}]},
             {"files": [{"group": "g", "path": "x.edges", "white": 5}]},
+            {},
+            {"files": [{"group": g, "path": p, "white": None}
+                       for g, p in (("a", "x.edges"), ("b", "./x.edges"))]},
         ],
-        ids=["top-level-list", "files-not-a-list", "no-group", "white-not-a-string"],
+        ids=["top-level-list", "files-not-a-list", "no-group", "white-not-a-string",
+             "no-files", "repeated-path"],
     )
     def test_manifest_of_the_wrong_shape_is_a_data_error(
         self, tmp_path, capsys, body
     ):
+        write_graph(tmp_path, path_graph(2), "x.edges")
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps(body))
         code = main(
@@ -262,6 +276,11 @@ class TestSolveExact:
         edges = write_graph(tmp_path, path_graph(6))
         assert main(["solve-exact", str(edges), "--limit", "5"]) == 3
         assert main(["solve-exact", str(edges)]) == 0
+
+    def test_negative_limit_is_a_usage_error(self, tmp_path, capsys):
+        edges = write_graph(tmp_path, path_graph(3))
+        assert main(["solve-exact", str(edges), "--limit", "-1"]) == 1
+        assert "--limit" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,9 @@
 """The package and the scripts import nothing outside the standard
-library, and nothing they never use."""
+library, and nothing they never use; every package name the benchmark
+uses exists."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -10,6 +12,7 @@ import pytest
 ROOT = Path(__file__).parent.parent
 SOURCES = sorted((ROOT / "src" / "domkernel").glob("*.py"))
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+BENCHMARK = sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def absolute_imports(path):
@@ -62,3 +65,42 @@ def test_only_stdlib_and_package_imports(path):
 def test_every_import_is_used(path):
     unused = unused_imports(path)
     assert not unused, f"{path.name} imports {unused} but never uses them"
+
+
+def package_names_used(path):
+    """(module, name) for every `from domkernel.X import name`, and for
+    every attribute read on a name bound by `import domkernel.X as Y`."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("domkernel.") and alias.asname:
+                    aliases[alias.asname] = alias.name
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith(
+            "domkernel."
+        ):
+            yield from ((node.module, alias.name) for alias in node.names)
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in aliases
+        ):
+            yield aliases[node.value.id], node.attr
+
+
+def test_every_package_name_the_benchmark_uses_exists():
+    import domkernel
+
+    src = (ROOT / "src" / "domkernel").resolve()
+    assert Path(domkernel.__file__).resolve().parent == src
+    used = {pair for path in BENCHMARK for pair in package_names_used(path)}
+    assert ("domkernel.engine", "apply_simple_exhaustively") in used
+    missing = sorted(
+        f"{module}.{name}"
+        for module, name in used
+        if not hasattr(importlib.import_module(module), name)
+    )
+    assert not missing, f"perfbench uses {missing}, which src/ does not define"

@@ -6,8 +6,15 @@ import random
 import pytest
 from hypothesis import given, settings
 
+import domkernel.simple_rules as simple_rules
 from domkernel.graph import BLACK, WHITE, ColoredGraph, Instance
-from domkernel.simple_rules import PREDICATES, SimpleRule, apply_simple_exhaustively
+from domkernel.plangen import GroupSpec, generate_instance
+from domkernel.simple_rules import (
+    PREDICATES,
+    RULES_OF,
+    SimpleRule,
+    apply_simple_exhaustively,
+)
 
 from helpers import (
     apply_first,
@@ -208,10 +215,52 @@ class TestGoldenEquivalence:
         self._assert_same(g)
 
     def test_on_a_larger_planar_instance(self):
-        from domkernel.plangen import generate_instance, GroupSpec
-
         g = generate_instance(GroupSpec(120, 280), 0, master_seed=5)
         self._assert_same(g)
+
+
+def assert_off_color_rules_do_not_fire(g):
+    for v in g.vertices():
+        for rule in set(SimpleRule) - set(RULES_OF[g.color[v]]):
+            assert PREDICATES[rule](g, v) is None, (SimpleRule(rule), v)
+
+
+class TestColorTable:
+    """The worklist queues a vertex only under RULES_OF[its color]."""
+
+    def test_the_table_splits_the_six_rules(self):
+        assert RULES_OF == {WHITE: (0, 1, 2), BLACK: (3, 4, 5)}
+        assert sorted(RULES_OF[WHITE] + RULES_OF[BLACK]) == list(SimpleRule)
+
+    def test_off_color_rules_never_fire_on_mixed_instances(self):
+        for g in mixed_instance_stream(seed=83, count=200):
+            assert_off_color_rules_do_not_fire(g)
+
+    @given(colored_graphs(max_vertices=12))
+    @settings(max_examples=150)
+    def test_off_color_rules_never_fire_on_arbitrary_graphs(self, g):
+        assert_off_color_rules_do_not_fire(g)
+
+    def test_off_color_predicate_calls_are_bounded(self, monkeypatch):
+        # The only off-color calls left are the black rules of vertices
+        # whitened after they were queued: at most three per black.
+        off_color = 0
+
+        def counting(rule, predicate):
+            def call(g, v):
+                nonlocal off_color
+                off_color += rule not in RULES_OF[g.color[v]]
+                return predicate(g, v)
+            return call
+
+        monkeypatch.setattr(
+            simple_rules, "PREDICATES",
+            tuple(counting(r, p) for r, p in enumerate(PREDICATES)),
+        )
+        g = generate_instance(GroupSpec(302, 900), 0, 0)
+        blacks = len(g.black_vertices())
+        assert apply_simple_exhaustively(Instance.from_graph(g)) > 0
+        assert off_color <= 3 * blacks
 
 
 class TestRuleProperties:
