@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """One-shot benchmark driver.
 
-Makes sure the canonical planar dataset exists (generating it on first
-use), then sweeps every kernelization configuration over it.  Leaves
-everything under --workdir (default ./bench_output):
+Makes sure the canonical planar dataset for the requested seed and
+instance count exists, generating it when the manifest is missing or was
+made for another seed or count, then sweeps every kernelization
+configuration over it.  Leaves everything under --workdir (default
+./bench_output):
 
   dataset/       edge lists plus manifest.json
   results.csv    one row per (instance, configuration), then group means
@@ -14,10 +16,25 @@ byte for byte.
 """
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
 from domkernel.cli import main as domkernel
+
+
+def dataset_matches(manifest: Path, seed: int, instances: int) -> bool:
+    """True iff the manifest exists and was generated with this master
+    seed and this many instances per group."""
+    try:
+        meta = json.loads(manifest.read_text())
+    except (OSError, ValueError):
+        return False
+    return (
+        isinstance(meta, dict)
+        and meta.get("master_seed") == seed
+        and meta.get("instances_per_group") == instances
+    )
 
 
 def run(argv=None) -> int:
@@ -39,17 +56,12 @@ def run(argv=None) -> int:
     parser.add_argument(
         "--workers", type=int, default=1, help="worker processes for the sweep"
     )
-    parser.add_argument(
-        "--force-regen",
-        action="store_true",
-        help="regenerate the dataset even if a manifest is already present",
-    )
     args = parser.parse_args(argv)
 
     workdir = Path(args.workdir)
     dataset = workdir / "dataset"
     manifest = dataset / "manifest.json"
-    if args.force_regen or not manifest.exists():
+    if not dataset_matches(manifest, args.seed, args.instances):
         code = domkernel(
             [
                 "gen",

@@ -5,7 +5,6 @@ from .exact import ExactResult, OracleSizeError, exact_dom
 from .graph import (
     BLACK,
     WHITE,
-    Color,
     ColoredGraph,
     Instance,
     bw_to_plain_gadget,
@@ -16,7 +15,6 @@ __all__ = [
     "ALL_CONFIGS",
     "ApproachConfig",
     "BLACK",
-    "Color",
     "ColoredGraph",
     "ExactResult",
     "Instance",

@@ -9,7 +9,7 @@ whitened.
 
 from __future__ import annotations
 
-from .graph import BLACK, WHITE, ColoredGraph, Instance
+from .graph import ColoredGraph, Instance
 
 
 def partition(g: ColoredGraph, *centers: int) -> tuple[set, set, set]:
@@ -34,8 +34,7 @@ def alber_rule1(inst: Instance, v: int) -> bool:
     """
     g = inst.graph
     _, _, n3 = partition(g, v)
-    col = g.color
-    if not any(col[u] is BLACK for u in n3):
+    if n3.isdisjoint(g.black):
         return False
     inst.take_into_solution(v)
     inst.stats["alber_single"] += 1
@@ -51,8 +50,7 @@ def alber_rule2(inst: Instance, v: int, w: int) -> bool:
     g = inst.graph
     _, n2, n3 = partition(g, v, w)
     adj = g.adj
-    col = g.color
-    n3_black = {u for u in n3 if col[u] is BLACK}
+    n3_black = n3 & g.black
     if len(n3_black) < 2:
         return False
     for x in n2 | n3:
@@ -66,15 +64,10 @@ def alber_rule2(inst: Instance, v: int, w: int) -> bool:
         # witnesses that keep one of v, w forced.  Only worth it when the
         # potential strictly drops: 2 vertices + 4 edges + 2 blacks come
         # in, so at least 9 vertices must lose their black color.
-        whiten = {
-            u
-            for u in n3 | (n2 & adj[v] & adj[w])
-            if col[u] is BLACK
-        }
+        whiten = (n3 | (n2 & adj[v] & adj[w])) & g.black
         if len(whiten) <= 8:
             return False
-        for u in sorted(whiten):
-            g.set_color(u, WHITE)
+        g.black -= whiten
         z1 = g.add_vertex()
         z2 = g.add_vertex()
         for z in (z1, z2):

@@ -100,7 +100,18 @@ def kernelize(
 ) -> KernelReport:
     """Reduce the instance in place to a fixed point of the configured rule
     families and report what happened.  Deterministic for a given input and
-    configuration; elapsed time is the only field that varies."""
+    configuration; elapsed time is the only field that varies.
+
+    Tier 1 runs first; then the configured higher tiers are tried in order,
+    and the first that reduces anything sends the loop back to tier 1.
+    ``attempts`` counts tier-1 firings, plus 1 per tier-1 call, plus 1 per
+    higher-tier call.  The tiers are looked up by name on every call, so a
+    wrapper assigned to this module's attribute is the one that runs.
+    """
+    alber_tiers = (apply_alber_single_first, apply_alber_pair_first)
+    tiers = alber_tiers[: ALBER_MODES.index(config.alber)]
+    if config.sparsity:
+        tiers += (sparsity_reduce,)
     g = inst.graph
     start = time.perf_counter()
     initial_vertices = g.vertex_count
@@ -110,19 +121,12 @@ def kernelize(
         attempts += apply_simple_exhaustively(inst) + 1
         if attempts > ATTEMPT_LIMIT:
             raise RuntimeError("rule attempt limit exceeded; cycling suspected")
-        if config.alber in ("one", "both"):
+        for tier in tiers:
             attempts += 1
-            if apply_alber_single_first(inst):
-                continue
-        if config.alber == "both":
-            attempts += 1
-            if apply_alber_pair_first(inst):
-                continue
-        if config.sparsity:
-            attempts += 1
-            if sparsity_reduce(inst) > 0:
-                continue
-        break
+            if tier(inst):
+                break
+        else:
+            break
     applications = {k: inst.stats.get(k, 0) for k in STAT_KEYS}
     return KernelReport(
         config=config.name,

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import ColoredGraph
+from .sparsity import greedy_dominating_set
 
 DEFAULT_VERTEX_LIMIT = 64
 
@@ -31,16 +32,6 @@ class ExactResult:
     witness: frozenset
 
 
-def dominates(g: ColoredGraph, ds) -> bool:
-    """Check that ds covers every black vertex of g.  Kept deliberately
-    independent of the solver so it can verify witnesses."""
-    covered: set[int] = set()
-    for d in ds:
-        covered.add(d)
-        covered.update(g.adj[d])
-    return g.black_vertices() <= covered
-
-
 def exact_dom(g: ColoredGraph, limit: int = DEFAULT_VERTEX_LIMIT) -> ExactResult:
     """Minimum number of vertices dominating all black vertices.
 
@@ -53,13 +44,13 @@ def exact_dom(g: ColoredGraph, limit: int = DEFAULT_VERTEX_LIMIT) -> ExactResult
     n = g.vertex_count
     if n > limit:
         raise OracleSizeError(n, limit)
-    blacks = frozenset(g.black_vertices())
+    blacks = frozenset(g.black)
     if not blacks:
         return ExactResult(0, frozenset())
 
     closed = {v: frozenset(g.adj[v]) | {v} for v in g.adj}
 
-    best_set = _greedy_cover(closed, blacks)
+    best_set = greedy_dominating_set(g, blacks)
     best = len(best_set)
 
     all_vertices = sorted(g.adj)
@@ -86,13 +77,3 @@ def exact_dom(g: ColoredGraph, limit: int = DEFAULT_VERTEX_LIMIT) -> ExactResult
 
     search(blacks)
     return ExactResult(best, frozenset(best_set))
-
-
-def _greedy_cover(closed, blacks) -> set[int]:
-    remaining = set(blacks)
-    out: set[int] = set()
-    while remaining:
-        v = min(closed, key=lambda x: (-len(closed[x] & remaining), x))
-        out.add(v)
-        remaining -= closed[v]
-    return out

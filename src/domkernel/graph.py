@@ -1,36 +1,34 @@
 """Mutable black/white colored graph, solution bookkeeping, and the
 color-removal gadget.
 
-Black vertices must be dominated and may dominate; white vertices may only
-dominate.  Vertex ids are stable for the lifetime of an instance: removals
-never free an id and fresh ids are strictly larger than every id handed out
-before, so traces and test expectations can refer to ids across mutations.
+The coloring is one set, ``black``: the vertices that must be dominated.
+Every other vertex is white and may only dominate.  Vertex ids are stable
+for the lifetime of an instance: removals never free an id and fresh ids
+are strictly larger than every id handed out before, so traces and test
+expectations can refer to ids across mutations.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from enum import Enum
 
-
-class Color(Enum):
-    BLACK = "black"
-    WHITE = "white"
-
-
-BLACK = Color.BLACK
-WHITE = Color.WHITE
+BLACK = "black"
+WHITE = "white"
 
 
 class ColoredGraph:
-    """Simple undirected graph with a black/white color per vertex."""
+    """Simple undirected graph whose vertices outside ``black`` are white.
 
-    __slots__ = ("adj", "color", "_next_id")
+    ``black`` is mutated in place and never rebound, so a caller may hold
+    a reference to it across mutations of the graph.
+    """
+
+    __slots__ = ("adj", "black", "_next_id")
 
     def __init__(self) -> None:
         self.adj: dict[int, set[int]] = {}
-        self.color: dict[int, Color] = {}
+        self.black: set[int] = set()
         self._next_id = 0
 
     # -- construction and mutation ------------------------------------
@@ -45,7 +43,7 @@ class ColoredGraph:
         if v in self.adj:
             raise ValueError(f"vertex {v} already present")
         self.adj[v] = set()
-        self.color[v] = BLACK
+        self.black.add(v)
         if v >= self._next_id:
             self._next_id = v + 1
         return v
@@ -65,12 +63,17 @@ class ColoredGraph:
         nv = self.adj.pop(v)
         for u in nv:
             self.adj[u].remove(v)
-        del self.color[v]
+        self.black.discard(v)
 
-    def set_color(self, v: int, color: Color) -> None:
+    def set_color(self, v: int, color: str) -> None:
         if v not in self.adj:
             raise KeyError(v)
-        self.color[v] = color
+        if color == BLACK:
+            self.black.add(v)
+        elif color == WHITE:
+            self.black.discard(v)
+        else:
+            raise ValueError(f"unknown color {color!r}")
 
     # -- queries -------------------------------------------------------
 
@@ -106,33 +109,17 @@ class ColoredGraph:
             out.add(v)
         return out
 
-    def black_vertices(self) -> set[int]:
-        return {v for v, c in self.color.items() if c is BLACK}
-
     def white_vertices(self) -> set[int]:
-        return {v for v, c in self.color.items() if c is WHITE}
+        return self.adj.keys() - self.black
 
     # -- derived graphs ------------------------------------------------
 
     def copy(self) -> "ColoredGraph":
         out = ColoredGraph()
         out.adj = {v: set(nv) for v, nv in self.adj.items()}
-        out.color = dict(self.color)
+        out.black = set(self.black)
         out._next_id = self._next_id
         return out
-
-    # -- auditing ------------------------------------------------------
-
-    def check_invariants(self) -> None:
-        """Debug audit: symmetry, simplicity, color totality."""
-        for v, nv in self.adj.items():
-            if v in nv:
-                raise AssertionError(f"self-loop at {v}")
-            for u in nv:
-                if u not in self.adj or v not in self.adj[u]:
-                    raise AssertionError(f"asymmetric edge {v}-{u}")
-        if set(self.color) != set(self.adj):
-            raise AssertionError("color map does not match vertex set")
 
     @classmethod
     def from_edges(cls, edges, white=(), isolated=()) -> "ColoredGraph":
@@ -172,8 +159,7 @@ class Instance:
     def take_into_solution(self, v: int) -> None:
         """Commit v as a dominator: whiten its neighbors, then delete it."""
         g = self.graph
-        for u in g.adj[v]:
-            g.color[u] = WHITE
+        g.black.difference_update(g.adj[v])
         g.remove_vertex(v)
         self.solution.add(v)
 
@@ -213,5 +199,5 @@ def bw_to_plain_gadget(g: ColoredGraph) -> ColoredGraph:
     out.add_edge(pendant, hub)
     for w in whites:
         out.add_edge(hub, w)
-        out.set_color(w, BLACK)
+    out.black.update(whites)
     return out

@@ -1,5 +1,9 @@
 """The six local reduction rules and their exhaustive application.
 
+Three rules act at white vertices and three at black ones; a predicate
+reads a vertex's color as its membership in ``g.black``, and the worklist
+queues each vertex only under the rules of its color.
+
 Rule order is fixed.  One "step" of the reference semantics applies the
 lowest-numbered rule that matches anywhere, at its largest matching vertex
 (rule 1 removes the edge at the largest white vertex with a white neighbor,
@@ -21,7 +25,7 @@ from __future__ import annotations
 import heapq
 from enum import IntEnum
 
-from .graph import BLACK, WHITE, ColoredGraph, Instance
+from .graph import ColoredGraph, Instance
 
 
 class SimpleRule(IntEnum):
@@ -38,37 +42,29 @@ class SimpleRule(IntEnum):
 # -- applicability predicates -----------------------------------------
 #
 # Each predicate returns the witness its rule fires with when the rule
-# applies at v, else None.  It reads only the color and adjacency of v and
-# of v's current neighbors; the fixed-point driver relies on that locality.
+# applies at v, else None.  It reads only the adjacency of v and of v's
+# current neighbors and whether those vertices are black; the fixed-point
+# driver relies on that locality.
 
 
 def _ww_partner(g: ColoredGraph, v: int) -> int | None:
     """Largest white neighbor of white v, if any.  Together with the
     largest-first vertex scan this makes the removed edge deterministic."""
-    if g.color[v] is not WHITE:
+    if v in g.black:
         return None
-    col = g.color
-    best = None
-    for u in g.adj[v]:
-        if col[u] is WHITE and (best is None or u > best):
-            best = u
-    return best
+    return max(g.adj[v] - g.black, default=None)
 
 
 def _white_no_black(g: ColoredGraph, v: int) -> int | None:
-    if g.color[v] is not WHITE:
-        return None
-    col = g.color
-    return None if any(col[u] is BLACK for u in g.adj[v]) else v
+    return v if v not in g.black and g.adj[v].isdisjoint(g.black) else None
 
 
 def _white_subsumed_partner(g: ColoredGraph, u: int) -> int | None:
     """Smallest neighbor v of white u with N[u] cap Black <= N[v] cap Black."""
-    if g.color[u] is not WHITE:
+    if u in g.black:
         return None
     adj = g.adj
-    col = g.color
-    need = {x for x in adj[u] if col[x] is BLACK}
+    need = adj[u] & g.black
     for v in sorted(adj[u]):
         missing = need - adj[v]
         if not missing or missing == {v}:
@@ -78,24 +74,23 @@ def _white_subsumed_partner(g: ColoredGraph, u: int) -> int | None:
 
 def _black_to_white_partner(g: ColoredGraph, u: int) -> int | None:
     """Smallest black neighbor v of black u with N[u] >= N[v]."""
-    if g.color[u] is not BLACK:
+    if u not in g.black:
         return None
     adj = g.adj
-    col = g.color
     ball = adj[u] | {u}
-    for v in sorted(adj[u]):
-        if col[v] is BLACK and adj[v] <= ball:
+    for v in sorted(adj[u] & g.black):
+        if adj[v] <= ball:
             return v
     return None
 
 
 def _isolated_black(g: ColoredGraph, v: int) -> int | None:
-    return v if g.color[v] is BLACK and not g.adj[v] else None
+    return v if v in g.black and not g.adj[v] else None
 
 
 def _degree1_support(g: ColoredGraph, v: int) -> int | None:
     """The sole neighbor of degree-1 black v."""
-    if g.color[v] is not BLACK or len(g.adj[v]) != 1:
+    if v not in g.black or len(g.adj[v]) != 1:
         return None
     return next(iter(g.adj[v]))
 
@@ -111,7 +106,7 @@ PREDICATES = (  # indexed by SimpleRule
 
 STAT_NAMES = tuple(rule.name.lower() for rule in SimpleRule)
 
-RULES_OF = {WHITE: (0, 1, 2), BLACK: (3, 4, 5)}  # the rules each color can fire
+RULES_OF = ((0, 1, 2), (3, 4, 5))  # the rules a vertex can fire, by `v in black`
 
 
 def fire(inst: Instance, rule: int, v: int, witness: int) -> tuple:
@@ -126,7 +121,7 @@ def fire(inst: Instance, rule: int, v: int, witness: int) -> tuple:
         touched = tuple(g.adj[v])
         g.remove_vertex(v)
     elif rule == SimpleRule.BLACK_TO_WHITE:
-        g.set_color(v, WHITE)
+        g.black.remove(v)
         touched = (v,)
     else:  # ISOLATED_BLACK is its own witness and has no neighbors
         touched = tuple(g.adj[witness])
@@ -144,18 +139,18 @@ def apply_simple_exhaustively(inst: Instance) -> int:
     Behaviorally identical to the naive loop: candidates live in one heap of
     (rule, -vertex) keys, so the popped valid candidate is always the
     lowest-numbered applicable rule at its largest vertex.  A vertex is
-    queued only under the rules its color can fire (RULES_OF).  After a
-    firing, exactly the vertices whose predicate inputs could have changed
-    (the touched vertices and their surviving neighbors) are re-queued under
-    the rules of their current color.  Tier 1 never turns a white vertex
-    black, and every vertex it whitens is re-queued, so no applicable
-    candidate is missed.  Stale heap entries, such as the black rules of a
-    whitened vertex, are discarded on pop by re-validation.
+    queued only under the rules its color can fire, RULES_OF[v in black].
+    After a firing, exactly the vertices whose predicate inputs could have
+    changed (the touched vertices and their surviving neighbors) are
+    re-queued under the rules of their current color.  Tier 1 never turns a
+    white vertex black, and every vertex it whitens is re-queued, so no
+    applicable candidate is missed.  Stale heap entries, such as the black
+    rules of a whitened vertex, are discarded on pop by re-validation.
     """
     g = inst.graph
     adj = g.adj
-    col = g.color
-    heap = [(r, -v) for v in adj for r in RULES_OF[col[v]]]
+    black = g.black
+    heap = [(r, -v) for v in adj for r in RULES_OF[v in black]]
     heapq.heapify(heap)
     queued = set(heap)
     predicates = PREDICATES
@@ -172,7 +167,7 @@ def apply_simple_exhaustively(inst: Instance) -> int:
         touched = fire(inst, rule, v, witness)
         count += 1
         for x in g.closed_neighborhood_of_set(t for t in touched if t in adj):
-            for r in RULES_OF[col[x]]:
+            for r in RULES_OF[x in black]:
                 key = (r, -x)
                 if key not in queued:
                     queued.add(key)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 import math
 
-from .graph import BLACK, WHITE, ColoredGraph, Instance, is_1_scattered
+from .graph import ColoredGraph, Instance, is_1_scattered
 
 # Escalation stops once no vertex outside D' has more than this many D'
 # neighbors.
@@ -117,14 +117,13 @@ def group_and_reduce(inst: Instance, d: frozenset, scattered) -> int:
     """
     g = inst.graph
     adj = g.adj
-    col = g.color
     for f in scattered:
-        if col[f] is not BLACK:
+        if f not in g.black:
             raise AssertionError(f"scattered vertex {f} is not black")
     if not is_1_scattered(g, scattered, d):
         raise AssertionError("family is not 1-scattered outside the pool")
 
-    pool_blacks = {x for x in d if col[x] is BLACK}
+    pool_blacks = d & g.black
     groups: dict = {}
     for f in sorted(scattered):
         contact = frozenset(adj[f] & d)
@@ -143,13 +142,11 @@ def group_and_reduce(inst: Instance, d: frozenset, scattered) -> int:
             continue
         m = g.closed_neighborhood_of_set(members) - d
         reach = g.closed_neighborhood_of_set(m)
-        r = {x for x in reach if col[x] is BLACK}
-        cover = len(greedy_dominating_set(g, r))
+        cover = len(greedy_dominating_set(g, reach & g.black))
         excess = len(members) - cover - 1
         if excess <= 0:
             continue
-        for b in sorted(members, reverse=True)[:excess]:
-            g.set_color(b, WHITE)
+        g.black.difference_update(sorted(members, reverse=True)[:excess])
         whitened += excess
     if whitened:
         inst.stats["sparsity_whitened"] += whitened
@@ -166,14 +163,13 @@ def sparsity_reduce(inst: Instance) -> int:
     joins D' and the pass repeats; pool growth bounds the loop.
     """
     g = inst.graph
-    blacks = g.black_vertices()
-    if not blacks:
+    if not g.black:
         return 0
-    d_prime = greedy_dominating_set(g, blacks)
+    d_prime = greedy_dominating_set(g, g.black)
     total = 0
     while True:
         inst.stats["sparsity_passes"] += 1
-        scattered, deleted = uqw_scatter(g, g.black_vertices() - d_prime, d_prime)
+        scattered, deleted = uqw_scatter(g, g.black - d_prime, d_prime)
         inst.stats["sparsity_scatter_calls"] += 1
         total += group_and_reduce(inst, frozenset(d_prime | deleted), scattered)
 

@@ -1,6 +1,6 @@
-"""Shared test utilities: tiny graph builders, brute-force oracles kept
-independent of the package's own solver, golden reference models the
-production code is checked against, and hypothesis strategies for small
+"""Shared test utilities: tiny graph builders, brute-force oracles and
+audits kept independent of the package's own code, golden reference models
+the production code is checked against, and hypothesis strategies for small
 random colored instances."""
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ import random
 
 from hypothesis import strategies as st
 
-from domkernel.exact import DEFAULT_VERTEX_LIMIT, dominates, exact_dom
+from domkernel.exact import DEFAULT_VERTEX_LIMIT, exact_dom
 from domkernel.graph import WHITE, ColoredGraph
 from domkernel.simple_rules import PREDICATES, SimpleRule, fire
 
@@ -55,6 +55,28 @@ def apex_stars(stars: int, leaves: int) -> ColoredGraph:
 # -- independent oracles -----------------------------------------------
 
 
+def check_invariants(g: ColoredGraph) -> None:
+    """Audit: symmetric, simple adjacency, and every black is a vertex."""
+    for v, nv in g.adj.items():
+        if v in nv:
+            raise AssertionError(f"self-loop at {v}")
+        for u in nv:
+            if u not in g.adj or v not in g.adj[u]:
+                raise AssertionError(f"asymmetric edge {v}-{u}")
+    if not g.black <= g.adj.keys():
+        raise AssertionError("the black set holds a non-vertex")
+
+
+def dominates(g: ColoredGraph, ds) -> bool:
+    """Check that ds covers every black vertex of g.  Kept deliberately
+    independent of the solver so it can verify witnesses."""
+    covered: set[int] = set()
+    for d in ds:
+        covered.add(d)
+        covered.update(g.adj[d])
+    return g.black <= covered
+
+
 def brute_force_dom(g: ColoredGraph) -> int:
     """Minimum dominating-set size by plain subset enumeration.  Checks
     subsets in increasing size, so the first hit is the optimum.  Only for
@@ -84,7 +106,7 @@ def bfs_distances(g: ColoredGraph, source: int) -> dict[int, int]:
 def phi(inst) -> int:
     """Termination potential: #vertices + #edges + #black."""
     g = inst.graph
-    return g.vertex_count + g.edge_count + len(g.black_vertices())
+    return g.vertex_count + g.edge_count + len(g.black)
 
 
 def verify_rule_safety(before, after, limit: int = DEFAULT_VERTEX_LIMIT) -> bool:

@@ -140,10 +140,10 @@ def test_criterion_2_whitened_vertices_irrelevant(capsys):
         if sparsity_reduce(inst) == 0:
             continue
         base = exact_dom(g).size
-        whitened = g.black_vertices() - inst.graph.black_vertices()
+        whitened = g.black - inst.graph.black
         for z in sorted(whitened):
             relaxed = g.copy()
-            relaxed.color[z] = WHITE
+            relaxed.set_color(z, WHITE)
             checked += 1
             if exact_dom(relaxed).size != base:
                 bad += 1

@@ -11,7 +11,7 @@ from domkernel.alber import (
     partition,
 )
 from domkernel.exact import exact_dom
-from domkernel.graph import BLACK, WHITE, ColoredGraph, Instance
+from domkernel.graph import ColoredGraph, Instance
 
 from helpers import (
     bfs_distances,
@@ -105,7 +105,7 @@ class TestAlberRule1:
         inst = Instance.from_graph(star_graph(5))
         assert alber_rule1(inst, 0)
         assert inst.solution == {0}
-        assert inst.graph.black_vertices() == set()
+        assert inst.graph.black == set()
 
     def test_path_interior_taken_and_optimum_kept(self):
         inst = Instance.from_graph(path_graph(4))
@@ -153,7 +153,7 @@ class TestAlberRule2:
         snapshot = inst.copy()
         assert not alber_rule2(inst, 0, 1)
         assert inst.graph.adj == snapshot.graph.adj
-        assert inst.graph.color == snapshot.graph.color
+        assert inst.graph.black == snapshot.graph.black
         assert inst.solution == set()
 
     def test_both_cover_large_shell_rewrites_with_witness_pair(self):
@@ -163,7 +163,7 @@ class TestAlberRule2:
         assert alber_rule2(inst, 0, 1)
         g = inst.graph
         z1, z2 = 11, 12
-        assert g.black_vertices() == {0, 1, z1, z2}
+        assert g.black == {0, 1, z1, z2}
         assert {x for x in range(2, 11)} <= g.white_vertices()
         assert g.adj[z1] == {0, 1}
         assert g.adj[z2] == {0, 1}

@@ -89,7 +89,7 @@ class TestLoadGraph:
         p = tmp_path / "g.edges"
         write_edge_list(p, path_graph(3))
         g = load_graph(p)
-        assert g.black_vertices() == {0, 1, 2}
+        assert g.black == {0, 1, 2}
 
     def test_sidecar_colors_whites(self, tmp_path):
         source = star_graph(3, white=[2])

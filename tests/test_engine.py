@@ -2,6 +2,7 @@
 
 import pytest
 
+import domkernel.engine as engine
 from domkernel.bench import CSV_COLUMNS
 from domkernel.engine import (
     ALL_CONFIGS,
@@ -52,6 +53,83 @@ class TestApproachConfig:
     def test_constructor_validates_alber_mode(self):
         with pytest.raises(ValueError):
             ApproachConfig(alber="two")
+
+
+HIGHER_TIERS = {  # engine's names for the tiers above tier 1, in firing order
+    "off.none": (),
+    "off.one": ("apply_alber_single_first",),
+    "off.both": ("apply_alber_single_first", "apply_alber_pair_first"),
+    "on.none": ("sparsity_reduce",),
+    "on.one": ("apply_alber_single_first", "sparsity_reduce"),
+    "on.both": (
+        "apply_alber_single_first",
+        "apply_alber_pair_first",
+        "sparsity_reduce",
+    ),
+}
+
+
+def hub_cycle(hubs: int, paths: int) -> ColoredGraph:
+    """Hubs on a cycle, each consecutive pair joined by `paths` paths of
+    length 3; all black.  The pair rule and tier 4 both fire on it."""
+    edges = []
+    nxt = hubs
+    for h in range(hubs):
+        for _ in range(paths):
+            edges += [(h, nxt), (nxt, nxt + 1), (nxt + 1, (h + 1) % hubs)]
+            nxt += 2
+    return ColoredGraph.from_edges(edges)
+
+
+# An all-black graph on which the single-vertex rule fires after tier 1.
+SINGLE_FIRES = ColoredGraph.from_edges(
+    [(0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 5), (1, 6), (1, 7), (2, 4),
+     (2, 5), (2, 6), (3, 5), (3, 6), (3, 7), (4, 5), (4, 6), (4, 7), (5, 6),
+     (5, 7)]
+)
+
+
+class TestTierTable:
+    """kernelize calls each tier through engine's module attribute, in the
+    configured order, and counts attempts as its docstring defines."""
+
+    @pytest.mark.parametrize("config", ALL_CONFIGS, ids=lambda c: c.name)
+    def test_tier_sequence_and_attempts(self, config, monkeypatch):
+        log = []
+
+        def recording(name):
+            tier = getattr(engine, name)
+
+            def call(inst):
+                result = tier(inst)
+                log.append((name, result))
+                return result
+            return call
+
+        for name in ("apply_simple_exhaustively",) + HIGHER_TIERS["on.both"]:
+            monkeypatch.setattr(engine, name, recording(name))
+        tiers = HIGHER_TIERS[config.name]
+        fired = set()
+        for g in (SINGLE_FIRES, hub_cycle(3, 12), star_graph(4)):
+            log.clear()
+            report = kernelize(Instance.from_graph(g.copy()), config)
+            # Each round is a tier-1 call, then higher tiers in order up to
+            # the first that reduces anything; the last round reduces nothing.
+            assert log[0][0] == "apply_simple_exhaustively"
+            rounds = []
+            for name, result in log:
+                if name == "apply_simple_exhaustively":
+                    rounds.append([])
+                else:
+                    rounds[-1].append((name, bool(result)))
+            for calls in rounds[:-1]:
+                assert [n for n, _ in calls] == list(tiers[: len(calls)])
+                assert [r for _, r in calls] == [False] * (len(calls) - 1) + [True]
+                fired.add(calls[-1][0])
+            assert rounds[-1] == [(n, False) for n in tiers]
+            firings = sum(r for n, r in log if n == "apply_simple_exhaustively")
+            assert report.attempts == firings + len(log)
+        assert bool(fired) == bool(tiers)
 
 
 class TestKernelReport:
@@ -182,7 +260,7 @@ class TestKernelize:
                 a = kernelize(small, config).to_dict()
                 b = kernelize(large, config).to_dict()
                 assert shifted(large.graph, -offset).adj == small.graph.adj
-                assert shifted(large.graph, -offset).color == small.graph.color
+                assert shifted(large.graph, -offset).black == small.graph.black
                 assert {v - offset for v in large.solution} == small.solution
                 for key in ("solution_size", "attempts", "rule_applications"):
                     assert a[key] == b[key]

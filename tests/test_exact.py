@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from domkernel.exact import (
     DEFAULT_VERTEX_LIMIT,
     OracleSizeError,
-    dominates,
     exact_dom,
 )
 from domkernel.graph import ColoredGraph, Instance
@@ -17,6 +16,7 @@ from helpers import (
     brute_force_dom,
     colored_graphs,
     cycle_graph,
+    dominates,
     path_graph,
     random_colored_graph,
     star_graph,

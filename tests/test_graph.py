@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from domkernel.exact import dominates, exact_dom
+from domkernel.exact import exact_dom
 from domkernel.graph import (
     BLACK,
     WHITE,
@@ -19,7 +19,9 @@ from domkernel.graph import (
 from helpers import (
     bfs_distances,
     brute_force_dom,
+    check_invariants,
     colored_graphs,
+    dominates,
     path_graph,
     phi,
     random_colored_graph,
@@ -66,7 +68,7 @@ class TestColoredGraph:
         assert g.vertex_count == 3
         assert g.edge_count == 0
         assert all(not g.adj[v] for v in g.adj)
-        assert 0 not in g.color
+        assert 0 not in g.black
 
     def test_remove_edge(self):
         g = path_graph(3)
@@ -82,8 +84,8 @@ class TestColoredGraph:
 
     def test_color_queries(self):
         g = path_graph(3, white=[1])
-        assert g.color[1] is WHITE and g.color[0] is BLACK
-        assert g.black_vertices() == {0, 2}
+        assert 1 not in g.black and 0 in g.black
+        assert g.black == {0, 2}
         assert g.white_vertices() == {1}
 
     def test_set_color_unknown_vertex(self):
@@ -91,12 +93,18 @@ class TestColoredGraph:
         with pytest.raises(KeyError):
             g.set_color(5, WHITE)
 
+    def test_set_color_unknown_color(self):
+        g = path_graph(2)
+        with pytest.raises(ValueError):
+            g.set_color(0, "grey")
+        assert g.black == {0, 1}
+
     def test_copy_is_independent(self):
         g = path_graph(3, white=[2])
         h = g.copy()
         h.remove_vertex(0)
         h.set_color(1, BLACK)
-        assert g.vertex_count == 3 and g.color[2] is WHITE
+        assert g.vertex_count == 3 and 2 not in g.black
         assert h.add_vertex() == 3
 
     def test_without(self):
@@ -104,7 +112,7 @@ class TestColoredGraph:
         h = residual(g, [0])
         assert h.vertices() == [1, 2, 3, 4]
         assert h.edge_count == 0
-        h.check_invariants()
+        check_invariants(h)
         assert g.edge_count == 4
 
     def test_from_edges(self):
@@ -117,7 +125,14 @@ class TestColoredGraph:
         g = path_graph(2)
         g.adj[0].discard(1)
         with pytest.raises(AssertionError):
-            g.check_invariants()
+            check_invariants(g)
+
+    def test_check_invariants_catches_a_black_non_vertex(self):
+        g = path_graph(2)
+        check_invariants(g)
+        g.black.add(7)
+        with pytest.raises(AssertionError):
+            check_invariants(g)
 
 
 class TestInstance:
@@ -127,7 +142,7 @@ class TestInstance:
         g = inst.graph
         assert inst.solution == {0}
         assert 0 not in g
-        assert g.black_vertices() == set()
+        assert g.black == set()
         assert g.white_vertices() == {1, 2, 3}
 
     def test_take_center_solves_star_optimally(self):
@@ -218,7 +233,7 @@ class TestColorRemovalGadget:
         out = bw_to_plain_gadget(g)
         pendant, hub = 3, 4
         assert out.adj[hub] == {pendant, 0, 2}
-        assert out.black_vertices() == {0, 1, 2, 3, 4}
+        assert out.black == {0, 1, 2, 3, 4}
 
     def test_white_middle_path(self):
         # {1} dominates both black endpoints of b-w-b, so the optimum is 1;

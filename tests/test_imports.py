@@ -68,27 +68,40 @@ def test_every_import_is_used(path):
 
 
 def package_names_used(path):
-    """(module, name) for every `from domkernel.X import name`, and for
-    every attribute read on a name bound by `import domkernel.X as Y`."""
+    """(module, attribute path) for every `from domkernel.X import name`,
+    and for every attribute read on a name bound by `import domkernel.X as
+    Y` or by `from domkernel.X import name`, such as `Instance.from_graph`."""
     tree = ast.parse(path.read_text(), filename=str(path))
-    aliases = {}
+    bound = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.name.startswith("domkernel.") and alias.asname:
-                    aliases[alias.asname] = alias.name
+                    bound[alias.asname] = (alias.name, ())
         elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith(
             "domkernel."
         ):
-            yield from ((node.module, alias.name) for alias in node.names)
+            for alias in node.names:
+                yield node.module, (alias.name,)
+                bound[alias.asname or alias.name] = (node.module, (alias.name,))
     for node in ast.walk(tree):
         if (
             isinstance(node, ast.Attribute)
             and isinstance(node.ctx, ast.Load)
             and isinstance(node.value, ast.Name)
-            and node.value.id in aliases
+            and node.value.id in bound
         ):
-            yield aliases[node.value.id], node.attr
+            module, prefix = bound[node.value.id]
+            yield module, prefix + (node.attr,)
+
+
+def resolves(module, names):
+    obj = importlib.import_module(module)
+    for name in names:
+        if not hasattr(obj, name):
+            return False
+        obj = getattr(obj, name)
+    return True
 
 
 def test_every_package_name_the_benchmark_uses_exists():
@@ -97,10 +110,11 @@ def test_every_package_name_the_benchmark_uses_exists():
     src = (ROOT / "src" / "domkernel").resolve()
     assert Path(domkernel.__file__).resolve().parent == src
     used = {pair for path in BENCHMARK for pair in package_names_used(path)}
-    assert ("domkernel.engine", "apply_simple_exhaustively") in used
+    assert ("domkernel.engine", ("apply_simple_exhaustively",)) in used
+    assert ("domkernel.graph", ("Instance", "from_graph")) in used
     missing = sorted(
-        f"{module}.{name}"
-        for module, name in used
-        if not hasattr(importlib.import_module(module), name)
+        ".".join((module,) + names)
+        for module, names in used
+        if not resolves(module, names)
     )
     assert not missing, f"perfbench uses {missing}, which src/ does not define"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 import domkernel.simple_rules as simple_rules
-from domkernel.graph import BLACK, WHITE, ColoredGraph, Instance
+from domkernel.graph import ColoredGraph, Instance
 from domkernel.plangen import GroupSpec, generate_instance
 from domkernel.simple_rules import (
     PREDICATES,
@@ -103,20 +103,20 @@ class TestBlackToWhite:
         assert apply_first(inst, SimpleRule.BLACK_TO_WHITE)
         assert apply_first(inst, SimpleRule.BLACK_TO_WHITE)
         assert not apply_first(inst, SimpleRule.BLACK_TO_WHITE)
-        assert len(inst.graph.black_vertices()) == 1
+        assert len(inst.graph.black) == 1
         assert inst.graph.vertex_count == 3
 
     def test_black_pendant_pair(self):
         inst = Instance.from_graph(path_graph(2))
         assert apply_first(inst, SimpleRule.BLACK_TO_WHITE)
-        assert inst.graph.black_vertices() == {0}
+        assert inst.graph.black == {0}
         assert inst.graph.white_vertices() == {1}
 
     def test_star_center_whitened(self):
         inst = Instance.from_graph(star_graph(3))
         assert apply_first(inst, SimpleRule.BLACK_TO_WHITE)
-        assert inst.graph.color[0] is WHITE
-        assert inst.graph.black_vertices() == {1, 2, 3}
+        assert 0 not in inst.graph.black
+        assert inst.graph.black == {1, 2, 3}
 
     def test_needs_black_witness_neighbor(self):
         inst = Instance.from_graph(star_graph(3, white=[1, 2, 3]))
@@ -147,13 +147,13 @@ class TestDegree1Black:
         inst = Instance.from_graph(path_graph(2))
         assert apply_first(inst, SimpleRule.DEGREE1_BLACK)
         assert len(inst.solution) == 1
-        assert inst.graph.black_vertices() == set()
+        assert inst.graph.black == set()
 
     def test_star_solved_through_any_leaf(self):
         inst = Instance.from_graph(star_graph(5))
         assert apply_first(inst, SimpleRule.DEGREE1_BLACK)
         assert inst.solution == {0}
-        assert inst.graph.black_vertices() == set()
+        assert inst.graph.black == set()
 
     def test_degree_two_blacks_do_not_fire(self):
         inst = Instance.from_graph(cycle_graph(4))
@@ -201,7 +201,7 @@ class TestGoldenEquivalence:
         f_count = apply_simple_exhaustively(fast)
         assert n_count == f_count
         assert naive.graph.adj == fast.graph.adj
-        assert naive.graph.color == fast.graph.color
+        assert naive.graph.black == fast.graph.black
         assert naive.solution == fast.solution
         assert naive.stats == fast.stats
 
@@ -221,16 +221,16 @@ class TestGoldenEquivalence:
 
 def assert_off_color_rules_do_not_fire(g):
     for v in g.vertices():
-        for rule in set(SimpleRule) - set(RULES_OF[g.color[v]]):
+        for rule in set(SimpleRule) - set(RULES_OF[v in g.black]):
             assert PREDICATES[rule](g, v) is None, (SimpleRule(rule), v)
 
 
 class TestColorTable:
-    """The worklist queues a vertex only under RULES_OF[its color]."""
+    """The worklist queues a vertex only under RULES_OF[v in black]."""
 
     def test_the_table_splits_the_six_rules(self):
-        assert RULES_OF == {WHITE: (0, 1, 2), BLACK: (3, 4, 5)}
-        assert sorted(RULES_OF[WHITE] + RULES_OF[BLACK]) == list(SimpleRule)
+        assert RULES_OF == ((0, 1, 2), (3, 4, 5))
+        assert sorted(RULES_OF[False] + RULES_OF[True]) == list(SimpleRule)
 
     def test_off_color_rules_never_fire_on_mixed_instances(self):
         for g in mixed_instance_stream(seed=83, count=200):
@@ -249,7 +249,7 @@ class TestColorTable:
         def counting(rule, predicate):
             def call(g, v):
                 nonlocal off_color
-                off_color += rule not in RULES_OF[g.color[v]]
+                off_color += rule not in RULES_OF[v in g.black]
                 return predicate(g, v)
             return call
 
@@ -258,7 +258,7 @@ class TestColorTable:
             tuple(counting(r, p) for r, p in enumerate(PREDICATES)),
         )
         g = generate_instance(GroupSpec(302, 900), 0, 0)
-        blacks = len(g.black_vertices())
+        blacks = len(g.black)
         assert apply_simple_exhaustively(Instance.from_graph(g)) > 0
         assert off_color <= 3 * blacks
 

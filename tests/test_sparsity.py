@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from domkernel.exact import dominates, exact_dom
-from domkernel.graph import BLACK, WHITE, ColoredGraph, Instance, is_1_scattered
+from domkernel.exact import exact_dom
+from domkernel.graph import WHITE, ColoredGraph, Instance, is_1_scattered
 from domkernel.sparsity import (
     greedy_dominating_set,
     group_and_reduce,
@@ -17,6 +17,7 @@ from domkernel.sparsity import (
 from helpers import (
     apex_stars,
     brute_force_dom,
+    dominates,
     mixed_instance_stream,
     path_graph,
     random_colored_graph,
@@ -284,7 +285,7 @@ class TestSparsityReduce:
             sparsity_reduce(inst)
             assert inst.graph.adj == g.adj
             assert inst.solution == set()
-            assert g.black_vertices() >= inst.graph.black_vertices()
+            assert g.black >= inst.graph.black
 
     def test_remaining_blacks_stay_a_strict_core(self):
         for g in mixed_instance_stream(seed=93, count=120, max_n=14):
@@ -299,7 +300,7 @@ class TestSparsityReduce:
             if sparsity_reduce(inst) == 0:
                 continue
             base = exact_dom(g).size
-            for z in g.black_vertices() - inst.graph.black_vertices():
+            for z in g.black - inst.graph.black:
                 relaxed = g.copy()
                 relaxed.set_color(z, WHITE)
                 assert exact_dom(relaxed).size == base
