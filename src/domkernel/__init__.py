@@ -2,14 +2,7 @@
 
 from .engine import ALL_CONFIGS, ApproachConfig, KernelReport, kernelize
 from .exact import ExactResult, OracleSizeError, exact_dom
-from .graph import (
-    BLACK,
-    WHITE,
-    ColoredGraph,
-    Instance,
-    bw_to_plain_gadget,
-    is_1_scattered,
-)
+from .graph import BLACK, WHITE, ColoredGraph, Instance, is_1_scattered
 
 __all__ = [
     "ALL_CONFIGS",
@@ -21,7 +14,6 @@ __all__ = [
     "KernelReport",
     "OracleSizeError",
     "WHITE",
-    "bw_to_plain_gadget",
     "exact_dom",
     "is_1_scattered",
     "kernelize",

@@ -15,7 +15,7 @@ from pathlib import Path
 from .bench import BenchRunError, read_manifest, run_bench, write_csv
 from .edgelist import EdgeListError, load_graph, write_edge_list, write_white_list
 from .engine import ApproachConfig, kernelize
-from .exact import OracleSizeError, exact_dom
+from .exact import DEFAULT_VERTEX_LIMIT, OracleSizeError, exact_dom
 from .graph import Instance
 from .plangen import canonical_groups, generate_group
 
@@ -74,7 +74,9 @@ def _build_parser() -> _Parser:
     sol = sub.add_parser("solve-exact", help="exact optimum of a small instance")
     sol.add_argument("edges", help="edge list file")
     sol.add_argument("--white", default=None, help="white-vertex sidecar file")
-    sol.add_argument("--limit", type=int, default=64, help="vertex limit")
+    sol.add_argument(
+        "--limit", type=int, default=DEFAULT_VERTEX_LIMIT, help="vertex limit"
+    )
 
     return parser
 
@@ -107,6 +109,9 @@ def _cmd_gen(args) -> int:
         "files": files,
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    listed = {out / f["path"] for f in files}
+    for stale in set(out.glob("*/inst_*.edges")) - listed:
+        stale.unlink()  # left by an earlier run with more instances or groups
     print(f"wrote {len(files)} instances in {len(groups)} groups to {out}")
     return EXIT_OK
 

@@ -1,5 +1,4 @@
-"""Mutable black/white colored graph, solution bookkeeping, and the
-color-removal gadget.
+"""Mutable black/white colored graph and solution bookkeeping.
 
 The coloring is one set, ``black``: the vertices that must be dominated.
 Every other vertex is white and may only dominate.  Vertex ids are stable
@@ -182,22 +181,3 @@ def is_1_scattered(g: ColoredGraph, vs, removed=frozenset()) -> bool:
         seen |= nb
     return True
 
-
-def bw_to_plain_gadget(g: ColoredGraph) -> ColoredGraph:
-    """Reduce a colored instance to an all-black one.
-
-    Adds a pendant vertex and a hub vertex (the two largest fresh ids, in
-    that order), joins the hub to the pendant and to every formerly white
-    vertex, and recolors everything black.  The domination optimum of the
-    result is exactly one larger than the input's: the pendant forces the
-    hub into any optimal solution, and the hub covers all old whites.
-    """
-    out = g.copy()
-    whites = sorted(out.white_vertices())
-    pendant = out.add_vertex()
-    hub = out.add_vertex()
-    out.add_edge(pendant, hub)
-    for w in whites:
-        out.add_edge(hub, w)
-    out.black.update(whites)
-    return out

@@ -60,12 +60,13 @@ def _white_no_black(g: ColoredGraph, v: int) -> int | None:
 
 
 def _white_subsumed_partner(g: ColoredGraph, u: int) -> int | None:
-    """Smallest neighbor v of white u with N[u] cap Black <= N[v] cap Black."""
+    """Some neighbor v of white u with N[u] cap Black <= N[v] cap Black.
+    Which one does not matter: the rule removes u whatever the witness."""
     if u in g.black:
         return None
     adj = g.adj
     need = adj[u] & g.black
-    for v in sorted(adj[u]):
+    for v in adj[u]:
         missing = need - adj[v]
         if not missing or missing == {v}:
             return v
@@ -73,12 +74,13 @@ def _white_subsumed_partner(g: ColoredGraph, u: int) -> int | None:
 
 
 def _black_to_white_partner(g: ColoredGraph, u: int) -> int | None:
-    """Smallest black neighbor v of black u with N[u] >= N[v]."""
+    """Some black neighbor v of black u with N[u] >= N[v].  Which one does
+    not matter: the rule whitens u whatever the witness."""
     if u not in g.black:
         return None
     adj = g.adj
     ball = adj[u] | {u}
-    for v in sorted(adj[u] & g.black):
+    for v in adj[u] & g.black:
         if adj[v] <= ball:
             return v
     return None
@@ -111,8 +113,9 @@ RULES_OF = ((0, 1, 2), (3, 4, 5))  # the rules a vertex can fire, by `v in black
 
 def fire(inst: Instance, rule: int, v: int, witness: int) -> tuple:
     """Apply rule at v with the witness its predicate returned.  Returns the
-    vertices whose adjacency or color the mutation touched; only vertices
-    at distance <= 1 from a touched one can change applicability."""
+    vertices whose adjacency or color the mutation touched, all of which
+    survive it; only vertices at distance <= 1 from a touched one can
+    change applicability."""
     g = inst.graph
     if rule == SimpleRule.WW_EDGE:
         g.remove_edge(v, witness)
@@ -166,7 +169,7 @@ def apply_simple_exhaustively(inst: Instance) -> int:
             continue
         touched = fire(inst, rule, v, witness)
         count += 1
-        for x in g.closed_neighborhood_of_set(t for t in touched if t in adj):
+        for x in g.closed_neighborhood_of_set(touched):
             for r in RULES_OF[x in black]:
                 key = (r, -x)
                 if key not in queued:

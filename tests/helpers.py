@@ -52,6 +52,26 @@ def apex_stars(stars: int, leaves: int) -> ColoredGraph:
     return ColoredGraph.from_edges(edges)
 
 
+def bw_to_plain_gadget(g: ColoredGraph) -> ColoredGraph:
+    """Reduce a colored instance to an all-black one.
+
+    Adds a pendant vertex and a hub vertex (the two largest fresh ids, in
+    that order), joins the hub to the pendant and to every formerly white
+    vertex, and recolors everything black.  The domination optimum of the
+    result is exactly one larger than the input's: the pendant forces the
+    hub into any optimal solution, and the hub covers all old whites.
+    """
+    out = g.copy()
+    whites = sorted(out.white_vertices())
+    pendant = out.add_vertex()
+    hub = out.add_vertex()
+    out.add_edge(pendant, hub)
+    for w in whites:
+        out.add_edge(hub, w)
+    out.black.update(whites)
+    return out
+
+
 # -- independent oracles -----------------------------------------------
 
 

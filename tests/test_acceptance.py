@@ -21,16 +21,16 @@ from domkernel.bench import read_manifest, run_bench, worse_than_baseline_notes
 from domkernel.edgelist import write_edge_list
 from domkernel.engine import ALL_CONFIGS, ATTEMPT_LIMIT, ApproachConfig, kernelize
 from domkernel.exact import exact_dom
-from domkernel.graph import (
-    WHITE,
-    Instance,
-    bw_to_plain_gadget,
-    is_1_scattered,
-)
+from domkernel.graph import WHITE, Instance, is_1_scattered
 from domkernel.plangen import GroupSpec, canonical_groups, generate_group, generate_instance
 from domkernel.sparsity import sparsity_reduce
 
-from helpers import apex_stars, apply_one_simple_rule, mixed_instance_stream
+from helpers import (
+    apex_stars,
+    apply_one_simple_rule,
+    bw_to_plain_gadget,
+    mixed_instance_stream,
+)
 
 FRACTION_METRICS = ("remaining_vertex_fraction", "remaining_edge_fraction")
 

@@ -5,10 +5,8 @@ import json
 import pytest
 
 from domkernel.bench import (
-    BenchResult,
     BenchRunError,
     CSV_COLUMNS,
-    aggregate_means,
     read_manifest,
     run_bench,
     worse_than_baseline_notes,

@@ -49,6 +49,29 @@ class TestGen:
         for rel in ("302x900/inst_000.edges", "302x900/inst_001.edges"):
             assert (a / rel).read_bytes() == (b / rel).read_bytes()
 
+    @staticmethod
+    def files_on_disk_and_in_manifest(out):
+        manifest = json.loads((out / "manifest.json").read_text())
+        on_disk = {p.relative_to(out).as_posix() for p in out.glob("*/inst_*.edges")}
+        return on_disk, {item["path"] for item in manifest["files"]}
+
+    def test_fewer_instances_in_place_leave_no_stale_files(self, tmp_path):
+        out = tmp_path / "data"
+        for count in ("3", "1"):
+            argv = ["gen", "--out", str(out), "--groups", "302x900", "--instances", count]
+            assert main(argv) == 0
+        on_disk, listed = self.files_on_disk_and_in_manifest(out)
+        assert on_disk == listed == {"302x900/inst_000.edges"}
+
+    def test_narrower_groups_in_place_leave_no_stale_files(self, tmp_path):
+        out = tmp_path / "data"
+        assert main(["gen", "--out", str(out), "--instances", "1"]) == 0
+        assert len(self.files_on_disk_and_in_manifest(out)[0]) == 6
+        assert main(["gen", "--out", str(out), "--instances", "1",
+                     "--groups", "302x900"]) == 0
+        on_disk, listed = self.files_on_disk_and_in_manifest(out)
+        assert on_disk == listed == {"302x900/inst_000.edges"}
+
     def test_unknown_group_is_a_usage_error(self, tmp_path, capsys):
         code = main(["gen", "--out", str(tmp_path / "x"), "--groups", "1x1"])
         assert code == 1

@@ -83,6 +83,14 @@ class TestWhiteList:
         with pytest.raises(EdgeListError):
             read_white_list(p)
 
+    def test_negative_id_reports_the_line(self, tmp_path):
+        p = tmp_path / "g.white"
+        p.write_text("# 2 white vertices\n1\n-3\n")
+        with pytest.raises(EdgeListError, match="non-negative") as exc:
+            read_white_list(p)
+        assert exc.value.line_no == 3
+        assert f"{p}:3" in str(exc.value)
+
 
 class TestLoadGraph:
     def test_defaults_to_all_black(self, tmp_path):

@@ -16,7 +16,7 @@ from domkernel.exact import exact_dom
 from domkernel.graph import ColoredGraph, Instance
 from domkernel.simple_rules import PREDICATES, SimpleRule
 
-from helpers import brute_force_dom, mixed_instance_stream, path_graph, star_graph
+from helpers import brute_force_dom, mixed_instance_stream, star_graph
 
 
 def shifted(g: ColoredGraph, offset: int) -> ColoredGraph:

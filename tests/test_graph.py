@@ -7,18 +7,12 @@ import pytest
 from hypothesis import given, settings
 
 from domkernel.exact import exact_dom
-from domkernel.graph import (
-    BLACK,
-    WHITE,
-    ColoredGraph,
-    Instance,
-    bw_to_plain_gadget,
-    is_1_scattered,
-)
+from domkernel.graph import BLACK, WHITE, ColoredGraph, Instance, is_1_scattered
 
 from helpers import (
     bfs_distances,
     brute_force_dom,
+    bw_to_plain_gadget,
     check_invariants,
     colored_graphs,
     dominates,

@@ -1,6 +1,6 @@
 """The package and the scripts import nothing outside the standard
-library, and nothing they never use; every package name the benchmark
-uses exists."""
+library; they and the tests import nothing they never use; every package
+name the benchmark uses exists."""
 
 import ast
 import importlib
@@ -13,6 +13,7 @@ ROOT = Path(__file__).parent.parent
 SOURCES = sorted((ROOT / "src" / "domkernel").glob("*.py"))
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 BENCHMARK = sorted((ROOT / "perfbench").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def absolute_imports(path):
@@ -49,6 +50,7 @@ def unused_imports(path):
 def test_sources_found():
     assert any(p.name == "engine.py" for p in SOURCES)
     assert any(p.name == "run_bench.py" for p in SCRIPTS)
+    assert any(p.name == "helpers.py" for p in TESTS)
 
 
 @pytest.mark.parametrize("path", SOURCES + SCRIPTS, ids=lambda p: p.name)
@@ -61,7 +63,7 @@ def test_only_stdlib_and_package_imports(path):
     assert not outside, f"{path.name} imports {sorted(outside)}"
 
 
-@pytest.mark.parametrize("path", SOURCES + SCRIPTS, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES + SCRIPTS + TESTS, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     unused = unused_imports(path)
     assert not unused, f"{path.name} imports {unused} but never uses them"

@@ -1,8 +1,6 @@
 """The six local rules: stated behavior on small graphs, oracle safety,
 potential decrease, and naive/incremental fixed-point equivalence."""
 
-import random
-
 import pytest
 from hypothesis import given, settings
 

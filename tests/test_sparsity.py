@@ -16,7 +16,6 @@ from domkernel.sparsity import (
 
 from helpers import (
     apex_stars,
-    brute_force_dom,
     dominates,
     mixed_instance_stream,
     path_graph,
