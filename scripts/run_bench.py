@@ -4,7 +4,8 @@
 Generates the canonical planar dataset for --seed and --instances into
 <workdir>/dataset, replacing whatever was there, then sweeps it with
 `domkernel bench --csv <workdir>/results.csv`.  Every other argument,
-such as --configs or --workers, goes to `bench` unchanged.  Leaves
+such as --configs or --workers, goes to `bench` unchanged; one that
+`bench` does not accept exits 1 before anything is generated.  Leaves
 everything under --workdir (default ./bench_output):
 
   dataset/       edge lists plus manifest.json
@@ -18,7 +19,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from domkernel.cli import main as domkernel
+from domkernel.cli import build_parser, main as domkernel
 
 
 def run(argv=None) -> int:
@@ -33,14 +34,15 @@ def run(argv=None) -> int:
     args, bench_args = parser.parse_known_args(argv)
 
     dataset = Path(args.workdir) / "dataset"
+    csv = str(Path(args.workdir) / "results.csv")
+    bench = ["bench", "--manifest", str(dataset / "manifest.json"), "--csv", csv]
+    bench += bench_args
+    build_parser().parse_args(bench)  # a flag bench does not know exits 1 here
     gen = ["gen", "--out", str(dataset), "--instances", args.instances, "--seed", args.seed]
     code = domkernel(gen)
     if code != 0:
         return code
-    csv = str(Path(args.workdir) / "results.csv")
-    return domkernel(
-        ["bench", "--manifest", str(dataset / "manifest.json"), "--csv", csv] + bench_args
-    )
+    return domkernel(bench)
 
 
 if __name__ == "__main__":

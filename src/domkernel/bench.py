@@ -130,14 +130,13 @@ def run_bench(entries, configs=None, workers: int = 1) -> BenchResult:
 def aggregate_means(rows, configs):
     """Per (group, config) means of the remaining fractions, groups in
     first-appearance order, configs in the order they were run."""
-    group_order = []
+    by_group = {}
     for row in rows:
-        if row["group"] not in group_order:
-            group_order.append(row["group"])
+        by_group.setdefault(row["group"], {}).setdefault(row["config"], []).append(row)
     means = []
-    for group in group_order:
+    for group, by_config in by_group.items():
         for config in configs:
-            sub = [r for r in rows if r["group"] == group and r["config"] == config]
+            sub = by_config.get(config)
             if not sub:
                 continue
             row = dict.fromkeys(CSV_COLUMNS, "")
@@ -152,16 +151,14 @@ def worse_than_baseline_notes(rows):
     """Instances where a sparsity-on run kept strictly more than its
     sparsity-off sibling.  Known to happen occasionally; recorded, never
     treated as a failure."""
-    baseline = {
-        (r["group"], r["dataset"], r["config"]): r
-        for r in rows
-        if r["config"].startswith("off.")
-    }
+    by_key = {(r["group"], r["dataset"], r["config"]): r for r in rows}
     notes = []
     for r in rows:
-        if not r["config"].startswith("on."):
+        config = ApproachConfig.from_name(r["config"])
+        if not config.sparsity:
             continue
-        off = baseline.get((r["group"], r["dataset"], "off." + r["config"][3:]))
+        sibling = ApproachConfig(alber=config.alber).name
+        off = by_key.get((r["group"], r["dataset"], sibling))
         if off is None:
             continue
         for metric in FRACTIONS:

@@ -34,7 +34,7 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
-def _build_parser() -> _Parser:
+def build_parser() -> _Parser:
     parser = _Parser(prog="domkernel", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -81,13 +81,19 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _name_list(flag, value):
+    """The names of a comma-separated flag value; at least one, no repeats."""
+    names = [s.strip() for s in value.split(",") if s.strip()]
+    if not names or len(set(names)) != len(names):
+        raise ValueError(f"{flag} needs distinct names, got {value!r}")
+    return names
+
+
 def _cmd_gen(args) -> int:
     out = Path(args.out)
     groups = canonical_groups(args.instances)
     if args.groups is not None:
-        wanted = [s.strip() for s in args.groups.split(",") if s.strip()]
-        if not wanted or len(set(wanted)) != len(wanted):
-            raise ValueError(f"--groups needs distinct names, got {args.groups!r}")
+        wanted = _name_list("--groups", args.groups)
         by_name = {g.name: g for g in groups}
         missing = [w for w in wanted if w not in by_name]
         if missing:
@@ -154,9 +160,7 @@ def _cmd_bench(args) -> int:
         raise ValueError(f"--workers must be at least 1, got {args.workers}")
     configs = None
     if args.configs is not None:
-        configs = [s.strip() for s in args.configs.split(",") if s.strip()]
-        if not configs or len(set(configs)) != len(configs):
-            raise ValueError(f"--configs needs distinct names, got {args.configs!r}")
+        configs = _name_list("--configs", args.configs)
         for name in configs:
             ApproachConfig.from_name(name)
     entries = read_manifest(args.manifest)
@@ -194,7 +198,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)

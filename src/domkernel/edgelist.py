@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .graph import WHITE, ColoredGraph
+from .graph import ColoredGraph
 
 
 class EdgeListError(ValueError):
@@ -24,33 +24,36 @@ class EdgeListError(ValueError):
         self.line_no = line_no
 
 
-def _data_lines(path):
+def _id_lines(path, arity):
+    """Yield (line_no, ids) for each data line of path, where ids is a
+    tuple of `arity` (1 or 2) non-negative integer vertex ids."""
     try:
         text = Path(path).read_text()
     except UnicodeDecodeError as exc:
         raise EdgeListError(path, None, f"undecodable text: {exc}") from None
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0][0] == "#":
             continue
-        yield line_no, line
+        if len(parts) != arity:
+            raise EdgeListError(
+                path, line_no, f"expected {arity} vertex id(s), got {len(parts)} tokens"
+            )
+        try:  # unpacked directly: tuple(map(int, parts)) makes loading slower
+            ids = (int(parts[0]), int(parts[1])) if arity == 2 else (int(parts[0]),)
+        except ValueError:
+            raise EdgeListError(
+                path, line_no, f"non-integer vertex id in {raw.strip()!r}"
+            ) from None
+        if "-" in raw and min(ids) < 0:  # int() gives a negative only after a '-'
+            raise EdgeListError(path, line_no, "vertex ids must be non-negative")
+        yield line_no, ids
 
 
 def read_edge_list(path) -> list[tuple[int, int]]:
     """Parse the edge pairs; duplicate edges are tolerated and collapse."""
     edges = []
-    for line_no, line in _data_lines(path):
-        parts = line.split()
-        if len(parts) != 2:
-            raise EdgeListError(
-                path, line_no, f"expected two vertex ids, got {len(parts)} tokens"
-            )
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise EdgeListError(path, line_no, f"non-integer vertex id in {line!r}")
-        if u < 0 or v < 0:
-            raise EdgeListError(path, line_no, "vertex ids must be non-negative")
+    for line_no, (u, v) in _id_lines(path, 2):
         if u == v:
             raise EdgeListError(path, line_no, f"self-loop at {u} not allowed")
         edges.append((u, v))
@@ -58,31 +61,21 @@ def read_edge_list(path) -> list[tuple[int, int]]:
 
 
 def read_white_list(path) -> set[int]:
-    whites = set()
-    for line_no, line in _data_lines(path):
-        parts = line.split()
-        if len(parts) != 1:
-            raise EdgeListError(path, line_no, "expected one vertex id per line")
-        try:
-            w = int(parts[0])
-        except ValueError:
-            raise EdgeListError(path, line_no, f"non-integer vertex id {parts[0]!r}")
-        if w < 0:
-            raise EdgeListError(path, line_no, "vertex ids must be non-negative")
-        whites.add(w)
-    return whites
+    return {w for _, (w,) in _id_lines(path, 1)}
 
 
 def load_graph(path, white_path=None) -> ColoredGraph:
     """Build the colored graph from an edge list plus optional sidecar."""
     g = ColoredGraph.from_edges(read_edge_list(path))
     if white_path is not None:
-        for w in sorted(read_white_list(white_path)):
-            if w not in g:
-                raise EdgeListError(
-                    white_path, None, f"white vertex {w} does not occur in {path}"
-                )
-            g.set_color(w, WHITE)
+        whites = read_white_list(white_path)
+        missing = whites - g.adj.keys()
+        if missing:
+            raise EdgeListError(
+                white_path, None,
+                f"white vertex {min(missing)} does not occur in {path}",
+            )
+        g.black -= whites
     return g
 
 

@@ -121,6 +121,26 @@ class TestRunBench:
                 sub
             )
 
+    def test_interleaved_groups_keep_first_appearance_order(self, tmp_path):
+        entries = tiny_dataset(tmp_path)
+        entries = [entries[0], entries[2], entries[1]]  # 20x40, 24x30, 20x40
+        result = run_bench(entries, ["on.both", "off.none"])
+        key = [(m["group"], m["config"]) for m in result.means]
+        assert key == [
+            ("20x40", "on.both"),
+            ("20x40", "off.none"),
+            ("24x30", "on.both"),
+            ("24x30", "off.none"),
+        ]
+        for m in result.means:
+            sub = [
+                r["remaining_edge_fraction"]
+                for r in result.rows
+                if r["group"] == m["group"] and r["config"] == m["config"]
+            ]
+            assert len(sub) == (2 if m["group"] == "20x40" else 1)
+            assert m["remaining_edge_fraction"] == sum(sub) / len(sub)
+
     def test_missing_file_aborts_naming_it(self, tmp_path):
         entries = tiny_dataset(tmp_path)
         entries.insert(
@@ -211,4 +231,7 @@ class TestWorseThanBaselineNotes:
 
     def test_unpaired_rows_ignored(self):
         rows = [self._row("on.both", 0.9, 0.9)]
+        assert worse_than_baseline_notes(rows) == []
+        # the sibling must run the same alber mode
+        rows = [self._row("off.one", 0.1, 0.1), self._row("on.both", 0.9, 0.9)]
         assert worse_than_baseline_notes(rows) == []

@@ -31,27 +31,6 @@ class TestReadEdgeList:
         g = load_graph(p)
         assert g.edge_count == 1
 
-    def test_wrong_token_count_reports_the_line(self, tmp_path):
-        p = tmp_path / "g.edges"
-        p.write_text("0 1\n1 2 3\n")
-        with pytest.raises(EdgeListError) as exc:
-            read_edge_list(p)
-        assert exc.value.line_no == 2
-        assert str(p) in str(exc.value)
-
-    def test_non_integer_rejected(self, tmp_path):
-        p = tmp_path / "g.edges"
-        p.write_text("a b\n")
-        with pytest.raises(EdgeListError) as exc:
-            read_edge_list(p)
-        assert exc.value.line_no == 1
-
-    def test_negative_id_rejected(self, tmp_path):
-        p = tmp_path / "g.edges"
-        p.write_text("0 -1\n")
-        with pytest.raises(EdgeListError):
-            read_edge_list(p)
-
     def test_self_loop_rejected(self, tmp_path):
         p = tmp_path / "g.edges"
         p.write_text("0 1\n2 2\n")
@@ -70,26 +49,33 @@ class TestWhiteList:
         write_white_list(p, g)
         assert read_white_list(p) == {1, 3}
 
-    def test_one_id_per_line(self, tmp_path):
-        p = tmp_path / "g.white"
-        p.write_text("1 3\n")
-        with pytest.raises(EdgeListError) as exc:
-            read_white_list(p)
-        assert exc.value.line_no == 1
 
-    def test_non_integer_rejected(self, tmp_path):
-        p = tmp_path / "g.white"
-        p.write_text("x\n")
-        with pytest.raises(EdgeListError):
-            read_white_list(p)
+# Both readers share one id-line decoder.  Per case: an edge list, a white
+# list, the line both are refused at, and a fragment of the message.
+MALFORMED = {
+    "wrong-token-count": ("0 1\n1 2 3\n", "1\n1 3\n", 2, "vertex id"),
+    "non-integer-id": ("a b\n", "x\n", 1, "non-integer"),
+    "negative-id": ("0 -1\n", "-3\n", 1, "non-negative"),
+    "after-comments-and-blanks": (
+        "# 3 2\n\n0 1\n   \n# note\n1 -2\n",
+        "# 2 white vertices\n\n1\n   \n# note\n-3\n",
+        6,
+        "non-negative",
+    ),
+}
 
-    def test_negative_id_reports_the_line(self, tmp_path):
-        p = tmp_path / "g.white"
-        p.write_text("# 2 white vertices\n1\n-3\n")
-        with pytest.raises(EdgeListError, match="non-negative") as exc:
-            read_white_list(p)
-        assert exc.value.line_no == 3
-        assert f"{p}:3" in str(exc.value)
+
+@pytest.mark.parametrize("case", MALFORMED)
+@pytest.mark.parametrize("reader", [read_edge_list, read_white_list],
+                         ids=["edges", "whites"])
+def test_malformed_line_is_refused_with_its_position(tmp_path, reader, case):
+    edges, whites, line_no, what = MALFORMED[case]
+    p = tmp_path / "ids.txt"
+    p.write_text(edges if reader is read_edge_list else whites)
+    with pytest.raises(EdgeListError, match=what) as exc:
+        reader(p)
+    assert exc.value.line_no == line_no
+    assert f"{p}:{line_no}: " in str(exc.value)
 
 
 class TestLoadGraph:
@@ -113,10 +99,10 @@ class TestLoadGraph:
         e = tmp_path / "g.edges"
         w = tmp_path / "g.white"
         write_edge_list(e, path_graph(3))
-        w.write_text("7\n")
+        w.write_text("9\n1\n7\n")
         with pytest.raises(EdgeListError) as exc:
             load_graph(e, w)
-        assert "7" in str(exc.value)
+        assert f"white vertex 7 does not occur in {e}" in str(exc.value)
 
 
 class TestWriteEdgeList:

@@ -1,6 +1,6 @@
 """The package and the scripts import nothing outside the standard
-library; they and the tests import nothing they never use; every package
-name the benchmark uses exists."""
+library; they and the tests import nothing they never use; the package
+root binds no name; every package name the benchmark uses exists."""
 
 import ast
 import importlib
@@ -26,8 +26,7 @@ def absolute_imports(path):
 
 def unused_imports(path):
     """Names a module imports but never references.  `__future__` imports
-    are exempt, and so are the re-exports an `__init__.py` lists in
-    `__all__`."""
+    are exempt."""
     tree = ast.parse(path.read_text(), filename=str(path))
     imported = set()
     used = set()
@@ -38,12 +37,6 @@ def unused_imports(path):
             imported.update(a.asname or a.name for a in node.names)
         elif isinstance(node, ast.Name):
             used.add(node.id)
-        elif (
-            path.name == "__init__.py"
-            and isinstance(node, ast.Assign)
-            and any(getattr(t, "id", None) == "__all__" for t in node.targets)
-        ):
-            used.update(ast.literal_eval(node.value))
     return sorted(imported - used)
 
 
@@ -67,6 +60,19 @@ def test_only_stdlib_and_package_imports(path):
 def test_every_import_is_used(path):
     unused = unused_imports(path)
     assert not unused, f"{path.name} imports {unused} but never uses them"
+
+
+def test_package_root_binds_no_name():
+    """Every name has one import path, `domkernel.<module>`: the package
+    root neither imports nor assigns."""
+    init = ROOT / "src" / "domkernel" / "__init__.py"
+    bound = [
+        ast.unparse(node)
+        for node in ast.walk(ast.parse(init.read_text()))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        or isinstance(getattr(node, "ctx", None), ast.Store)
+    ]
+    assert not bound, f"__init__.py binds {bound}"
 
 
 def package_names_used(path):

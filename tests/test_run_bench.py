@@ -1,5 +1,6 @@
 """The one-shot benchmark driver generates the dataset it is asked for on
-every run and hands every argument it does not define to `bench`."""
+every run and hands every argument it does not define to `bench`, whose
+parser checks them before anything is generated."""
 
 import csv
 import importlib.util
@@ -68,3 +69,4 @@ def test_an_unknown_flag_exits_1(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_bench.run(["--workdir", str(tmp_path), "--instances", "1", "--no-such-flag"])
     assert exc.value.code == 1
+    assert not (tmp_path / "dataset").exists()
