@@ -8,9 +8,36 @@ Rule order is fixed.  One "step" of the reference semantics applies the
 lowest-numbered rule that matches anywhere, at its largest matching vertex
 (rule 1 removes the edge at the largest white vertex with a white neighbor,
 toward its largest white neighbor).  The production fixed-point driver
-reproduces exactly that sequence of steps but re-checks only vertices whose
-local structure a mutation could have changed, which is what makes large
-sparse instances affordable.
+reproduces exactly that sequence of steps from a heap of (rule, -vertex)
+keys.  It keeps one invariant: every applicable key is queued.  After a
+firing it queues only the keys that the firing may have made applicable,
+which is what makes large sparse instances affordable.
+
+Those keys follow from what each predicate reads.  Tier 1 only deletes
+edges and vertices and whitens blacks, so a predicate can newly hold only
+where one of its inputs moved.  With "the white rules" for WW_EDGE,
+WHITE_NO_BLACK and WHITE_SUBSUMED, `fire` returns:
+
+  fired at v          keys returned, and which predicate inputs moved
+  WW_EDGE (with w)    WW_EDGE at v.  v and w each lose a white neighbor;
+                      no black set or black adjacency moves, so no key
+                      becomes newly true and only v's own key may still be.
+  WHITE_NO_BLACK      none.  v's neighbors are all white and only lose a
+                      white neighbor.
+  WHITE_SUBSUMED      ISOLATED_BLACK or DEGREE1_BLACK at each black neighbor
+                      x of v left with no edge or one, and BLACK_TO_WHITE at
+                      every black neighbor of every such x.  x's adjacency
+                      shrinks, so x may fit in a black neighbor's ball; v was
+                      white, so no white vertex's black neighbors change.
+  BLACK_TO_WHITE      the white rules at v and at each white neighbor of v.
+                      v turns white and its neighbors lose a black neighbor,
+                      which black rules only lose as a witness.
+  ISOLATED_BLACK      none.  v has no neighbors.
+  DEGREE1_BLACK (s)   the white rules at each vertex of N(s), and at each
+                      white neighbor of a vertex the take whitened.  N(s)
+                      turns white and loses s; a white outside N(s) next to
+                      an already white y sees y lose only s, which it never
+                      had to dominate; no black vertex loses an edge.
 
 Scanning largest-first is a deliberate choice: on hierarchically built
 planar instances the freshest (largest-id) vertices sit at the leaves of
@@ -109,28 +136,46 @@ PREDICATES = (  # indexed by SimpleRule
 STAT_NAMES = tuple(rule.name.lower() for rule in SimpleRule)
 
 RULES_OF = ((0, 1, 2), (3, 4, 5))  # the rules a vertex can fire, by `v in black`
+WHITE_RULES = RULES_OF[False]
 
 
-def fire(inst: Instance, rule: int, v: int, witness: int) -> tuple:
+def fire(inst: Instance, rule: int, v: int, witness: int) -> list:
     """Apply rule at v with the witness its predicate returned.  Returns the
-    vertices whose adjacency or color the mutation touched, all of which
-    survive it; only vertices at distance <= 1 from a touched one can
-    change applicability."""
+    (rule, -vertex) keys the mutation may have made applicable, per the
+    table in the module docstring: if a key applies now but did not before
+    the firing, or it is the fired key and still applies, it is returned.
+    Every returned key names a surviving vertex under a rule of its
+    current color; a key may repeat."""
     g = inst.graph
+    adj, black = g.adj, g.black
+    keys = []
     if rule == SimpleRule.WW_EDGE:
         g.remove_edge(v, witness)
-        touched = (v, witness)
-    elif rule == SimpleRule.WHITE_NO_BLACK or rule == SimpleRule.WHITE_SUBSUMED:
-        touched = tuple(g.adj[v])
+        keys.append((rule, -v))
+    elif rule == SimpleRule.WHITE_NO_BLACK:
         g.remove_vertex(v)
+    elif rule == SimpleRule.WHITE_SUBSUMED:
+        shrunk = adj[v] & black  # the blacks whose adjacency loses v
+        g.remove_vertex(v)
+        for x in shrunk:
+            ax = adj[x]
+            if not ax:
+                keys.append((SimpleRule.ISOLATED_BLACK, -x))
+            elif len(ax) == 1:
+                keys.append((SimpleRule.DEGREE1_BLACK, -x))
+            keys += [(SimpleRule.BLACK_TO_WHITE, -y) for y in ax & black]
     elif rule == SimpleRule.BLACK_TO_WHITE:
-        g.black.remove(v)
-        touched = (v,)
+        black.remove(v)
+        keys += [(r, -x) for x in (v, *(adj[v] - black)) for r in WHITE_RULES]
     else:  # ISOLATED_BLACK is its own witness and has no neighbors
-        touched = tuple(g.adj[witness])
+        whitened = adj[witness] & black
+        whites = set(adj[witness])
         inst.take_into_solution(witness)
+        for y in whitened:
+            whites |= adj[y] - black
+        keys += [(r, -x) for x in whites for r in WHITE_RULES]
     inst.stats[STAT_NAMES[rule]] += 1
-    return touched
+    return keys
 
 
 # -- incremental fixed point ------------------------------------------
@@ -139,16 +184,15 @@ def fire(inst: Instance, rule: int, v: int, witness: int) -> tuple:
 def apply_simple_exhaustively(inst: Instance) -> int:
     """Apply the six rules to a fixed point; returns the application count.
 
-    Behaviorally identical to the naive loop: candidates live in one heap of
-    (rule, -vertex) keys, so the popped valid candidate is always the
-    lowest-numbered applicable rule at its largest vertex.  A vertex is
-    queued only under the rules its color can fire, RULES_OF[v in black].
-    After a firing, exactly the vertices whose predicate inputs could have
-    changed (the touched vertices and their surviving neighbors) are
-    re-queued under the rules of their current color.  Tier 1 never turns a
-    white vertex black, and every vertex it whitens is re-queued, so no
-    applicable candidate is missed.  Stale heap entries, such as the black
-    rules of a whitened vertex, are discarded on pop by re-validation.
+    Behaviorally identical to the naive loop.  Candidates live in one heap
+    of (rule, -vertex) keys, seeded with every vertex under the rules its
+    color can fire, RULES_OF[v in black].  The loop keeps one invariant:
+    every applicable key is queued.  `fire` returns every key its mutation
+    may have made applicable, and those are pushed unless already queued;
+    a key that applied before the firing and was not popped is still in the
+    heap.  So the popped valid key is always the lowest-numbered applicable
+    rule at its largest vertex.  Stale keys, such as the black rules of a
+    whitened vertex, are discarded on pop by re-validation.
     """
     g = inst.graph
     adj = g.adj
@@ -167,12 +211,9 @@ def apply_simple_exhaustively(inst: Instance) -> int:
         witness = predicates[rule](g, v)
         if witness is None:
             continue
-        touched = fire(inst, rule, v, witness)
         count += 1
-        for x in g.closed_neighborhood_of_set(touched):
-            for r in RULES_OF[x in black]:
-                key = (r, -x)
-                if key not in queued:
-                    queued.add(key)
-                    heapq.heappush(heap, key)
+        for key in fire(inst, rule, v, witness):
+            if key not in queued:
+                queued.add(key)
+                heapq.heappush(heap, key)
     return count

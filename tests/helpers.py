@@ -52,6 +52,17 @@ def apex_stars(stars: int, leaves: int) -> ColoredGraph:
     return ColoredGraph.from_edges(edges)
 
 
+def wheel_with_pendants(k: int) -> ColoredGraph:
+    """A black hub 0 joined to a white rim cycle 1..k (k >= 3), and a black
+    pendant k+i on each rim vertex i.  Planar, and every rim removal
+    touches the hub, whose degree is k."""
+    rim = range(1, k + 1)
+    edges = [(0, i) for i in rim]
+    edges += [(i, i % k + 1) for i in rim]
+    edges += [(i, k + i) for i in rim]
+    return ColoredGraph.from_edges(edges, white=rim)
+
+
 def bw_to_plain_gadget(g: ColoredGraph) -> ColoredGraph:
     """Reduce a colored instance to an all-black one.
 

@@ -1,6 +1,8 @@
 """The six local rules: stated behavior on small graphs, oracle safety,
 potential decrease, and naive/incremental fixed-point equivalence."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 
@@ -12,6 +14,7 @@ from domkernel.simple_rules import (
     RULES_OF,
     SimpleRule,
     apply_simple_exhaustively,
+    fire,
 )
 
 from helpers import (
@@ -25,6 +28,7 @@ from helpers import (
     phi,
     star_graph,
     verify_rule_safety,
+    wheel_with_pendants,
 )
 
 
@@ -216,6 +220,9 @@ class TestGoldenEquivalence:
         g = generate_instance(GroupSpec(120, 280), 0, master_seed=5)
         self._assert_same(g)
 
+    def test_on_a_wheel_with_pendants(self):
+        self._assert_same(wheel_with_pendants(40))
+
 
 def assert_off_color_rules_do_not_fire(g):
     for v in g.vertices():
@@ -259,6 +266,87 @@ class TestColorTable:
         blacks = len(g.black)
         assert apply_simple_exhaustively(Instance.from_graph(g)) > 0
         assert off_color <= 3 * blacks
+
+
+def applicable_keys(g):
+    return {
+        (rule, -v) for v in g.adj for rule in SimpleRule
+        if PREDICATES[rule](g, v) is not None
+    }
+
+
+def assert_fire_returns_every_enabled_key(g):
+    before = applicable_keys(g)
+    for fired in before:
+        rule, v = fired[0], -fired[1]
+        inst = Instance.from_graph(g.copy())
+        returned = fire(inst, rule, v, PREDICATES[rule](inst.graph, v))
+        after = applicable_keys(inst.graph)
+        missed = ((after - before) | (after & {fired})) - set(returned)
+        assert not missed, (SimpleRule(rule), v, missed)
+        for r, x in returned:
+            assert -x in inst.graph.adj
+            assert r in RULES_OF[-x in inst.graph.black], (SimpleRule(r), -x)
+
+
+class TestRequeueTable:
+    """`fire` returns every key its mutation may have made applicable, so
+    the worklist's invariant "every applicable key is queued" holds."""
+
+    def test_on_mixed_instances(self):
+        for g in mixed_instance_stream(seed=67, count=200):
+            assert_fire_returns_every_enabled_key(g)
+
+    @given(colored_graphs(max_vertices=12))
+    @settings(max_examples=150)
+    def test_on_arbitrary_graphs(self, g):
+        assert_fire_returns_every_enabled_key(g)
+
+
+def tier1_work(monkeypatch, g):
+    """Firings, keys returned by `fire` and predicate calls of one run."""
+    work = Counter()
+    real_fire = simple_rules.fire
+
+    def counting_fire(*args):
+        keys = real_fire(*args)
+        work["firings"] += 1
+        work["keys"] += len(keys)
+        return keys
+
+    def counting(predicate):
+        def call(g, v):
+            work["calls"] += 1
+            return predicate(g, v)
+        return call
+
+    with monkeypatch.context() as m:
+        m.setattr(simple_rules, "fire", counting_fire)
+        m.setattr(simple_rules, "PREDICATES", tuple(map(counting, PREDICATES)))
+        inst = Instance.from_graph(g)
+        assert apply_simple_exhaustively(inst) == work["firings"]
+    work["left"] = inst.graph.vertex_count
+    return work
+
+
+class TestTier1Work:
+    """Deterministic work counts, so a wider re-queue fails without a timing."""
+
+    def test_wheel_work_per_firing_does_not_grow_with_the_hub(self, monkeypatch):
+        small = tier1_work(monkeypatch, wheel_with_pendants(500))
+        large = tier1_work(monkeypatch, wheel_with_pendants(4000))
+        assert small["left"] == large["left"] == 0
+        for count in ("keys", "calls"):
+            per_firing = large[count] / large["firings"]
+            assert per_firing <= 2 * small[count] / small["firings"], count
+
+    def test_canonical_instance_firings_and_predicate_calls(self, monkeypatch):
+        # The bound is what fire's re-queue table reaches on 2002x6000
+        # instance 0; re-queueing every rule at every vertex within
+        # distance 1 of a mutation makes 39,694 calls for these firings.
+        work = tier1_work(monkeypatch, generate_instance(GroupSpec(2002, 6000), 0, 0))
+        assert work["firings"] == 4931
+        assert work["calls"] <= 25_579
 
 
 class TestRuleProperties:
