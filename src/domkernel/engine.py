@@ -96,7 +96,9 @@ class KernelReport:
 
 
 def kernelize(
-    inst: Instance, config: ApproachConfig = ApproachConfig()
+    inst: Instance,
+    config: ApproachConfig = ApproachConfig(),
+    after: KernelReport | None = None,
 ) -> KernelReport:
     """Reduce the instance in place to a fixed point of the configured rule
     families and report what happened.  Deterministic for a given input and
@@ -107,6 +109,14 @@ def kernelize(
     ``attempts`` counts tier-1 firings, plus 1 per tier-1 call, plus 1 per
     higher-tier call.  The tiers are looked up by name on every call, so a
     wrapper assigned to this module's attribute is the one that runs.
+
+    ``after`` continues an ``off.none`` run, which is exactly tier 1 to a
+    fixed point: it is that run's report, and ``inst`` is a copy of the
+    kernel it left (``Instance.copy`` carries the solution and stats).  The
+    first tier-1 call is then skipped.  The initial counts come from
+    ``after``, ``attempts`` is ``after.attempts`` plus this call's (no
+    second +1 for the skipped call), and ``after.elapsed_seconds`` is added
+    to the elapsed time, so the report equals a run from the input.
     """
     alber_tiers = (apply_alber_single_first, apply_alber_pair_first)
     tiers = alber_tiers[: ALBER_MODES.index(config.alber)]
@@ -114,11 +124,18 @@ def kernelize(
         tiers += (sparsity_reduce,)
     g = inst.graph
     start = time.perf_counter()
-    initial_vertices = g.vertex_count
-    initial_edges = g.edge_count
-    attempts = 0
+    if after is None:
+        initial_vertices = g.vertex_count
+        initial_edges = g.edge_count
+        attempts = apply_simple_exhaustively(inst) + 1
+    else:
+        if after.config != ApproachConfig().name:
+            raise ValueError(f"after must be an off.none report, got {after.config}")
+        initial_vertices = after.initial_vertices
+        initial_edges = after.initial_edges
+        attempts = after.attempts
+        start -= after.elapsed_seconds
     while True:
-        attempts += apply_simple_exhaustively(inst) + 1
         if attempts > ATTEMPT_LIMIT:
             raise RuntimeError("rule attempt limit exceeded; cycling suspected")
         for tier in tiers:
@@ -127,6 +144,7 @@ def kernelize(
                 break
         else:
             break
+        attempts += apply_simple_exhaustively(inst) + 1
     applications = {k: inst.stats.get(k, 0) for k in STAT_KEYS}
     return KernelReport(
         config=config.name,

@@ -10,8 +10,11 @@ import random
 
 from hypothesis import strategies as st
 
+from domkernel.bench import CSV_COLUMNS
+from domkernel.edgelist import load_graph
+from domkernel.engine import ApproachConfig, kernelize
 from domkernel.exact import DEFAULT_VERTEX_LIMIT, exact_dom
-from domkernel.graph import WHITE, ColoredGraph
+from domkernel.graph import WHITE, ColoredGraph, Instance
 from domkernel.simple_rules import PREDICATES, SimpleRule, fire
 
 
@@ -191,6 +194,24 @@ def apply_simple_exhaustively_naive(inst) -> int:
     while apply_one_simple_rule(inst) is not None:
         count += 1
     return count
+
+
+# -- golden model of the bench sweep ---------------------------------------
+
+
+def bench_rows_per_run(entries, configs) -> list:
+    """Reference instance rows of `bench.run_bench`: every (file,
+    configuration) pair loaded and kernelized from the input on its own,
+    dataset-major in the given configuration order."""
+    rows = []
+    for entry in entries:
+        for name in configs:
+            g = load_graph(entry["path"], entry["white_path"])
+            report = kernelize(Instance.from_graph(g), ApproachConfig.from_name(name))
+            full = report.to_dict()
+            full.update(kind="instance", group=entry["group"], dataset=entry["dataset"])
+            rows.append({c: full[c] for c in CSV_COLUMNS})
+    return rows
 
 
 # -- random instances --------------------------------------------------

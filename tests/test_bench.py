@@ -1,9 +1,12 @@
 """Batch runner: ordering, aggregation, notes, and CSV byte determinism."""
 
 import json
+import multiprocessing
 
 import pytest
 
+import domkernel.bench as bench
+import domkernel.engine as engine
 from domkernel.bench import (
     BenchRunError,
     CSV_COLUMNS,
@@ -12,8 +15,11 @@ from domkernel.bench import (
     worse_than_baseline_notes,
     write_csv,
 )
-from domkernel.edgelist import write_edge_list
+from domkernel.edgelist import load_graph, write_edge_list
+from domkernel.engine import ALL_CONFIGS
 from domkernel.plangen import GroupSpec, generate_group
+
+from helpers import bench_rows_per_run
 
 
 def tiny_dataset(root):
@@ -36,6 +42,7 @@ def tiny_dataset(root):
 
 
 CONFIGS = ["off.none", "on.both"]
+ALL_NAMES = [c.name for c in ALL_CONFIGS]
 
 
 class TestReadManifest:
@@ -170,6 +177,88 @@ class TestRunBench:
         with pytest.raises(BenchRunError) as exc:
             run_bench(entries, ["off.none"])
         assert "bad.edges" in str(exc.value)
+
+
+class TestSharedTier1:
+    """run_bench loads each file once and continues every configuration
+    from its off.none kernel; the rows equal those of a separate load and
+    run per (file, configuration)."""
+
+    @pytest.mark.parametrize(
+        "configs, workers",
+        [(ALL_NAMES, 1), (["on.both", "off.one"], 1), (ALL_NAMES, 2)],
+        ids=["all", "no-off-none-out-of-order", "all-2-workers"],
+    )
+    def test_rows_equal_the_per_run_model(self, tmp_path, configs, workers):
+        entries = tiny_dataset(tmp_path)
+        result = run_bench(entries, configs, workers=workers)
+        assert list(result.rows) == bench_rows_per_run(entries, configs)
+
+    def test_call_sequence(self, tmp_path, monkeypatch):
+        # What a caller wrapping bench.load_graph and bench.kernelize may
+        # rely on: one load per file, then one kernelize call per
+        # (file, configuration) in order, the first on the loaded instance,
+        # and no call's graph is changed by a later one.
+        entries = tiny_dataset(tmp_path)
+        full = [load_graph(e["path"]).vertex_count for e in entries]
+        loads, calls, tier1_sizes = [], [], []
+        real_load, real_kernelize = bench.load_graph, bench.kernelize
+        real_tier1 = engine.apply_simple_exhaustively
+
+        def counting_load(*args):
+            loads.append(args[0])
+            return real_load(*args)
+
+        def capturing_kernelize(inst, *args):
+            report = real_kernelize(inst, *args)
+            calls.append((report, inst.graph))
+            return report
+
+        def sizing_tier1(inst):
+            tier1_sizes.append((len(loads) - 1, inst.graph.vertex_count))
+            return real_tier1(inst)
+
+        monkeypatch.setattr(bench, "load_graph", counting_load)
+        monkeypatch.setattr(bench, "kernelize", capturing_kernelize)
+        monkeypatch.setattr(engine, "apply_simple_exhaustively", sizing_tier1)
+        result = run_bench(entries, ALL_NAMES)
+        assert loads == [e["path"] for e in entries]
+        assert [r.config for r, _ in calls] == ALL_NAMES * len(entries)
+        for i, n in enumerate(full):
+            sizes = [size for file, size in tier1_sizes if file == i]
+            assert sizes[0] == n
+            assert sizes.count(n) == 1
+        for (report, graph), row in zip(calls, result.rows):
+            assert report.config == row["config"]
+            assert graph.vertex_count == report.final_vertices
+            assert graph.edge_count == report.final_edges
+
+    @pytest.mark.parametrize(
+        "files, workers, started", [(2, 64, 2), (3, 2, 2), (1, 8, None)]
+    )
+    def test_pool_size_is_capped_by_the_file_count(
+        self, tmp_path, monkeypatch, files, workers, started
+    ):
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def starmap(self, func, tasks, chunksize=1):
+                return [func(*t) for t in tasks]
+
+        monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+        entries = tiny_dataset(tmp_path)[:files]
+        result = run_bench(entries, CONFIGS, workers=workers)
+        assert len(result.rows) == files * len(CONFIGS)
+        assert sizes == ([] if started is None else [started])
 
 
 class TestDeterminism:

@@ -89,25 +89,37 @@ SINGLE_FIRES = ColoredGraph.from_edges(
 )
 
 
+@pytest.fixture
+def tier_log(monkeypatch):
+    """Wrap every tier at its engine attribute; each call appends
+    (name, result) to the returned log."""
+    log = []
+
+    def recording(name):
+        tier = getattr(engine, name)
+
+        def call(inst):
+            result = tier(inst)
+            log.append((name, result))
+            return result
+        return call
+
+    for name in ("apply_simple_exhaustively",) + HIGHER_TIERS["on.both"]:
+        monkeypatch.setattr(engine, name, recording(name))
+    return log
+
+
+def tier1_firings(log) -> int:
+    return sum(r for n, r in log if n == "apply_simple_exhaustively")
+
+
 class TestTierTable:
     """kernelize calls each tier through engine's module attribute, in the
     configured order, and counts attempts as its docstring defines."""
 
     @pytest.mark.parametrize("config", ALL_CONFIGS, ids=lambda c: c.name)
-    def test_tier_sequence_and_attempts(self, config, monkeypatch):
-        log = []
-
-        def recording(name):
-            tier = getattr(engine, name)
-
-            def call(inst):
-                result = tier(inst)
-                log.append((name, result))
-                return result
-            return call
-
-        for name in ("apply_simple_exhaustively",) + HIGHER_TIERS["on.both"]:
-            monkeypatch.setattr(engine, name, recording(name))
+    def test_tier_sequence_and_attempts(self, config, tier_log):
+        log = tier_log
         tiers = HIGHER_TIERS[config.name]
         fired = set()
         for g in (SINGLE_FIRES, hub_cycle(3, 12), star_graph(4)):
@@ -127,9 +139,67 @@ class TestTierTable:
                 assert [r for _, r in calls] == [False] * (len(calls) - 1) + [True]
                 fired.add(calls[-1][0])
             assert rounds[-1] == [(n, False) for n in tiers]
-            firings = sum(r for n, r in log if n == "apply_simple_exhaustively")
-            assert report.attempts == firings + len(log)
+            assert report.attempts == tier1_firings(log) + len(log)
         assert bool(fired) == bool(tiers)
+
+    @pytest.mark.parametrize("config", ALL_CONFIGS, ids=lambda c: c.name)
+    def test_after_skips_only_the_first_tier1_call(self, config, tier_log):
+        # A run that continues an off.none run makes the calls of a run
+        # from the input minus its first, and adds the off.none attempts.
+        log = tier_log
+        for g in (SINGLE_FIRES, hub_cycle(3, 12), star_graph(4)):
+            log.clear()
+            kernelize(Instance.from_graph(g.copy()), config)
+            scratch = list(log)
+            base = Instance.from_graph(g.copy())
+            first = kernelize(base, ApproachConfig())
+            log.clear()
+            report = kernelize(base.copy(), config, first)
+            assert log == scratch[1:]
+            assert first.attempts == scratch[0][1] + 1
+            assert report.attempts == first.attempts + tier1_firings(log) + len(log)
+
+
+class TestKernelizeAfter:
+    """kernelize(base.copy(), config, first), where first is the off.none
+    run that left base, equals a run of config from the input."""
+
+    @staticmethod
+    def without_elapsed(report) -> dict:
+        out = report.to_dict()
+        del out["elapsed_seconds"]
+        return out
+
+    def test_continuing_equals_a_run_from_the_input(self):
+        corpus = list(mixed_instance_stream(seed=22, count=80, max_n=24))
+        corpus += [SINGLE_FIRES, hub_cycle(3, 12)]
+        higher = set()
+        for g in corpus:
+            base = Instance.from_graph(g.copy())
+            first = kernelize(base, ApproachConfig())
+            for config in ALL_CONFIGS:
+                golden = Instance.from_graph(g.copy())
+                want = kernelize(golden, config)
+                inst = base.copy()
+                got = kernelize(inst, config, first)
+                assert self.without_elapsed(got) == self.without_elapsed(want)
+                assert got.elapsed_seconds >= first.elapsed_seconds
+                assert inst.graph.adj == golden.graph.adj
+                assert inst.graph.black == golden.graph.black
+                assert inst.solution == golden.solution
+                higher.update(
+                    k for k in ("alber_single", "alber_pair", "sparsity_whitened")
+                    if got.rule_applications[k]
+                )
+        # The corpus reaches every higher tier, not only tier 1.
+        assert higher == {"alber_single", "alber_pair", "sparsity_whitened"}
+
+    @pytest.mark.parametrize("name", ["off.one", "on.none", "on.both"])
+    def test_after_must_be_an_off_none_report(self, name):
+        inst = Instance.from_graph(hub_cycle(3, 12))
+        report = kernelize(inst, ApproachConfig.from_name(name))
+        with pytest.raises(ValueError, match="off.none"):
+            kernelize(inst.copy(), ApproachConfig(), report)
 
 
 class TestKernelReport:
