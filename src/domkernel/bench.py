@@ -2,12 +2,12 @@
 
 A bench run takes the dataset manifest, runs every (file, configuration)
 pair, and emits one CSV row per pair plus per-group mean rows.  Each file
-is loaded once, and its tier-1 fixed point is computed once and shared by
-all its configurations; the CSV bytes are those of a separate load and
-run per pair.  Row order, aggregation order, and float formatting are all
-deterministic, so a re-run over the same dataset produces a
-byte-identical CSV.  Wall-clock times are deliberately kept out of the
-CSV for the same reason.
+is loaded once, and each configuration continues from the kernel of its
+prefix (``ApproachConfig.prefix``) instead of starting over; the CSV
+bytes are those of a separate load and run per pair.  Row order,
+aggregation order, and float formatting are all deterministic, so a
+re-run over the same dataset produces a byte-identical CSV.  Wall-clock
+times are deliberately kept out of the CSV for the same reason.
 """
 
 from __future__ import annotations
@@ -95,18 +95,32 @@ def read_manifest(path):
 
 def _run_file(entry, configs):
     """Load one file and kernelize it under each configuration in order.
-    Tier 1 to a fixed point, which is the ``off.none`` run, goes first on
-    the loaded instance; every other configuration continues from a copy
-    of that kernel, so ``base`` is never mutated after its own run."""
+
+    The prefix closure of ``configs`` (each one, its prefix, that one's
+    prefix, ...) runs in ``ALL_CONFIGS`` order, where every prefix comes
+    before the configurations that extend it.  ``off.none`` runs on the
+    loaded instance; every other configuration continues from a copy of
+    its prefix's kernel, so no kernel is mutated after its own run.  Rows
+    are returned for ``configs`` only, in the given order."""
     try:
         base = Instance.from_graph(load_graph(entry["path"], entry.get("white_path")))
-        first = kernelize(base, ApproachConfig())
-        reports = [
-            first
-            if name == first.config
-            else kernelize(base.copy(), ApproachConfig.from_name(name), first)
-            for name in configs
-        ]
+        requested = [ApproachConfig.from_name(name) for name in configs]
+        needed = set()
+        for config in requested:
+            while config is not None:
+                needed.add(config)
+                config = config.prefix
+        runs = {}  # config -> (instance it left, report)
+        for config in ALL_CONFIGS:
+            if config not in needed:
+                continue
+            if config.prefix is None:
+                inst, after = base, None
+            else:
+                parent, after = runs[config.prefix]
+                inst = parent.copy()
+            runs[config] = (inst, kernelize(inst, config, after))
+        reports = [runs[config][1] for config in requested]
     except Exception as exc:
         return ("error", entry["path"], f"{type(exc).__name__}: {exc}")
     rows = []
@@ -120,11 +134,13 @@ def _run_file(entry, configs):
 def run_bench(entries, configs=None, workers: int = 1) -> BenchResult:
     """Kernelize every manifest entry under every configuration.
 
-    Each file is one task: it is loaded once, and its tier-1 fixed point is
-    shared by all its configurations (see ``_run_file``); the rows are the
-    same as from a separate load and run per configuration.  Rows are
-    dataset-major (all configurations of a file together, in the given
-    order) regardless of worker count.  The first file that fails aborts
+    Each file is one task: it is loaded once, and each configuration
+    continues from the kernel of its prefix (see ``_run_file``), so a
+    subset of configurations also runs its unrequested prefixes.  The rows
+    are the same as from a separate load and run per configuration, and
+    there is one per requested configuration.  Rows are dataset-major (all
+    configurations of a file together, in the given order) regardless of
+    worker count.  The first file that fails aborts
     the run with the file named.
     """
     if configs is None:

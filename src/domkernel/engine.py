@@ -45,6 +45,18 @@ class ApproachConfig:
     def name(self) -> str:
         return f"{'on' if self.sparsity else 'off'}.{self.alber}"
 
+    @property
+    def prefix(self) -> "ApproachConfig | None":
+        """The configuration whose tiers are this one's minus its last:
+        ``on.X`` -> ``off.X``, ``off.both`` -> ``off.one`` -> ``off.none``,
+        and ``off.none`` has none.  A run of this configuration is the
+        prefix's run up to its first call of the tier the prefix lacks."""
+        if self.sparsity:
+            return ApproachConfig(alber=self.alber)
+        if self.alber == "none":
+            return None
+        return ApproachConfig(alber=ALBER_MODES[ALBER_MODES.index(self.alber) - 1])
+
     @classmethod
     def from_name(cls, name: str) -> "ApproachConfig":
         parts = name.split(".")
@@ -110,13 +122,16 @@ def kernelize(
     higher-tier call.  The tiers are looked up by name on every call, so a
     wrapper assigned to this module's attribute is the one that runs.
 
-    ``after`` continues an ``off.none`` run, which is exactly tier 1 to a
-    fixed point: it is that run's report, and ``inst`` is a copy of the
-    kernel it left (``Instance.copy`` carries the solution and stats).  The
-    first tier-1 call is then skipped.  The initial counts come from
-    ``after``, ``attempts`` is ``after.attempts`` plus this call's (no
-    second +1 for the skipped call), and ``after.elapsed_seconds`` is added
-    to the elapsed time, so the report equals a run from the input.
+    ``after`` continues a run of ``config.prefix``: it is that run's report,
+    and ``inst`` is a copy of the kernel it left (``Instance.copy`` carries
+    the solution and stats).  The prefix's run ended with tier 1 and each of
+    its higher tiers failing on that kernel, and so would this run's, so the
+    first round skips them and starts at the tier the prefix lacks.  The
+    initial counts come from ``after``, ``attempts`` starts at
+    ``after.attempts``, and ``after.elapsed_seconds`` is added to the
+    elapsed time, so the report equals a run from the input.  An ``after``
+    of any other configuration, or any ``after`` for ``off.none``, raises
+    ValueError.
     """
     alber_tiers = (apply_alber_single_first, apply_alber_pair_first)
     tiers = alber_tiers[: ALBER_MODES.index(config.alber)]
@@ -128,22 +143,31 @@ def kernelize(
         initial_vertices = g.vertex_count
         initial_edges = g.edge_count
         attempts = apply_simple_exhaustively(inst) + 1
+        skip = 0
     else:
-        if after.config != ApproachConfig().name:
-            raise ValueError(f"after must be an off.none report, got {after.config}")
+        prefix = config.prefix
+        if prefix is None:
+            raise ValueError(f"off.none continues no run; after is from {after.config}")
+        if after.config != prefix.name:
+            raise ValueError(
+                f"{config.name} continues only {prefix.name};"
+                f" after is from {after.config}"
+            )
         initial_vertices = after.initial_vertices
         initial_edges = after.initial_edges
         attempts = after.attempts
         start -= after.elapsed_seconds
+        skip = len(tiers) - 1  # the prefix's tiers are all but the last
     while True:
         if attempts > ATTEMPT_LIMIT:
             raise RuntimeError("rule attempt limit exceeded; cycling suspected")
-        for tier in tiers:
+        for tier in tiers[skip:]:
             attempts += 1
             if tier(inst):
                 break
         else:
             break
+        skip = 0
         attempts += apply_simple_exhaustively(inst) + 1
     applications = {k: inst.stats.get(k, 0) for k in STAT_KEYS}
     return KernelReport(

@@ -2,7 +2,10 @@
 
 Three rules act at white vertices and three at black ones; a predicate
 reads a vertex's color as its membership in ``g.black``, and the worklist
-queues each vertex only under the rules of its color.
+queues each vertex only under the rules of its color.  It seeds a black
+under ISOLATED_BLACK or DEGREE1_BLACK only at degree 0 or 1, where those
+rules can apply; `fire` queues them wherever a firing drops a black's
+degree that far.
 
 Rule order is fixed.  One "step" of the reference semantics applies the
 lowest-numbered rule that matches anywhere, at its largest matching vertex
@@ -181,23 +184,39 @@ def fire(inst: Instance, rule: int, v: int, witness: int) -> list:
 # -- incremental fixed point ------------------------------------------
 
 
+def initial_keys(g: ColoredGraph) -> list:
+    """The (rule, -vertex) keys the worklist starts from: every white under
+    the white rules; every black under BLACK_TO_WHITE, and also under
+    ISOLATED_BLACK if it has no neighbor or DEGREE1_BLACK if it has one.
+    Those two rules cannot apply at a black of degree 2 or more, so every
+    applicable key is among these."""
+    adj, black = g.adj, g.black
+    keys = [(r, -v) for v in adj.keys() - black for r in WHITE_RULES]
+    keys += [(SimpleRule.BLACK_TO_WHITE, -v) for v in black]
+    keys += [
+        (SimpleRule.DEGREE1_BLACK if adj[v] else SimpleRule.ISOLATED_BLACK, -v)
+        for v in black
+        if len(adj[v]) < 2
+    ]
+    return keys
+
+
 def apply_simple_exhaustively(inst: Instance) -> int:
     """Apply the six rules to a fixed point; returns the application count.
 
     Behaviorally identical to the naive loop.  Candidates live in one heap
-    of (rule, -vertex) keys, seeded with every vertex under the rules its
-    color can fire, RULES_OF[v in black].  The loop keeps one invariant:
-    every applicable key is queued.  `fire` returns every key its mutation
-    may have made applicable, and those are pushed unless already queued;
-    a key that applied before the firing and was not popped is still in the
+    of (rule, -vertex) keys, seeded with `initial_keys`.  The loop keeps one
+    invariant: every applicable key is queued.  The seed holds every key
+    that applies at the start; `fire` returns every key its mutation may
+    have made applicable, and those are pushed unless already queued; a key
+    that applied before the firing and was not popped is still in the
     heap.  So the popped valid key is always the lowest-numbered applicable
     rule at its largest vertex.  Stale keys, such as the black rules of a
     whitened vertex, are discarded on pop by re-validation.
     """
     g = inst.graph
     adj = g.adj
-    black = g.black
-    heap = [(r, -v) for v in adj for r in RULES_OF[v in black]]
+    heap = initial_keys(g)
     heapq.heapify(heap)
     queued = set(heap)
     predicates = PREDICATES

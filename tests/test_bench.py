@@ -181,18 +181,56 @@ class TestRunBench:
 
 class TestSharedTier1:
     """run_bench loads each file once and continues every configuration
-    from its off.none kernel; the rows equal those of a separate load and
+    from its prefix's kernel; the rows equal those of a separate load and
     run per (file, configuration)."""
 
     @pytest.mark.parametrize(
         "configs, workers",
-        [(ALL_NAMES, 1), (["on.both", "off.one"], 1), (ALL_NAMES, 2)],
-        ids=["all", "no-off-none-out-of-order", "all-2-workers"],
+        [
+            (ALL_NAMES, 1),
+            (["on.both", "off.one"], 1),
+            (ALL_NAMES, 2),
+            (["on.both"], 1),
+            (["on.one", "off.none"], 1),
+        ],
+        ids=[
+            "all",
+            "no-off-none-out-of-order",
+            "all-2-workers",
+            "on-both-alone",
+            "on-one-then-off-none",
+        ],
     )
     def test_rows_equal_the_per_run_model(self, tmp_path, configs, workers):
         entries = tiny_dataset(tmp_path)
         result = run_bench(entries, configs, workers=workers)
         assert list(result.rows) == bench_rows_per_run(entries, configs)
+
+    @pytest.mark.parametrize(
+        "configs, closure",
+        [
+            (["on.both"], ["off.none", "off.one", "off.both", "on.both"]),
+            (["on.one", "off.none"], ["off.none", "off.one", "on.one"]),
+            (["on.none", "off.one"], ["off.none", "off.one", "on.none"]),
+            (["off.none"], ["off.none"]),
+        ],
+        ids=["on-both", "on-one-off-none", "on-none-off-one", "off-none"],
+    )
+    def test_a_subset_runs_its_prefix_closure_in_order(
+        self, tmp_path, monkeypatch, configs, closure
+    ):
+        entries = tiny_dataset(tmp_path)[:2]
+        called = []
+        real_kernelize = bench.kernelize
+
+        def recording_kernelize(inst, config, *args):
+            called.append(config.name)
+            return real_kernelize(inst, config, *args)
+
+        monkeypatch.setattr(bench, "kernelize", recording_kernelize)
+        result = run_bench(entries, configs)
+        assert called == closure * len(entries)
+        assert [r["config"] for r in result.rows] == configs * len(entries)
 
     def test_call_sequence(self, tmp_path, monkeypatch):
         # What a caller wrapping bench.load_graph and bench.kernelize may

@@ -1,5 +1,7 @@
 """Configuration naming, the tiered fixed-point driver, and its reports."""
 
+import re
+
 import pytest
 
 import domkernel.engine as engine
@@ -53,6 +55,33 @@ class TestApproachConfig:
     def test_constructor_validates_alber_mode(self):
         with pytest.raises(ValueError):
             ApproachConfig(alber="two")
+
+    def test_prefix_table(self):
+        prefixes = {
+            c.name: c.prefix.name if c.prefix else None for c in ALL_CONFIGS
+        }
+        assert prefixes == {
+            "off.none": None,
+            "off.one": "off.none",
+            "off.both": "off.one",
+            "on.none": "off.none",
+            "on.one": "off.one",
+            "on.both": "off.both",
+        }
+
+    def test_every_prefix_comes_before_its_children(self):
+        # bench runs a file's configurations in ALL_CONFIGS order, each
+        # continuing from its prefix's kernel; perfbench's run-order check
+        # needs one call per configuration in that order.
+        for i, config in enumerate(ALL_CONFIGS):
+            if config.prefix is not None:
+                assert ALL_CONFIGS.index(config.prefix) < i
+
+    @pytest.mark.parametrize("config", ALL_CONFIGS, ids=lambda c: c.name)
+    def test_prefix_tiers_are_the_first_tiers(self, config):
+        if config.prefix is not None:
+            tiers = HIGHER_TIERS[config.name]
+            assert tiers[:-1] == HIGHER_TIERS[config.prefix.name]
 
 
 HIGHER_TIERS = {  # engine's names for the tiers above tier 1, in firing order
@@ -144,25 +173,38 @@ class TestTierTable:
 
     @pytest.mark.parametrize("config", ALL_CONFIGS, ids=lambda c: c.name)
     def test_after_skips_only_the_first_tier1_call(self, config, tier_log):
-        # A run that continues an off.none run makes the calls of a run
-        # from the input minus its first, and adds the off.none attempts.
+        # A run that continues its prefix's run makes the calls of a run
+        # from the input minus the prefix run's calls, which are its first
+        # ones, and adds the prefix's attempts.  For a prefix of off.none
+        # that is the first tier-1 call.  off.none has no prefix; its run
+        # is that one call.
         log = tier_log
         for g in (SINGLE_FIRES, hub_cycle(3, 12), star_graph(4)):
             log.clear()
             kernelize(Instance.from_graph(g.copy()), config)
             scratch = list(log)
+            if config.prefix is None:
+                assert [n for n, _ in scratch] == ["apply_simple_exhaustively"]
+                continue
             base = Instance.from_graph(g.copy())
-            first = kernelize(base, ApproachConfig())
+            log.clear()
+            first = kernelize(base, config.prefix)
+            prefix_calls = list(log)
             log.clear()
             report = kernelize(base.copy(), config, first)
-            assert log == scratch[1:]
-            assert first.attempts == scratch[0][1] + 1
+            assert scratch[: len(prefix_calls)] == prefix_calls
+            assert log == scratch[len(prefix_calls):]
+            assert first.attempts == tier1_firings(prefix_calls) + len(prefix_calls)
+            if config.prefix.name == "off.none":
+                assert log == scratch[1:]
+                assert first.attempts == scratch[0][1] + 1
             assert report.attempts == first.attempts + tier1_firings(log) + len(log)
 
 
 class TestKernelizeAfter:
-    """kernelize(base.copy(), config, first), where first is the off.none
-    run that left base, equals a run of config from the input."""
+    """kernelize(parent.copy(), config, report), where report is the run of
+    config.prefix that left parent, equals a run of config from the input;
+    chained along the prefixes, so does every configuration."""
 
     @staticmethod
     def without_elapsed(report) -> dict:
@@ -175,15 +217,22 @@ class TestKernelizeAfter:
         corpus += [SINGLE_FIRES, hub_cycle(3, 12)]
         higher = set()
         for g in corpus:
-            base = Instance.from_graph(g.copy())
-            first = kernelize(base, ApproachConfig())
+            runs = {}  # config -> (instance it left, report)
             for config in ALL_CONFIGS:
                 golden = Instance.from_graph(g.copy())
                 want = kernelize(golden, config)
-                inst = base.copy()
-                got = kernelize(inst, config, first)
+                if config.prefix is None:
+                    inst = Instance.from_graph(g.copy())
+                    got = kernelize(inst, config)
+                else:
+                    parent, first = runs[config.prefix]
+                    parent_adj = {v: set(nv) for v, nv in parent.graph.adj.items()}
+                    inst = parent.copy()
+                    got = kernelize(inst, config, first)
+                    assert got.elapsed_seconds >= first.elapsed_seconds
+                    assert parent.graph.adj == parent_adj
+                runs[config] = (inst, got)
                 assert self.without_elapsed(got) == self.without_elapsed(want)
-                assert got.elapsed_seconds >= first.elapsed_seconds
                 assert inst.graph.adj == golden.graph.adj
                 assert inst.graph.black == golden.graph.black
                 assert inst.solution == golden.solution
@@ -194,12 +243,16 @@ class TestKernelizeAfter:
         # The corpus reaches every higher tier, not only tier 1.
         assert higher == {"alber_single", "alber_pair", "sparsity_whitened"}
 
-    @pytest.mark.parametrize("name", ["off.one", "on.none", "on.both"])
+    @pytest.mark.parametrize("name", [c.name for c in ALL_CONFIGS])
     def test_after_must_be_an_off_none_report(self, name):
+        # A report of `name` continues only the configurations whose prefix
+        # is `name`; off.none has no prefix and refuses every report.
         inst = Instance.from_graph(hub_cycle(3, 12))
         report = kernelize(inst, ApproachConfig.from_name(name))
-        with pytest.raises(ValueError, match="off.none"):
-            kernelize(inst.copy(), ApproachConfig(), report)
+        for config in ALL_CONFIGS:
+            if config.prefix is None or config.prefix.name != name:
+                with pytest.raises(ValueError, match=re.escape(config.name)):
+                    kernelize(inst.copy(), config, report)
 
 
 class TestKernelReport:

@@ -15,6 +15,7 @@ from domkernel.simple_rules import (
     SimpleRule,
     apply_simple_exhaustively,
     fire,
+    initial_keys,
 )
 
 from helpers import (
@@ -289,6 +290,44 @@ def assert_fire_returns_every_enabled_key(g):
             assert r in RULES_OF[-x in inst.graph.black], (SimpleRule(r), -x)
 
 
+def assert_seed_holds_every_applicable_key(g):
+    seed = initial_keys(g)
+    assert len(seed) == len(set(seed))
+    missed = applicable_keys(g) - set(seed)
+    assert not missed, missed
+    for r, x in seed:
+        assert r in RULES_OF[-x in g.black], (SimpleRule(r), -x)
+        if r in (SimpleRule.ISOLATED_BLACK, SimpleRule.DEGREE1_BLACK):
+            assert len(g.adj[-x]) < 2, (SimpleRule(r), -x)
+
+
+class TestInitialKeys:
+    """The worklist's seed holds every applicable key, so its invariant
+    holds from the start, and no ISOLATED_BLACK or DEGREE1_BLACK key at a
+    black of degree 2 or more, where those rules cannot apply."""
+
+    def test_on_mixed_instances(self):
+        for g in mixed_instance_stream(seed=71, count=200):
+            assert_seed_holds_every_applicable_key(g)
+
+    @given(colored_graphs(max_vertices=12))
+    @settings(max_examples=150)
+    def test_on_arbitrary_graphs(self, g):
+        assert_seed_holds_every_applicable_key(g)
+
+    def test_each_black_gets_at_most_its_degree_rule(self):
+        # Star with a black center of degree 4, black leaves 1-3, white
+        # leaf 4, and an isolated black 9.
+        g = star_graph(4, white=[4])
+        g.add_vertex(9)
+        assert sorted(initial_keys(g)) == sorted(
+            [(SimpleRule.BLACK_TO_WHITE, -v) for v in (0, 1, 2, 3, 9)]
+            + [(SimpleRule.DEGREE1_BLACK, -v) for v in (1, 2, 3)]
+            + [(SimpleRule.ISOLATED_BLACK, -9)]
+            + [(r, -4) for r in RULES_OF[False]]
+        )
+
+
 class TestRequeueTable:
     """`fire` returns every key its mutation may have made applicable, so
     the worklist's invariant "every applicable key is queued" holds."""
@@ -341,12 +380,14 @@ class TestTier1Work:
             assert per_firing <= 2 * small[count] / small["firings"], count
 
     def test_canonical_instance_firings_and_predicate_calls(self, monkeypatch):
-        # The bound is what fire's re-queue table reaches on 2002x6000
-        # instance 0; re-queueing every rule at every vertex within
-        # distance 1 of a mutation makes 39,694 calls for these firings.
+        # The bound is what fire's re-queue table and degree-filtered
+        # seeding reach on 2002x6000 instance 0.  Seeding every black under
+        # all three black rules makes 25,579 calls for these firings, and
+        # re-queueing every rule at every vertex within distance 1 of a
+        # mutation as well makes 39,694.
         work = tier1_work(monkeypatch, generate_instance(GroupSpec(2002, 6000), 0, 0))
         assert work["firings"] == 4931
-        assert work["calls"] <= 25_579
+        assert work["calls"] <= 23_975
 
 
 class TestRuleProperties:
