@@ -182,8 +182,8 @@ def aggregate_means(rows, configs):
 
 
 def worse_than_baseline_notes(rows):
-    """Instances where a sparsity-on run kept strictly more than its
-    sparsity-off sibling.  Known to happen occasionally; recorded, never
+    """Instances where a sparsity-on run kept strictly more than its prefix,
+    the sparsity-off sibling.  Known to happen occasionally; recorded, never
     treated as a failure."""
     by_key = {(r["group"], r["dataset"], r["config"]): r for r in rows}
     notes = []
@@ -191,8 +191,7 @@ def worse_than_baseline_notes(rows):
         config = ApproachConfig.from_name(r["config"])
         if not config.sparsity:
             continue
-        sibling = ApproachConfig(alber=config.alber).name
-        off = by_key.get((r["group"], r["dataset"], sibling))
+        off = by_key.get((r["group"], r["dataset"], config.prefix.name))
         if off is None:
             continue
         for metric in FRACTIONS:

@@ -46,16 +46,25 @@ class ApproachConfig:
         return f"{'on' if self.sparsity else 'off'}.{self.alber}"
 
     @property
+    def tiers(self) -> tuple:
+        """Tier 1, then the higher tiers in firing order.  Read from this
+        module's attributes on every call, so a wrapper assigned to one of
+        them is the one that runs."""
+        alber = (apply_alber_single_first, apply_alber_pair_first)
+        return (
+            (apply_simple_exhaustively,)
+            + alber[: ALBER_MODES.index(self.alber)]
+            + ((sparsity_reduce,) if self.sparsity else ())
+        )
+
+    @property
     def prefix(self) -> "ApproachConfig | None":
-        """The configuration whose tiers are this one's minus its last:
+        """The configuration whose ``tiers`` are this one's minus its last:
         ``on.X`` -> ``off.X``, ``off.both`` -> ``off.one`` -> ``off.none``,
         and ``off.none`` has none.  A run of this configuration is the
         prefix's run up to its first call of the tier the prefix lacks."""
-        if self.sparsity:
-            return ApproachConfig(alber=self.alber)
-        if self.alber == "none":
-            return None
-        return ApproachConfig(alber=ALBER_MODES[ALBER_MODES.index(self.alber) - 1])
+        want = self.tiers[:-1]
+        return next((c for c in ALL_CONFIGS if c.tiers == want), None)
 
     @classmethod
     def from_name(cls, name: str) -> "ApproachConfig":
@@ -116,59 +125,45 @@ def kernelize(
     families and report what happened.  Deterministic for a given input and
     configuration; elapsed time is the only field that varies.
 
-    Tier 1 runs first; then the configured higher tiers are tried in order,
-    and the first that reduces anything sends the loop back to tier 1.
-    ``attempts`` counts tier-1 firings, plus 1 per tier-1 call, plus 1 per
-    higher-tier call.  The tiers are looked up by name on every call, so a
-    wrapper assigned to this module's attribute is the one that runs.
+    The loop walks ``config.tiers`` from tier 1, which always passes on to
+    the next tier.  A higher tier that reduces anything sends the loop back
+    to tier 1, one that fails passes on, and the run ends past the last
+    tier.  ``attempts`` counts 1 per tier call plus tier 1's firings; the
+    cycling guard checks it after every tier call.
 
     ``after`` continues a run of ``config.prefix``: it is that run's report,
-    and ``inst`` is a copy of the kernel it left (``Instance.copy`` carries
-    the solution and stats).  The prefix's run ended with tier 1 and each of
-    its higher tiers failing on that kernel, and so would this run's, so the
-    first round skips them and starts at the tier the prefix lacks.  The
-    initial counts come from ``after``, ``attempts`` starts at
-    ``after.attempts``, and ``after.elapsed_seconds`` is added to the
-    elapsed time, so the report equals a run from the input.  An ``after``
-    of any other configuration, or any ``after`` for ``off.none``, raises
-    ValueError.
+    and ``inst`` a copy of the kernel it left (``Instance.copy`` carries the
+    solution and stats).  No tier of the prefix reduces that kernel, so the
+    loop starts at the last tier, the one the prefix lacks.  The initial
+    counts, ``attempts`` and the elapsed time continue from ``after``, so
+    the report equals a run from the input.  Any other ``after``, or any
+    ``after`` for ``off.none``, raises ValueError.
     """
-    alber_tiers = (apply_alber_single_first, apply_alber_pair_first)
-    tiers = alber_tiers[: ALBER_MODES.index(config.alber)]
-    if config.sparsity:
-        tiers += (sparsity_reduce,)
+    tiers = config.tiers
     g = inst.graph
     start = time.perf_counter()
     if after is None:
         initial_vertices = g.vertex_count
         initial_edges = g.edge_count
-        attempts = apply_simple_exhaustively(inst) + 1
-        skip = 0
+        attempts = i = 0
     else:
-        prefix = config.prefix
-        if prefix is None:
-            raise ValueError(f"off.none continues no run; after is from {after.config}")
-        if after.config != prefix.name:
+        prefix = getattr(config.prefix, "name", None)
+        if after.config != prefix:
             raise ValueError(
-                f"{config.name} continues only {prefix.name};"
+                f"{config.name} continues {prefix or 'no run'};"
                 f" after is from {after.config}"
             )
         initial_vertices = after.initial_vertices
         initial_edges = after.initial_edges
         attempts = after.attempts
         start -= after.elapsed_seconds
-        skip = len(tiers) - 1  # the prefix's tiers are all but the last
-    while True:
+        i = len(tiers) - 1
+    while i < len(tiers):
+        reduced = tiers[i](inst)
+        attempts += 1 + (reduced if i == 0 else 0)
+        i = 0 if i and reduced else i + 1
         if attempts > ATTEMPT_LIMIT:
             raise RuntimeError("rule attempt limit exceeded; cycling suspected")
-        for tier in tiers[skip:]:
-            attempts += 1
-            if tier(inst):
-                break
-        else:
-            break
-        skip = 0
-        attempts += apply_simple_exhaustively(inst) + 1
     applications = {k: inst.stats.get(k, 0) for k in STAT_KEYS}
     return KernelReport(
         config=config.name,

@@ -62,8 +62,9 @@ def uqw_scatter(
     first, ties to the smaller id, since hubs glue neighborhoods together and
     starve the scatter.  Then greedily accepts candidates in ascending
     residual degree order, blocking the radius-2 ball of every acceptance.
-    Returns (scattered, deleted); the scatter property of the output in
-    g - removed - deleted is validated before returning.
+    Returns (scattered, deleted).  The output is 1-scattered in
+    g - removed - deleted by construction; ``group_and_reduce`` checks
+    that property before it whitens anything.
     """
     adj = g.adj
     deg = {v: len(adj[v] - removed) for v in adj if v not in removed}
@@ -97,9 +98,6 @@ def uqw_scatter(
         for u in adj[c] - gone:
             blocked.add(u)
             blocked.update(adj[u] - gone)
-
-    if not is_1_scattered(g, scattered, gone):
-        raise AssertionError("scatter output is not 1-scattered")
     return frozenset(scattered), frozenset(deleted)
 
 
@@ -173,14 +171,11 @@ def sparsity_reduce(inst: Instance) -> int:
         inst.stats["sparsity_scatter_calls"] += 1
         total += group_and_reduce(inst, frozenset(d_prime | deleted), scattered)
 
-        best, best_v = -1, None
-        for v in sorted(g.adj):
-            if v in d_prime:
-                continue
-            c = len(g.adj[v] & d_prime)
-            if c > best:
-                best, best_v = c, v
-        if best_v is None or best <= HUB_THRESHOLD:
+        count, hub = min(
+            ((-len(g.adj[v] & d_prime), v) for v in g.adj.keys() - d_prime),
+            default=(0, None),
+        )
+        if -count <= HUB_THRESHOLD:
             break
-        d_prime.add(best_v)
+        d_prime.add(hub)
     return total

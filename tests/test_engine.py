@@ -56,6 +56,11 @@ class TestApproachConfig:
         with pytest.raises(ValueError):
             ApproachConfig(alber="two")
 
+    @pytest.mark.parametrize("config", ALL_CONFIGS, ids=lambda c: c.name)
+    def test_tiers_are_tier1_then_the_higher_tiers(self, config):
+        names = tuple(tier.__name__ for tier in config.tiers)
+        assert names == ("apply_simple_exhaustively",) + HIGHER_TIERS[config.name]
+
     def test_prefix_table(self):
         prefixes = {
             c.name: c.prefix.name if c.prefix else None for c in ALL_CONFIGS
@@ -308,6 +313,16 @@ class TestKernelize:
             assert report.solution_size == len(inst.solution)
             assert report.fully_solved == (inst.graph.vertex_count == 0)
             assert report.attempts <= ATTEMPT_LIMIT
+
+    @pytest.mark.parametrize("name", ["off.none", "off.one"])
+    def test_attempt_limit_stops_a_run(self, name, monkeypatch):
+        # Tier 1 fires on the star, so its first call passes a limit of 1.
+        config = ApproachConfig.from_name(name)
+        report = kernelize(Instance.from_graph(star_graph(4)), config)
+        assert 1 < report.attempts <= ATTEMPT_LIMIT
+        monkeypatch.setattr(engine, "ATTEMPT_LIMIT", 1)
+        with pytest.raises(RuntimeError, match="cycling suspected"):
+            kernelize(Instance.from_graph(star_graph(4)), config)
 
     def test_result_is_a_fixed_point(self):
         for g in mixed_instance_stream(seed=16, count=30):

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import domkernel.sparsity as sparsity_mod
 from domkernel.exact import exact_dom
 from domkernel.graph import WHITE, ColoredGraph, Instance, is_1_scattered
 from domkernel.sparsity import (
@@ -277,6 +278,23 @@ class TestSparsityReduce:
             inst = Instance.from_graph(hub_graph(dominators))
             sparsity_reduce(inst)
             assert inst.stats["sparsity_passes"] == passes
+
+    def test_tied_hubs_join_smaller_id_first(self, monkeypatch):
+        # Two vertices outside the pool, each joined to all nine
+        # dominators, tie at nine pool neighbors; the smaller id joins the
+        # pool first, whatever order the graph lists them in.
+        edges = [(d, 9 + 10 * d + i) for d in range(9) for i in range(10)]
+        edges += [(d, hub) for hub in (2000, 1000) for d in range(9)]
+        pools = []
+
+        def recording(g, candidates, removed=frozenset()):
+            pools.append(set(removed))
+            return uqw_scatter(g, candidates, removed)
+
+        monkeypatch.setattr(sparsity_mod, "uqw_scatter", recording)
+        sparsity_reduce(Instance.from_graph(ColoredGraph.from_edges(edges)))
+        assert pools[0] == set(range(9))
+        assert [b - a for a, b in zip(pools, pools[1:])] == [{1000}, {2000}]
 
     def test_never_mutates_anything_but_colors(self):
         for g in mixed_instance_stream(seed=92, count=40, max_n=14):
