@@ -56,8 +56,9 @@ class BenchResult:
 
 def read_manifest(path):
     """Load the dataset manifest; file paths resolve relative to it.  A
-    manifest of the wrong shape, or one that lists a path twice, raises
-    BenchRunError naming the file."""
+    manifest of the wrong shape, one with an empty 'path' or 'white'
+    string, or one that lists a path twice, raises BenchRunError naming
+    the file."""
     path = Path(path)
     try:
         data = json.loads(path.read_text())
@@ -79,6 +80,10 @@ def read_manifest(path):
                 str(path),
                 f"files[{i}] needs string 'group' and 'path' and a string"
                 " or null 'white'",
+            )
+        if item["path"] == "" or item.get("white") == "":
+            raise BenchRunError(
+                str(path), f"files[{i}] has an empty 'path' or 'white'"
             )
         entries.append(
             {

@@ -11,33 +11,35 @@ Rule order is fixed.  One "step" of the reference semantics applies the
 lowest-numbered rule that matches anywhere, at its largest matching vertex
 (rule 1 removes the edge at the largest white vertex with a white neighbor,
 toward its largest white neighbor).  The production fixed-point driver
-reproduces exactly that sequence of steps from a heap of (rule, -vertex)
-keys.  It keeps one invariant: every applicable key is queued.  After a
-firing it queues only the keys that the firing may have made applicable,
-which is what makes large sparse instances affordable.
+reproduces exactly that sequence of steps from one heap of vertices per
+rule, popping from the lowest non-empty one.  It keeps one invariant:
+every applicable (rule, vertex) key is queued.  After a firing it queues
+only the keys that the firing may have made applicable, which is what
+makes large sparse instances affordable.
 
 Those keys follow from what each predicate reads.  Tier 1 only deletes
 edges and vertices and whitens blacks, so a predicate can newly hold only
 where one of its inputs moved.  With "the white rules" for WW_EDGE,
-WHITE_NO_BLACK and WHITE_SUBSUMED, `fire` returns:
+WHITE_NO_BLACK and WHITE_SUBSUMED, `fire` returns these (rule, vertices)
+groups; the white rules share one vertex set:
 
-  fired at v          keys returned, and which predicate inputs moved
-  WW_EDGE (with w)    WW_EDGE at v.  v and w each lose a white neighbor;
+  fired at v          groups returned, and which predicate inputs moved
+  WW_EDGE (with w)    WW_EDGE: {v}.  v and w each lose a white neighbor;
                       no black set or black adjacency moves, so no key
                       becomes newly true and only v's own key may still be.
   WHITE_NO_BLACK      none.  v's neighbors are all white and only lose a
                       white neighbor.
-  WHITE_SUBSUMED      ISOLATED_BLACK or DEGREE1_BLACK at each black neighbor
-                      x of v left with no edge or one, and BLACK_TO_WHITE at
-                      every black neighbor of every such x.  x's adjacency
+  WHITE_SUBSUMED      ISOLATED_BLACK or DEGREE1_BLACK: each black neighbor
+                      x of v left with no edge or one; BLACK_TO_WHITE: every
+                      black neighbor of every such x.  x's adjacency
                       shrinks, so x may fit in a black neighbor's ball; v was
                       white, so no white vertex's black neighbors change.
-  BLACK_TO_WHITE      the white rules at v and at each white neighbor of v.
+  BLACK_TO_WHITE      the white rules: v and each white neighbor of v.
                       v turns white and its neighbors lose a black neighbor,
                       which black rules only lose as a witness.
   ISOLATED_BLACK      none.  v has no neighbors.
-  DEGREE1_BLACK (s)   the white rules at each vertex of N(s), and at each
-                      white neighbor of a vertex the take whitened.  N(s)
+  DEGREE1_BLACK (s)   the white rules: each vertex of N(s), and each white
+                      neighbor of a vertex the take whitened.  N(s)
                       turns white and loses s; a white outside N(s) next to
                       an already white y sees y lose only s, which it never
                       had to dominate; no black vertex loses an edge.
@@ -143,40 +145,49 @@ WHITE_RULES = RULES_OF[False]
 
 
 def fire(inst: Instance, rule: int, v: int, witness: int) -> list:
-    """Apply rule at v with the witness its predicate returned.  Returns the
-    (rule, -vertex) keys the mutation may have made applicable, per the
-    table in the module docstring: if a key applies now but did not before
-    the firing, or it is the fired key and still applies, it is returned.
-    Every returned key names a surviving vertex under a rule of its
-    current color; a key may repeat."""
+    """Apply rule at v with the witness its predicate returned.  Returns
+    the keys the mutation may have made applicable, per the table in the
+    module docstring, as (rule, vertices) groups: if a key applies now but
+    did not before the firing, or it is the fired key and still applies,
+    its vertex is in a group of its rule.  Every returned vertex survives
+    and is grouped under a rule of its current color.  The white rules'
+    groups share one set, which callers only read."""
     g = inst.graph
     adj, black = g.adj, g.black
-    keys = []
     if rule == SimpleRule.WW_EDGE:
         g.remove_edge(v, witness)
-        keys.append((rule, -v))
+        keys = [(rule, {v})]
     elif rule == SimpleRule.WHITE_NO_BLACK:
         g.remove_vertex(v)
+        keys = []
     elif rule == SimpleRule.WHITE_SUBSUMED:
         shrunk = adj[v] & black  # the blacks whose adjacency loses v
         g.remove_vertex(v)
+        isolated, degree1, whitenable = set(), set(), set()
         for x in shrunk:
             ax = adj[x]
             if not ax:
-                keys.append((SimpleRule.ISOLATED_BLACK, -x))
+                isolated.add(x)
             elif len(ax) == 1:
-                keys.append((SimpleRule.DEGREE1_BLACK, -x))
-            keys += [(SimpleRule.BLACK_TO_WHITE, -y) for y in ax & black]
+                degree1.add(x)
+            whitenable |= ax & black
+        keys = [
+            (SimpleRule.BLACK_TO_WHITE, whitenable),
+            (SimpleRule.ISOLATED_BLACK, isolated),
+            (SimpleRule.DEGREE1_BLACK, degree1),
+        ]
     elif rule == SimpleRule.BLACK_TO_WHITE:
         black.remove(v)
-        keys += [(r, -x) for x in (v, *(adj[v] - black)) for r in WHITE_RULES]
+        whites = adj[v] - black
+        whites.add(v)
+        keys = [(r, whites) for r in WHITE_RULES]
     else:  # ISOLATED_BLACK is its own witness and has no neighbors
         whitened = adj[witness] & black
         whites = set(adj[witness])
         inst.take_into_solution(witness)
         for y in whitened:
             whites |= adj[y] - black
-        keys += [(r, -x) for x in whites for r in WHITE_RULES]
+        keys = [(r, whites) for r in WHITE_RULES]
     inst.stats[STAT_NAMES[rule]] += 1
     return keys
 
@@ -185,54 +196,71 @@ def fire(inst: Instance, rule: int, v: int, witness: int) -> list:
 
 
 def initial_keys(g: ColoredGraph) -> list:
-    """The (rule, -vertex) keys the worklist starts from: every white under
-    the white rules; every black under BLACK_TO_WHITE, and also under
-    ISOLATED_BLACK if it has no neighbor or DEGREE1_BLACK if it has one.
-    Those two rules cannot apply at a black of degree 2 or more, so every
-    applicable key is among these."""
+    """The keys the worklist starts from, as (rule, vertices) groups:
+    every white under the white rules (one shared set); every black under
+    BLACK_TO_WHITE, and also under ISOLATED_BLACK if it has no neighbor or
+    DEGREE1_BLACK if it has one.  Those two rules cannot apply at a black
+    of degree 2 or more, so every applicable key is among these."""
     adj, black = g.adj, g.black
-    keys = [(r, -v) for v in adj.keys() - black for r in WHITE_RULES]
-    keys += [(SimpleRule.BLACK_TO_WHITE, -v) for v in black]
-    keys += [
-        (SimpleRule.DEGREE1_BLACK if adj[v] else SimpleRule.ISOLATED_BLACK, -v)
-        for v in black
-        if len(adj[v]) < 2
+    whites = adj.keys() - black
+    low = {v for v in black if len(adj[v]) < 2}
+    isolated = {v for v in low if not adj[v]}
+    return [(r, whites) for r in WHITE_RULES] + [
+        (SimpleRule.BLACK_TO_WHITE, set(black)),
+        (SimpleRule.ISOLATED_BLACK, isolated),
+        (SimpleRule.DEGREE1_BLACK, low - isolated),
     ]
-    return keys
 
 
 def apply_simple_exhaustively(inst: Instance) -> int:
     """Apply the six rules to a fixed point; returns the application count.
 
-    Behaviorally identical to the naive loop.  Candidates live in one heap
-    of (rule, -vertex) keys, seeded with `initial_keys`.  The loop keeps one
-    invariant: every applicable key is queued.  The seed holds every key
-    that applies at the start; `fire` returns every key its mutation may
-    have made applicable, and those are pushed unless already queued; a key
-    that applied before the firing and was not popped is still in the
-    heap.  So the popped valid key is always the lowest-numbered applicable
-    rule at its largest vertex.  Stale keys, such as the black rules of a
-    whitened vertex, are discarded on pop by re-validation.
+    Behaviorally identical to the naive loop.  Each rule has one heap of
+    negated vertex ids and one set of the ids queued in it, seeded from
+    `initial_keys`.  The loop pops from the lowest rule with a non-empty
+    heap, so it pops the lowest rule at its largest queued vertex, and
+    keeps one invariant: every applicable key is queued.  The seed holds
+    every key that applies at the start; `fire` returns, grouped by rule,
+    every key its mutation may have made applicable, and the driver pushes
+    the part of each group not already queued; a key that applied before
+    the firing and was not popped is still queued.  So the popped valid
+    key is always the lowest-numbered applicable rule at its largest
+    vertex.  After a firing the scan restarts at the lowest rule pushed
+    to, as no lower heap can have filled.  Stale keys, such as the black
+    rules of a whitened vertex, are discarded on pop by re-validation.
     """
     g = inst.graph
     adj = g.adj
-    heap = initial_keys(g)
-    heapq.heapify(heap)
-    queued = set(heap)
+    queued = [set() for _ in SimpleRule]
+    for r, vertices in initial_keys(g):
+        queued[r] |= vertices
+    heaps = [[-v for v in pending] for pending in queued]
+    for heap in heaps:
+        heapq.heapify(heap)
     predicates = PREDICATES
+    heappop, heappush = heapq.heappop, heapq.heappush
     count = 0
-    while heap:
-        key = heapq.heappop(heap)
-        queued.discard(key)
-        rule, v = key[0], -key[1]
-        if v not in adj:
-            continue
-        witness = predicates[rule](g, v)
-        if witness is None:
-            continue
-        count += 1
-        for key in fire(inst, rule, v, witness):
-            if key not in queued:
-                queued.add(key)
-                heapq.heappush(heap, key)
+    rule = 0
+    while rule < len(heaps):
+        heap, pending, predicate = heaps[rule], queued[rule], predicates[rule]
+        lowest = rule
+        while heap and lowest == rule:
+            v = -heappop(heap)
+            pending.discard(v)
+            if v not in adj:
+                continue
+            witness = predicate(g, v)
+            if witness is None:
+                continue
+            count += 1
+            for r, vertices in fire(inst, rule, v, witness):
+                new = vertices - queued[r]
+                if new:
+                    queued[r] |= new
+                    into = heaps[r]
+                    for x in new:
+                        heappush(into, -x)
+                    if r < lowest:
+                        lowest = r
+        rule = lowest if lowest < rule else rule + 1
     return count

@@ -168,6 +168,13 @@ def residual(g: ColoredGraph, removed) -> ColoredGraph:
 # -- golden models of the simple rules ---------------------------------
 
 
+def flat_keys(groups) -> list:
+    """The (rule, vertex) keys of the (rule, vertices) groups that
+    `simple_rules.fire` and `simple_rules.initial_keys` return, in group
+    order, repeats kept."""
+    return [(rule, v) for rule, vertices in groups for v in vertices]
+
+
 def apply_first(inst, rule: SimpleRule) -> bool:
     """Apply rule once, at its largest applicable vertex."""
     g = inst.graph

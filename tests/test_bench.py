@@ -63,6 +63,27 @@ class TestReadManifest:
         assert entries[0]["white_path"] is None
         assert entries[1]["white_path"] == str(tmp_path / "g" / "b.white")
 
+    @pytest.mark.parametrize(
+        "item",
+        [
+            {"group": "g", "path": "g/b.edges", "white": ""},
+            {"group": "g", "path": "", "white": None},
+        ],
+        ids=["empty-white", "empty-path"],
+    )
+    def test_empty_path_or_white_is_refused(self, tmp_path, item):
+        # An empty 'white' once ran the file as all black, like null.
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(
+            json.dumps(
+                {"files": [{"group": "g", "path": "g/a.edges", "white": None}, item]}
+            )
+        )
+        with pytest.raises(BenchRunError) as exc:
+            read_manifest(manifest)
+        assert exc.value.path == str(manifest)
+        assert "files[1]" in str(exc.value)
+
     def test_empty_manifest(self, tmp_path):
         # An empty file list; a manifest with no 'files' key is refused.
         manifest = tmp_path / "manifest.json"

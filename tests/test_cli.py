@@ -255,6 +255,19 @@ class TestBench:
         assert code == 2
         assert "manifest.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["path", "white"])
+    def test_empty_path_or_white_is_a_data_error(self, tmp_path, capsys, field):
+        write_graph(tmp_path, path_graph(2), "x.edges")
+        item = {"group": "g", "path": "x.edges", "white": None, field: ""}
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"files": [item]}))
+        csv_path = tmp_path / "x.csv"
+        code = main(["bench", "--manifest", str(manifest), "--csv", str(csv_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "manifest.json" in err and "files[0]" in err
+        assert not csv_path.exists()
+
     def test_missing_dataset_file_is_a_data_error(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.json"
         manifest.write_text(

@@ -18,12 +18,14 @@ from domkernel.simple_rules import (
     initial_keys,
 )
 
+import helpers
 from helpers import (
     apply_first,
     apply_one_simple_rule,
     apply_simple_exhaustively_naive,
     colored_graphs,
     cycle_graph,
+    flat_keys,
     mixed_instance_stream,
     path_graph,
     phi,
@@ -225,6 +227,47 @@ class TestGoldenEquivalence:
         self._assert_same(wheel_with_pendants(40))
 
 
+def firing_sequence(run, g):
+    """The (rule, vertex, witness) sequence of `run` on a copy of g, as
+    recorded at every `fire` call of the driver and of the golden model."""
+    fired = []
+    real_fire = simple_rules.fire
+
+    def recording_fire(inst, rule, v, witness):
+        fired.append((SimpleRule(rule), v, witness))
+        return real_fire(inst, rule, v, witness)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(simple_rules, "fire", recording_fire)
+        m.setattr(helpers, "fire", recording_fire)
+        count = run(Instance.from_graph(g.copy()))
+    assert count == len(fired)
+    return fired
+
+
+class TestFiringSequence:
+    """The driver fires the same rules at the same vertices with the same
+    witnesses, in the same order, as the naive loop: a stronger oracle
+    than equal end states."""
+
+    def _assert_same(self, g):
+        fast = firing_sequence(apply_simple_exhaustively, g)
+        assert fast == firing_sequence(apply_simple_exhaustively_naive, g)
+        return fast
+
+    @given(colored_graphs(max_vertices=12))
+    @settings(max_examples=150)
+    def test_on_arbitrary_graphs(self, g):
+        self._assert_same(g)
+
+    def test_on_a_larger_planar_instance(self):
+        g = generate_instance(GroupSpec(120, 280), 0, master_seed=5)
+        assert len(self._assert_same(g)) > 100
+
+    def test_on_a_wheel_with_pendants(self):
+        assert len(self._assert_same(wheel_with_pendants(40))) > 40
+
+
 def assert_off_color_rules_do_not_fire(g):
     for v in g.vertices():
         for rule in set(SimpleRule) - set(RULES_OF[v in g.black]):
@@ -271,7 +314,7 @@ class TestColorTable:
 
 def applicable_keys(g):
     return {
-        (rule, -v) for v in g.adj for rule in SimpleRule
+        (rule, v) for v in g.adj for rule in SimpleRule
         if PREDICATES[rule](g, v) is not None
     }
 
@@ -279,26 +322,26 @@ def applicable_keys(g):
 def assert_fire_returns_every_enabled_key(g):
     before = applicable_keys(g)
     for fired in before:
-        rule, v = fired[0], -fired[1]
+        rule, v = fired
         inst = Instance.from_graph(g.copy())
-        returned = fire(inst, rule, v, PREDICATES[rule](inst.graph, v))
+        returned = flat_keys(fire(inst, rule, v, PREDICATES[rule](inst.graph, v)))
         after = applicable_keys(inst.graph)
         missed = ((after - before) | (after & {fired})) - set(returned)
         assert not missed, (SimpleRule(rule), v, missed)
         for r, x in returned:
-            assert -x in inst.graph.adj
-            assert r in RULES_OF[-x in inst.graph.black], (SimpleRule(r), -x)
+            assert x in inst.graph.adj
+            assert r in RULES_OF[x in inst.graph.black], (SimpleRule(r), x)
 
 
 def assert_seed_holds_every_applicable_key(g):
-    seed = initial_keys(g)
+    seed = flat_keys(initial_keys(g))
     assert len(seed) == len(set(seed))
     missed = applicable_keys(g) - set(seed)
     assert not missed, missed
     for r, x in seed:
-        assert r in RULES_OF[-x in g.black], (SimpleRule(r), -x)
+        assert r in RULES_OF[x in g.black], (SimpleRule(r), x)
         if r in (SimpleRule.ISOLATED_BLACK, SimpleRule.DEGREE1_BLACK):
-            assert len(g.adj[-x]) < 2, (SimpleRule(r), -x)
+            assert len(g.adj[x]) < 2, (SimpleRule(r), x)
 
 
 class TestInitialKeys:
@@ -320,11 +363,11 @@ class TestInitialKeys:
         # leaf 4, and an isolated black 9.
         g = star_graph(4, white=[4])
         g.add_vertex(9)
-        assert sorted(initial_keys(g)) == sorted(
-            [(SimpleRule.BLACK_TO_WHITE, -v) for v in (0, 1, 2, 3, 9)]
-            + [(SimpleRule.DEGREE1_BLACK, -v) for v in (1, 2, 3)]
-            + [(SimpleRule.ISOLATED_BLACK, -9)]
-            + [(r, -4) for r in RULES_OF[False]]
+        assert sorted(flat_keys(initial_keys(g))) == sorted(
+            [(SimpleRule.BLACK_TO_WHITE, v) for v in (0, 1, 2, 3, 9)]
+            + [(SimpleRule.DEGREE1_BLACK, v) for v in (1, 2, 3)]
+            + [(SimpleRule.ISOLATED_BLACK, 9)]
+            + [(r, 4) for r in RULES_OF[False]]
         )
 
 
@@ -343,14 +386,15 @@ class TestRequeueTable:
 
 
 def tier1_work(monkeypatch, g):
-    """Firings, keys returned by `fire` and predicate calls of one run."""
+    """Firings, keys returned by `fire` (summed over its groups) and
+    predicate calls of one run."""
     work = Counter()
     real_fire = simple_rules.fire
 
     def counting_fire(*args):
         keys = real_fire(*args)
         work["firings"] += 1
-        work["keys"] += len(keys)
+        work["keys"] += len(flat_keys(keys))
         return keys
 
     def counting(predicate):
