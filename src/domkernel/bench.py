@@ -1,13 +1,16 @@
-"""Batch kernelization over a generated dataset and CSV reporting.
+"""The dataset format, batch kernelization over it, and CSV reporting.
 
-A bench run takes the dataset manifest, runs every (file, configuration)
-pair, and emits one CSV row per pair plus per-group mean rows.  Each file
-is loaded once, and each configuration continues from the kernel of its
-prefix (``ApproachConfig.prefix``) instead of starting over; the CSV
-bytes are those of a separate load and run per pair.  Row order,
-aggregation order, and float formatting are all deterministic, so a
-re-run over the same dataset produces a byte-identical CSV.  Wall-clock
-times are deliberately kept out of the CSV for the same reason.
+A dataset is a directory of ``<group>/inst_NNN.edges`` files and the
+``manifest.json`` that lists them; ``write_dataset`` writes one and
+``read_manifest`` reads it.  A bench run takes the dataset manifest,
+runs every (file, configuration) pair, and emits one CSV row per pair
+plus per-group mean rows.  Each file is loaded once, and each
+configuration continues from the kernel of its prefix
+(``ApproachConfig.prefix``) instead of starting over; the CSV bytes are
+those of a separate load and run per pair.  Row order, aggregation
+order, and float formatting are all deterministic, so a re-run over the
+same dataset produces a byte-identical CSV.  Wall-clock times are
+deliberately kept out of the CSV for the same reason.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import multiprocessing
 from dataclasses import dataclass
 from pathlib import Path
 
-from .edgelist import load_graph
+from .edgelist import load_graph, write_edge_list
 from .engine import ALL_CONFIGS, ApproachConfig, kernelize
 from .graph import Instance
 
@@ -52,6 +55,35 @@ class BenchResult:
     rows: tuple
     means: tuple
     notes: tuple
+
+
+def write_dataset(root, groups, metadata) -> Path:
+    """Write each (group name, graphs) pair under root as
+    ``<group>/inst_NNN.edges``, numbered from 0, then ``manifest.json``:
+    the ``metadata`` keys, the group names, and the files with a null
+    'white'.  Deletes every ``*/inst_*.edges`` the manifest does not list.
+    An edge list keeps only edges, so a graph with a white or an isolated
+    vertex raises ValueError instead of being written as another instance.
+    Returns the manifest's path."""
+    root = Path(root)
+    root.mkdir(parents=True, exist_ok=True)
+    names, files = [], []
+    for name, graphs in groups:
+        names.append(name)
+        (root / name).mkdir(exist_ok=True)
+        for index, graph in enumerate(graphs):
+            rel = f"{name}/inst_{index:03d}.edges"
+            if graph.white_vertices() or not all(graph.adj.values()):
+                raise ValueError(f"{rel}: a white or isolated vertex would be lost")
+            write_edge_list(root / rel, graph)
+            files.append({"group": name, "path": rel, "white": None})
+    manifest = root / "manifest.json"
+    data = {**metadata, "groups": names, "files": files}
+    manifest.write_text(json.dumps(data, indent=2) + "\n")
+    listed = {root / f["path"] for f in files}
+    for stale in set(root.glob("*/inst_*.edges")) - listed:
+        stale.unlink()
+    return manifest
 
 
 def read_manifest(path):
@@ -175,9 +207,7 @@ def aggregate_means(rows, configs):
     means = []
     for group, by_config in by_group.items():
         for config in configs:
-            sub = by_config.get(config)
-            if not sub:
-                continue
+            sub = by_config[config]
             row = dict.fromkeys(CSV_COLUMNS, "")
             row.update(kind="group-mean", group=group, config=config)
             for key in ("fully_solved",) + FRACTIONS:

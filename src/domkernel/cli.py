@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .bench import BenchRunError, read_manifest, run_bench, write_csv
+from .bench import BenchRunError, read_manifest, run_bench, write_csv, write_dataset
 from .edgelist import EdgeListError, load_graph, write_edge_list, write_white_list
 from .engine import ApproachConfig, kernelize
 from .exact import DEFAULT_VERTEX_LIMIT, OracleSizeError, exact_dom
@@ -90,7 +90,6 @@ def _name_list(flag, value):
 
 
 def _cmd_gen(args) -> int:
-    out = Path(args.out)
     groups = canonical_groups(args.instances)
     if args.groups is not None:
         wanted = _name_list("--groups", args.groups)
@@ -99,26 +98,13 @@ def _cmd_gen(args) -> int:
         if missing:
             raise ValueError(f"unknown group names: {', '.join(missing)}")
         groups = tuple(by_name[w] for w in wanted)
-    out.mkdir(parents=True, exist_ok=True)
-    files = []
-    for spec in groups:
-        group_dir = out / spec.name
-        group_dir.mkdir(exist_ok=True)
-        for index, graph in generate_group(spec, args.seed):
-            rel = f"{spec.name}/inst_{index:03d}.edges"
-            write_edge_list(out / rel, graph)
-            files.append({"group": spec.name, "path": rel, "white": None})
-    manifest = {
-        "master_seed": args.seed,
-        "instances_per_group": args.instances,
-        "groups": [g.name for g in groups],
-        "files": files,
-    }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-    listed = {out / f["path"] for f in files}
-    for stale in set(out.glob("*/inst_*.edges")) - listed:
-        stale.unlink()  # left by an earlier run with more instances or groups
-    print(f"wrote {len(files)} instances in {len(groups)} groups to {out}")
+    graphs = (
+        (spec.name, (g for _, g in generate_group(spec, args.seed))) for spec in groups
+    )
+    metadata = {"master_seed": args.seed, "instances_per_group": args.instances}
+    manifest = write_dataset(args.out, graphs, metadata)
+    count = sum(spec.instances for spec in groups)
+    print(f"wrote {count} instances in {len(groups)} groups to {manifest.parent}")
     return EXIT_OK
 
 

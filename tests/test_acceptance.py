@@ -17,8 +17,12 @@ import pytest
 
 import domkernel.sparsity as sparsity_mod
 from domkernel.alber import apply_alber_pair_first, apply_alber_single_first
-from domkernel.bench import read_manifest, run_bench, worse_than_baseline_notes
-from domkernel.edgelist import write_edge_list
+from domkernel.bench import (
+    read_manifest,
+    run_bench,
+    worse_than_baseline_notes,
+    write_dataset,
+)
 from domkernel.engine import ALL_CONFIGS, ATTEMPT_LIMIT, ApproachConfig, kernelize
 from domkernel.exact import exact_dom
 from domkernel.graph import WHITE, Instance, is_1_scattered
@@ -48,20 +52,11 @@ def bench_run(tmp_path_factory):
     configurations, with every scatter call audited and the wall clock
     running."""
     root = tmp_path_factory.mktemp("acceptance-dataset")
-    entries = []
-    for spec in canonical_groups(25):
-        (root / spec.name).mkdir()
-        for index, g in generate_group(spec, master_seed=0):
-            rel = f"{spec.name}/inst_{index:03d}.edges"
-            write_edge_list(root / rel, g)
-            entries.append(
-                {
-                    "group": spec.name,
-                    "dataset": rel,
-                    "path": str(root / rel),
-                    "white_path": None,
-                }
-            )
+    groups = [
+        (spec.name, (g for _, g in generate_group(spec, master_seed=0)))
+        for spec in canonical_groups(25)
+    ]
+    entries = read_manifest(write_dataset(root, groups, {"master_seed": 0}))
 
     audit = {"calls": 0, "violations": 0}
     real = sparsity_mod.uqw_scatter

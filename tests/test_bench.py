@@ -14,31 +14,25 @@ from domkernel.bench import (
     run_bench,
     worse_than_baseline_notes,
     write_csv,
+    write_dataset,
 )
-from domkernel.edgelist import load_graph, write_edge_list
+from domkernel.edgelist import load_graph
 from domkernel.engine import ALL_CONFIGS
+from domkernel.graph import ColoredGraph
 from domkernel.plangen import GroupSpec, generate_group
 
-from helpers import bench_rows_per_run
+from helpers import bench_rows_per_run, cycle_graph, path_graph
 
 
 def tiny_dataset(root):
-    """Two small groups, two instances each, written under root."""
-    entries = []
-    for spec in (GroupSpec(20, 40, instances=2), GroupSpec(24, 30, instances=2)):
-        (root / spec.name).mkdir(parents=True, exist_ok=True)
-        for index, graph in generate_group(spec, master_seed=0):
-            rel = f"{spec.name}/inst_{index:03d}.edges"
-            write_edge_list(root / rel, graph)
-            entries.append(
-                {
-                    "group": spec.name,
-                    "dataset": rel,
-                    "path": str(root / rel),
-                    "white_path": None,
-                }
-            )
-    return entries
+    """Two small groups, two instances each, written under root and read
+    back through the manifest."""
+    specs = (GroupSpec(20, 40, instances=2), GroupSpec(24, 30, instances=2))
+    groups = [
+        (spec.name, (g for _, g in generate_group(spec, master_seed=0)))
+        for spec in specs
+    ]
+    return read_manifest(write_dataset(root, groups, {"master_seed": 0}))
 
 
 CONFIGS = ["off.none", "on.both"]
@@ -89,6 +83,38 @@ class TestReadManifest:
         manifest = tmp_path / "manifest.json"
         manifest.write_text('{"files": []}')
         assert read_manifest(manifest) == []
+
+
+class TestWriteDataset:
+    def test_groups_read_back_in_order(self, tmp_path):
+        graphs = {"a": [path_graph(3), cycle_graph(4)], "b": [path_graph(5)]}
+        manifest = write_dataset(
+            tmp_path, graphs.items(), {"master_seed": 7, "note": "x"}
+        )
+        assert list(json.loads(manifest.read_text())) == [
+            "master_seed", "note", "groups", "files"
+        ]
+        entries = read_manifest(manifest)
+        assert [(e["group"], e["dataset"], e["white_path"]) for e in entries] == [
+            ("a", "a/inst_000.edges", None),
+            ("a", "a/inst_001.edges", None),
+            ("b", "b/inst_000.edges", None),
+        ]
+        written = [g for group in graphs.values() for g in group]
+        for entry, g in zip(entries, written):
+            assert load_graph(entry["path"]).edges() == g.edges()
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            ColoredGraph.from_edges([(0, 1)], white=[1]),
+            ColoredGraph.from_edges([(0, 1)], isolated=[2]),
+        ],
+        ids=["white", "isolated"],
+    )
+    def test_a_vertex_the_edge_list_would_lose_raises(self, tmp_path, graph):
+        with pytest.raises(ValueError, match="a/inst_000.edges"):
+            write_dataset(tmp_path, [("a", [graph])], {})
 
 
 class TestRunBench:
