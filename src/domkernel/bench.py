@@ -16,6 +16,8 @@ deliberately kept out of the CSV for the same reason.
 from __future__ import annotations
 
 import csv
+import functools
+import itertools
 import json
 import multiprocessing
 from dataclasses import dataclass
@@ -43,11 +45,15 @@ CSV_COLUMNS = (
 
 
 class BenchRunError(RuntimeError):
-    """A dataset file failed to process; the whole run aborts."""
+    """A dataset file failed to process; the whole run aborts.  The args
+    are (path, message), so that it pickles back from a pool worker."""
 
     def __init__(self, path: str, message: str) -> None:
-        super().__init__(f"{path}: {message}")
+        super().__init__(path, message)
         self.path = path
+
+    def __str__(self) -> str:
+        return f"{self.path}: {self.args[1]}"
 
 
 @dataclass(frozen=True)
@@ -130,69 +136,61 @@ def read_manifest(path):
     return entries
 
 
-def _run_file(entry, configs):
-    """Load one file and kernelize it under each configuration in order.
+def _run_file(entry, plan, requested):
+    """Load one file and kernelize it under each configuration of ``plan``
+    in order; return the rows of ``requested``, in its order.
 
-    The prefix closure of ``configs`` (each one, its prefix, that one's
-    prefix, ...) runs in ``ALL_CONFIGS`` order, where every prefix comes
-    before the configurations that extend it.  ``off.none`` runs on the
-    loaded instance; every other configuration continues from a copy of
-    its prefix's kernel, so no kernel is mutated after its own run.  Rows
-    are returned for ``configs`` only, in the given order."""
+    ``off.none`` runs on the loaded instance; every other configuration
+    continues from a copy of its prefix's kernel, which ``plan`` runs
+    earlier, so no kernel is mutated after its own run.  Any exception
+    raises BenchRunError naming the file."""
     try:
         base = Instance.from_graph(load_graph(entry["path"], entry.get("white_path")))
-        requested = [ApproachConfig.from_name(name) for name in configs]
-        needed = set()
-        for config in requested:
-            while config is not None:
-                needed.add(config)
-                config = config.prefix
         runs = {}  # config -> (instance it left, report)
-        for config in ALL_CONFIGS:
-            if config not in needed:
-                continue
+        for config in plan:
             if config.prefix is None:
                 inst, after = base, None
             else:
                 parent, after = runs[config.prefix]
                 inst = parent.copy()
             runs[config] = (inst, kernelize(inst, config, after))
-        reports = [runs[config][1] for config in requested]
     except Exception as exc:
-        return ("error", entry["path"], f"{type(exc).__name__}: {exc}")
+        raise BenchRunError(entry["path"], f"{type(exc).__name__}: {exc}") from exc
     rows = []
-    for report in reports:
-        full = report.to_dict()
+    for config in requested:
+        full = runs[config][1].to_dict()
         full.update(kind="instance", group=entry["group"], dataset=entry["dataset"])
         rows.append({c: full[c] for c in CSV_COLUMNS})
-    return ("ok", rows)
+    return rows
 
 
 def run_bench(entries, configs=None, workers: int = 1) -> BenchResult:
     """Kernelize every manifest entry under every configuration.
 
-    Each file is one task: it is loaded once, and each configuration
-    continues from the kernel of its prefix (see ``_run_file``), so a
-    subset of configurations also runs its unrequested prefixes.  The rows
-    are the same as from a separate load and run per configuration, and
-    there is one per requested configuration.  Rows are dataset-major (all
-    configurations of a file together, in the given order) regardless of
-    worker count.  The first file that fails aborts
-    the run with the file named.
+    An unknown configuration name raises ValueError before any file is
+    read.  The plan is the prefix closure of ``configs``: the
+    configurations whose ``tiers`` lead those of a requested one, in
+    ``ALL_CONFIGS`` order, where every prefix comes before the ones that
+    extend it.  Each file is one task that loads it once and runs the plan
+    (see ``_run_file``); its rows equal a separate load and run per
+    requested configuration.  Rows are dataset-major (all configurations of
+    a file together, in the given order) regardless of worker count.  The
+    first failing file in manifest order raises BenchRunError: no later
+    file starts in a serial run, and a pool's workers are terminated.
     """
     if configs is None:
         configs = [c.name for c in ALL_CONFIGS]
-    tasks = [(e, configs) for e in entries]
-    if workers > 1 and len(tasks) > 1:
-        with multiprocessing.Pool(processes=min(workers, len(tasks))) as pool:
-            outcomes = pool.starmap(_run_file, tasks, chunksize=1)
+    requested = [ApproachConfig.from_name(name) for name in configs]
+    plan = [
+        c for c in ALL_CONFIGS
+        if any(r.tiers[: len(c.tiers)] == c.tiers for r in requested)
+    ]
+    run = functools.partial(_run_file, plan=plan, requested=requested)
+    if workers > 1 and len(entries) > 1:
+        with multiprocessing.Pool(processes=min(workers, len(entries))) as pool:
+            rows = list(itertools.chain.from_iterable(pool.imap(run, entries)))
     else:
-        outcomes = [_run_file(*t) for t in tasks]
-    rows = []
-    for outcome in outcomes:
-        if outcome[0] == "error":
-            raise BenchRunError(outcome[1], outcome[2])
-        rows += outcome[1]
+        rows = list(itertools.chain.from_iterable(map(run, entries)))
     means = aggregate_means(rows, configs)
     notes = worse_than_baseline_notes(rows)
     return BenchResult(tuple(rows), tuple(means), tuple(notes))
@@ -218,8 +216,10 @@ def aggregate_means(rows, configs):
 
 def worse_than_baseline_notes(rows):
     """Instances where a sparsity-on run kept strictly more than its prefix,
-    the sparsity-off sibling.  Known to happen occasionally; recorded, never
-    treated as a failure."""
+    the sparsity-off sibling; recorded, never treated as a failure.
+    ``on.none`` and ``on.one`` continue their prefix's kernel and only
+    delete or whiten, so they never can; only ``on.both``, whose run
+    repeats the pair tier and its vertex-adding gadget, might."""
     by_key = {(r["group"], r["dataset"], r["config"]): r for r in rows}
     notes = []
     for r in rows:

@@ -98,9 +98,7 @@ def _cmd_gen(args) -> int:
         if missing:
             raise ValueError(f"unknown group names: {', '.join(missing)}")
         groups = tuple(by_name[w] for w in wanted)
-    graphs = (
-        (spec.name, (g for _, g in generate_group(spec, args.seed))) for spec in groups
-    )
+    graphs = ((spec.name, generate_group(spec, args.seed)) for spec in groups)
     metadata = {"master_seed": args.seed, "instances_per_group": args.instances}
     manifest = write_dataset(args.out, graphs, metadata)
     count = sum(spec.instances for spec in groups)
@@ -147,8 +145,6 @@ def _cmd_bench(args) -> int:
     configs = None
     if args.configs is not None:
         configs = _name_list("--configs", args.configs)
-        for name in configs:
-            ApproachConfig.from_name(name)
     entries = read_manifest(args.manifest)
     result = run_bench(entries, configs, workers=args.workers)
     write_csv(args.csv, result)

@@ -68,10 +68,11 @@ class ApproachConfig:
 
     @classmethod
     def from_name(cls, name: str) -> "ApproachConfig":
-        parts = name.split(".")
-        if len(parts) != 2 or parts[0] not in ("off", "on"):
-            raise ValueError(f"unknown configuration name {name!r}")
-        return cls(sparsity=parts[0] == "on", alber=parts[1])
+        """The member of ``ALL_CONFIGS`` with this name."""
+        for config in ALL_CONFIGS:
+            if config.name == name:
+                return config
+        raise ValueError(f"unknown configuration name {name!r}")
 
 
 ALL_CONFIGS = tuple(

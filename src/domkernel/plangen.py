@@ -117,6 +117,6 @@ def generate_instance(spec: GroupSpec, index: int, master_seed: int) -> ColoredG
 
 
 def generate_group(spec: GroupSpec, master_seed: int):
-    """Yield (index, graph) for the whole group."""
+    """Yield the group's graphs in index order."""
     for i in range(spec.instances):
-        yield i, generate_instance(spec, i, master_seed)
+        yield generate_instance(spec, i, master_seed)

@@ -53,7 +53,7 @@ def bench_run(tmp_path_factory):
     running."""
     root = tmp_path_factory.mktemp("acceptance-dataset")
     groups = [
-        (spec.name, (g for _, g in generate_group(spec, master_seed=0)))
+        (spec.name, generate_group(spec, master_seed=0))
         for spec in canonical_groups(25)
     ]
     entries = read_manifest(write_dataset(root, groups, {"master_seed": 0}))

@@ -2,6 +2,7 @@
 
 import json
 import multiprocessing
+import pickle
 
 import pytest
 
@@ -28,11 +29,30 @@ def tiny_dataset(root):
     """Two small groups, two instances each, written under root and read
     back through the manifest."""
     specs = (GroupSpec(20, 40, instances=2), GroupSpec(24, 30, instances=2))
-    groups = [
-        (spec.name, (g for _, g in generate_group(spec, master_seed=0)))
-        for spec in specs
-    ]
+    groups = [(spec.name, generate_group(spec, master_seed=0)) for spec in specs]
     return read_manifest(write_dataset(root, groups, {"master_seed": 0}))
+
+
+def missing_entry(root, name="gone.edges"):
+    """A manifest entry whose file does not exist."""
+    return {
+        "group": "20x40",
+        "dataset": f"20x40/{name}",
+        "path": str(root / "20x40" / name),
+        "white_path": None,
+    }
+
+
+def counting(monkeypatch, name):
+    """Replace bench.<name> with a wrapper; returns the list of its calls."""
+    calls, real = [], getattr(bench, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(bench, name, wrapper)
+    return calls
 
 
 CONFIGS = ["off.none", "on.both"]
@@ -197,18 +217,41 @@ class TestRunBench:
 
     def test_missing_file_aborts_naming_it(self, tmp_path):
         entries = tiny_dataset(tmp_path)
-        entries.insert(
-            1,
-            {
-                "group": "20x40",
-                "dataset": "20x40/gone.edges",
-                "path": str(tmp_path / "20x40" / "gone.edges"),
-                "white_path": None,
-            },
-        )
+        entries.insert(1, missing_entry(tmp_path))
         with pytest.raises(BenchRunError) as exc:
             run_bench(entries, CONFIGS)
         assert "gone.edges" in str(exc.value)
+
+    def test_a_failing_first_file_stops_a_serial_run(self, tmp_path, monkeypatch):
+        entries = [missing_entry(tmp_path)] + tiny_dataset(tmp_path)
+        loads = counting(monkeypatch, "load_graph")
+        calls = counting(monkeypatch, "kernelize")
+        with pytest.raises(BenchRunError) as exc:
+            run_bench(entries, CONFIGS, workers=1)
+        assert exc.value.path == entries[0]["path"]
+        assert len(loads) == 1
+        assert calls == []
+
+    def test_a_pool_names_the_first_failing_file_in_manifest_order(self, tmp_path):
+        entries = tiny_dataset(tmp_path)
+        entries.insert(1, missing_entry(tmp_path, "gone1.edges"))
+        entries.insert(4, missing_entry(tmp_path, "gone4.edges"))
+        with pytest.raises(BenchRunError) as exc:
+            run_bench(entries, CONFIGS, workers=2)
+        assert exc.value.path == entries[1]["path"]
+        again = pickle.loads(pickle.dumps(exc.value))
+        assert type(again) is BenchRunError
+        assert (again.path, str(again)) == (exc.value.path, str(exc.value))
+
+    @pytest.mark.parametrize("files", [4, 0])
+    def test_an_unknown_config_name_raises_before_any_load(
+        self, tmp_path, monkeypatch, files
+    ):
+        entries = tiny_dataset(tmp_path)[:files]
+        loads = counting(monkeypatch, "load_graph")
+        with pytest.raises(ValueError, match="'off.bogus'"):
+            run_bench(entries, ["off.bogus"])
+        assert loads == []
 
     def test_malformed_file_aborts(self, tmp_path):
         bad = tmp_path / "bad.edges"
@@ -336,8 +379,8 @@ class TestSharedTier1:
             def __exit__(self, *exc):
                 return False
 
-            def starmap(self, func, tasks, chunksize=1):
-                return [func(*t) for t in tasks]
+            def imap(self, func, tasks):
+                return map(func, tasks)
 
         monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
         entries = tiny_dataset(tmp_path)[:files]

@@ -164,7 +164,7 @@ class TestKernelize:
         assert main(["kernelize", str(edges), "--config", "bogus.none"]) == 1
         assert "unknown configuration" in capsys.readouterr().err
         assert main(["kernelize", str(edges), "--config", "off.everything"]) == 1
-        assert "alber mode" in capsys.readouterr().err
+        assert "unknown configuration" in capsys.readouterr().err
 
     def test_missing_file_is_a_data_error(self, tmp_path, capsys):
         code = main(["kernelize", str(tmp_path / "absent.edges")])
@@ -201,6 +201,18 @@ class TestBench:
              "--csv", str(tmp_path / "x.csv"), "--configs", "off.bogus"]
         )
         assert code == 1
+
+    def test_bad_manifest_is_reported_before_a_bad_config_name(
+        self, tmp_path, capsys
+    ):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text('{"files": 3}')
+        code = main(
+            ["bench", "--manifest", str(manifest), "--csv", str(tmp_path / "x.csv"),
+             "--configs", "off.bogus"]
+        )
+        assert code == 2
+        assert "manifest.json" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flags",
@@ -279,6 +291,26 @@ class TestBench:
         )
         assert code == 2
         assert "gone.edges" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, flag, name",
+    [("kernelize", "--config", "off.bogus"), ("bench", "--configs", "on.tow")],
+)
+def test_unknown_configuration_error_names_it(tmp_path, capsys, command, flag, name):
+    edges = write_graph(tmp_path, path_graph(3), "a.edges")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(
+        json.dumps({"files": [{"group": "g", "path": "a.edges", "white": None}]})
+    )
+    csv_path = tmp_path / "x.csv"
+    argv = {
+        "kernelize": ["kernelize", str(edges)],
+        "bench": ["bench", "--manifest", str(manifest), "--csv", str(csv_path)],
+    }[command]
+    assert main(argv + [flag, name]) == 1
+    assert f"error: unknown configuration name {name!r}" in capsys.readouterr().err
+    assert not csv_path.exists()
 
 
 class TestSolveExact:

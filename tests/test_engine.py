@@ -248,6 +248,32 @@ class TestKernelizeAfter:
         # The corpus reaches every higher tier, not only tier 1.
         assert higher == {"alber_single", "alber_pair", "sparsity_whitened"}
 
+    def test_only_the_pair_tier_keeps_more_than_the_prefix(self):
+        # Continuing off.one, on.none or on.one only deletes vertices and
+        # edges or whitens blacks, so it keeps no more than its prefix;
+        # only the pair tier's gadget (off.both, on.both) adds vertices.
+        corpus = list(mixed_instance_stream(seed=5, count=600, max_n=40))
+        corpus += [SINGLE_FIRES, hub_cycle(3, 12)]
+        reduced = set()
+        for g in corpus:
+            runs = {}  # config -> (instance it left, report)
+            for name in ("off.none", "off.one", "on.none", "on.one"):
+                config = ApproachConfig.from_name(name)
+                if config.prefix is None:
+                    inst = Instance.from_graph(g.copy())
+                    runs[config] = (inst, kernelize(inst, config))
+                    continue
+                parent, first = runs[config.prefix]
+                inst = parent.copy()
+                report = kernelize(inst, config, first)
+                runs[config] = (inst, report)
+                assert report.final_vertices <= first.final_vertices
+                assert report.final_edges <= first.final_edges
+                if inst.graph.black != parent.graph.black:
+                    reduced.add(name)
+        # Each continued configuration reduces some input of the corpus.
+        assert reduced == {"off.one", "on.none", "on.one"}
+
     @pytest.mark.parametrize("name", [c.name for c in ALL_CONFIGS])
     def test_after_must_be_an_off_none_report(self, name):
         # A report of `name` continues only the configurations whose prefix

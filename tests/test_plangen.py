@@ -149,6 +149,7 @@ class TestGenerateInstance:
 
     def test_generate_group_yields_every_index(self):
         spec = GroupSpec(20, 30, instances=4)
-        pairs = list(generate_group(spec, master_seed=0))
-        assert [i for i, _ in pairs] == [0, 1, 2, 3]
-        assert all(g.edge_count == 30 for _, g in pairs)
+        graphs = list(generate_group(spec, master_seed=0))
+        assert [g.edges() for g in graphs] == [
+            generate_instance(spec, i, master_seed=0).edges() for i in range(4)
+        ]
