@@ -1,16 +1,16 @@
 """The dataset format, batch kernelization over it, and CSV reporting.
 
-A dataset is a directory of ``<group>/inst_NNN.edges`` files and the
-``manifest.json`` that lists them; ``write_dataset`` writes one and
-``read_manifest`` reads it.  A bench run takes the dataset manifest,
-runs every (file, configuration) pair, and emits one CSV row per pair
-plus per-group mean rows.  Each file is loaded once, and each
-configuration continues from the kernel of its prefix
-(``ApproachConfig.prefix``) instead of starting over; the CSV bytes are
-those of a separate load and run per pair.  Row order, aggregation
-order, and float formatting are all deterministic, so a re-run over the
-same dataset produces a byte-identical CSV.  Wall-clock times are
-deliberately kept out of the CSV for the same reason.
+A dataset is a directory of ``<group>/inst_NNN.edges`` files, their
+``.white`` sidecars, and the ``manifest.json`` that lists them;
+``write_dataset`` writes one and ``read_manifest`` reads it.  A bench
+run takes the dataset manifest, runs every (file, configuration) pair,
+and emits one CSV row per pair plus per-group mean rows.  Each file is
+loaded once, and each configuration continues from the kernel of its
+prefix (``ApproachConfig.prefix``) instead of starting over; the CSV
+bytes are those of a separate load and run per pair.  Row order,
+aggregation order, and float formatting are all deterministic, so a
+re-run over the same dataset produces a byte-identical CSV.  Wall-clock
+times are deliberately kept out of the CSV for the same reason.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import multiprocessing
 from dataclasses import dataclass
 from pathlib import Path
 
-from .edgelist import load_graph, write_edge_list
+from .edgelist import load_graph, write_edge_list, write_white_list
 from .engine import ALL_CONFIGS, ApproachConfig, kernelize
 from .graph import Instance
 
@@ -65,11 +65,12 @@ class BenchResult:
 
 def write_dataset(root, groups, metadata) -> Path:
     """Write each (group name, graphs) pair under root as
-    ``<group>/inst_NNN.edges``, numbered from 0, then ``manifest.json``:
-    the ``metadata`` keys, the group names, and the files with a null
-    'white'.  Deletes every ``*/inst_*.edges`` the manifest does not list.
-    An edge list keeps only edges, so a graph with a white or an isolated
-    vertex raises ValueError instead of being written as another instance.
+    ``<group>/inst_NNN.edges``, numbered from 0, with an ``inst_NNN.white``
+    sidecar for a graph that has whites, then ``manifest.json``: the
+    ``metadata`` keys, the group names, and the files.  Deletes every
+    ``*/inst_*.edges`` and ``*/inst_*.white`` the manifest does not list.
+    An edge list keeps only edges, so a graph with an isolated vertex
+    raises ValueError instead of being written as another instance.
     Returns the manifest's path."""
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
@@ -78,16 +79,20 @@ def write_dataset(root, groups, metadata) -> Path:
         names.append(name)
         (root / name).mkdir(exist_ok=True)
         for index, graph in enumerate(graphs):
-            rel = f"{name}/inst_{index:03d}.edges"
-            if graph.white_vertices() or not all(graph.adj.values()):
-                raise ValueError(f"{rel}: a white or isolated vertex would be lost")
-            write_edge_list(root / rel, graph)
-            files.append({"group": name, "path": rel, "white": None})
+            stem = f"{name}/inst_{index:03d}"
+            if not all(graph.adj.values()):
+                raise ValueError(f"{stem}.edges: an isolated vertex would be lost")
+            write_edge_list(root / f"{stem}.edges", graph)
+            white = f"{stem}.white" if graph.white_vertices() else None
+            if white:
+                write_white_list(root / white, graph)
+            files.append({"group": name, "path": f"{stem}.edges", "white": white})
     manifest = root / "manifest.json"
     data = {**metadata, "groups": names, "files": files}
     manifest.write_text(json.dumps(data, indent=2) + "\n")
-    listed = {root / f["path"] for f in files}
-    for stale in set(root.glob("*/inst_*.edges")) - listed:
+    listed = {root / f[key] for f in files for key in ("path", "white") if f[key]}
+    on_disk = [*root.glob("*/inst_*.edges"), *root.glob("*/inst_*.white")]
+    for stale in set(on_disk) - listed:
         stale.unlink()
     return manifest
 
@@ -102,6 +107,8 @@ def read_manifest(path):
         data = json.loads(path.read_text())
     except UnicodeDecodeError as exc:
         raise BenchRunError(str(path), f"undecodable text: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise BenchRunError(str(path), f"malformed JSON: {exc}") from None
     files = data.get("files") if isinstance(data, dict) else None
     if not isinstance(files, list):
         raise BenchRunError(str(path), "expected an object with a 'files' list")

@@ -187,9 +187,6 @@ def main(argv=None) -> int:
     except (EdgeListError, BenchRunError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except json.JSONDecodeError as exc:
-        print(f"error: malformed JSON: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except OracleSizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ORACLE

@@ -12,6 +12,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
+# The string colour API's one remaining caller is perfbench's bw-small
+# set-up; colour is otherwise written through ``black``.
 BLACK = "black"
 WHITE = "white"
 
@@ -87,9 +89,6 @@ class ColoredGraph:
     def edge_count(self) -> int:
         return sum(map(len, self.adj.values())) // 2
 
-    def vertices(self) -> list[int]:
-        return sorted(self.adj)
-
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) pairs with u < v, sorted."""
         out = []
@@ -121,19 +120,14 @@ class ColoredGraph:
         return out
 
     @classmethod
-    def from_edges(cls, edges, white=(), isolated=()) -> "ColoredGraph":
-        """Build a graph from an edge list; vertices default to black."""
+    def from_edges(cls, edges) -> "ColoredGraph":
+        """Build an all-black graph from an edge list."""
         g = cls()
         for u, v in edges:
             for x in (u, v):
                 if x not in g.adj:
                     g.add_vertex(x)
             g.add_edge(u, v)
-        for x in isolated:
-            if x not in g.adj:
-                g.add_vertex(x)
-        for w in white:
-            g.set_color(w, WHITE)
         return g
 
 

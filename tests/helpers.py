@@ -14,31 +14,41 @@ from domkernel.bench import CSV_COLUMNS
 from domkernel.edgelist import load_graph
 from domkernel.engine import ApproachConfig, kernelize
 from domkernel.exact import DEFAULT_VERTEX_LIMIT, exact_dom
-from domkernel.graph import WHITE, ColoredGraph, Instance
+from domkernel.graph import ColoredGraph, Instance
 from domkernel.simple_rules import PREDICATES, SimpleRule, fire
 
 
 # -- builders ----------------------------------------------------------
 
 
+def colored(edges, white=(), isolated=()) -> ColoredGraph:
+    """The graph on `edges` plus the `isolated` ids, black except `white`.
+    A white id that is not a vertex raises KeyError."""
+    g = ColoredGraph.from_edges(edges)
+    for x in isolated:
+        if x not in g:
+            g.add_vertex(x)
+    for w in white:
+        if w not in g:
+            raise KeyError(w)
+        g.black.discard(w)
+    return g
+
+
 def path_graph(n: int, white=()) -> ColoredGraph:
     """P_n on ids 0..n-1."""
-    return ColoredGraph.from_edges(
-        [(i, i + 1) for i in range(n - 1)], white=white, isolated=range(n)
-    )
+    return colored([(i, i + 1) for i in range(n - 1)], white, isolated=range(n))
 
 
 def cycle_graph(n: int, white=()) -> ColoredGraph:
     """C_n on ids 0..n-1."""
     edges = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
-    return ColoredGraph.from_edges(edges, white=white)
+    return colored(edges, white)
 
 
 def star_graph(leaves: int, white=()) -> ColoredGraph:
     """K_{1,leaves} with center 0 and leaves 1..leaves."""
-    return ColoredGraph.from_edges(
-        [(0, i) for i in range(1, leaves + 1)], white=white, isolated=[0]
-    )
+    return colored([(0, i) for i in range(1, leaves + 1)], white, isolated=[0])
 
 
 def apex_stars(stars: int, leaves: int) -> ColoredGraph:
@@ -63,7 +73,7 @@ def wheel_with_pendants(k: int) -> ColoredGraph:
     edges = [(0, i) for i in rim]
     edges += [(i, i % k + 1) for i in rim]
     edges += [(i, k + i) for i in rim]
-    return ColoredGraph.from_edges(edges, white=rim)
+    return colored(edges, rim)
 
 
 def bw_to_plain_gadget(g: ColoredGraph) -> ColoredGraph:
@@ -115,7 +125,7 @@ def brute_force_dom(g: ColoredGraph) -> int:
     """Minimum dominating-set size by plain subset enumeration.  Checks
     subsets in increasing size, so the first hit is the optimum.  Only for
     graphs of a dozen or so vertices."""
-    vs = g.vertices()
+    vs = sorted(g.adj)
     for k in range(len(vs) + 1):
         for combo in itertools.combinations(vs, k):
             if dominates(g, combo):
@@ -236,7 +246,7 @@ def random_colored_graph(
             g.add_edge(u, v)
     for v in range(n):
         if rng.random() < white_frac:
-            g.set_color(v, WHITE)
+            g.black.remove(v)
     return g
 
 
@@ -250,9 +260,9 @@ def random_planar_colored(
     g = random_maximal_planar(n, rng.randrange(1 << 32))
     m = rng.randint(max(0, n - 2), 3 * n - 6)
     g = thin_to_edges(g, m, rng.randrange(1 << 32))
-    for v in g.vertices():
+    for v in sorted(g.adj):
         if rng.random() < white_frac:
-            g.set_color(v, WHITE)
+            g.black.remove(v)
     return g
 
 
@@ -291,6 +301,5 @@ def colored_graphs(draw, min_vertices: int = 1, max_vertices: int = 10):
         g.add_vertex(v)
     for u, v in edges:
         g.add_edge(u, v)
-    for w in white:
-        g.set_color(w, WHITE)
+    g.black -= white
     return g

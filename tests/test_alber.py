@@ -12,6 +12,8 @@ from domkernel.alber import (
 )
 from domkernel.exact import exact_dom
 from domkernel.graph import ColoredGraph, Instance
+from domkernel.plangen import canonical_groups, generate_instance
+from domkernel.simple_rules import apply_simple_exhaustively
 
 from helpers import (
     bfs_distances,
@@ -59,7 +61,7 @@ class TestPartitionSingle:
     @given(colored_graphs(min_vertices=2, max_vertices=10))
     @settings(max_examples=150)
     def test_is_a_partition_with_contained_n3(self, g):
-        for v in g.vertices():
+        for v in sorted(g.adj):
             n1, n2, n3 = partition(g, v)
             assert n1 | n2 | n3 == g.adj[v]
             assert len(n1) + len(n2) + len(n3) == len(g.adj[v])
@@ -86,7 +88,7 @@ class TestPartitionPair:
     @given(colored_graphs(min_vertices=2, max_vertices=10), st.data())
     @settings(max_examples=150)
     def test_is_a_partition_with_contained_n3(self, g, data):
-        vs = g.vertices()
+        vs = sorted(g.adj)
         v = data.draw(st.sampled_from(vs))
         w = data.draw(st.sampled_from([x for x in vs if x != v] or vs))
         if v == w:
@@ -123,6 +125,21 @@ class TestAlberRule1:
         inst = Instance.from_graph(star_graph(3))
         alber_rule1(inst, 0)
         assert inst.stats["alber_single"] == 1
+
+    def test_never_fires_at_a_black_centre_after_tier_1(self):
+        # A black x in n3(v) has N(x) inside N[v], so BLACK_TO_WHITE
+        # would already have whitened v with witness x.
+        graphs = list(mixed_instance_stream(5, 300, 40))
+        graphs += [generate_instance(spec, 0, 0) for spec in canonical_groups()]
+        checked = 0
+        for g in graphs:
+            inst = Instance.from_graph(g)
+            apply_simple_exhaustively(inst)
+            for v in inst.graph.black:
+                _, _, n3 = partition(inst.graph, v)
+                assert n3.isdisjoint(inst.graph.black), v
+                checked += 1
+        assert checked > 0
 
 
 class TestAlberRule2:
@@ -214,7 +231,7 @@ class TestScanners:
 
     def test_pair_scan_only_reaches_distance_three(self):
         for g in mixed_instance_stream(seed=23, count=40, max_n=10):
-            vs = g.vertices()
+            vs = sorted(g.adj)
             pairs = []
             for v in vs:
                 dist = bfs_distances(g, v)

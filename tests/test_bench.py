@@ -19,10 +19,15 @@ from domkernel.bench import (
 )
 from domkernel.edgelist import load_graph
 from domkernel.engine import ALL_CONFIGS
-from domkernel.graph import ColoredGraph
 from domkernel.plangen import GroupSpec, generate_group
 
-from helpers import bench_rows_per_run, cycle_graph, path_graph
+from helpers import (
+    bench_rows_per_run,
+    colored,
+    cycle_graph,
+    path_graph,
+    wheel_with_pendants,
+)
 
 
 def tiny_dataset(root):
@@ -125,16 +130,27 @@ class TestWriteDataset:
             assert load_graph(entry["path"]).edges() == g.edges()
 
     @pytest.mark.parametrize(
-        "graph",
-        [
-            ColoredGraph.from_edges([(0, 1)], white=[1]),
-            ColoredGraph.from_edges([(0, 1)], isolated=[2]),
-        ],
-        ids=["white", "isolated"],
+        "graph", [colored([(0, 1)], isolated=[2])], ids=["isolated"]
     )
     def test_a_vertex_the_edge_list_would_lose_raises(self, tmp_path, graph):
         with pytest.raises(ValueError, match="a/inst_000.edges"):
             write_dataset(tmp_path, [("a", [graph])], {})
+
+    def test_whites_round_trip_through_sidecars(self, tmp_path):
+        graphs = [wheel_with_pendants(6), path_graph(5, white=[1, 3]), path_graph(4)]
+        entries = read_manifest(write_dataset(tmp_path, [("a", graphs)], {}))
+        assert [e["white_path"] is not None for e in entries] == [True, True, False]
+        for entry, g in zip(entries, graphs):
+            back = load_graph(entry["path"], entry["white_path"])
+            assert back.adj == g.adj and back.black == g.black
+        configs = [c.name for c in ALL_CONFIGS]
+        result = run_bench(entries, configs)
+        assert list(result.rows) == bench_rows_per_run(entries, configs)
+        # Rewriting the group all black removes the now stale sidecars.
+        write_dataset(tmp_path, [("a", [path_graph(3), path_graph(4)])], {})
+        assert sorted(p.name for p in (tmp_path / "a").iterdir()) == [
+            "inst_000.edges", "inst_001.edges"
+        ]
 
 
 class TestRunBench:

@@ -10,7 +10,6 @@ from domkernel.cli import main
 from domkernel.edgelist import write_edge_list, write_white_list
 from domkernel.engine import ALL_CONFIGS
 from domkernel.exact import exact_dom
-from domkernel.graph import WHITE
 from domkernel.plangen import GroupSpec, generate_instance
 
 from helpers import cycle_graph, path_graph, star_graph
@@ -135,7 +134,7 @@ class TestKernelize:
         for index in range(6):
             g = generate_instance(GroupSpec(50, 110), index, 0)
             for v in random.Random(index).sample(sorted(g.adj), 15):
-                g.set_color(v, WHITE)
+                g.black.remove(v)
             edges = write_graph(tmp_path, g)
             white = tmp_path / "g.white"
             write_white_list(white, g)
@@ -239,7 +238,7 @@ class TestBench:
             ["bench", "--manifest", str(manifest), "--csv", str(tmp_path / "x.csv")]
         )
         assert code == 2
-        assert "malformed JSON" in capsys.readouterr().err
+        assert f"error: {manifest}: malformed JSON" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "body",

@@ -18,15 +18,15 @@ from domkernel.exact import exact_dom
 from domkernel.graph import ColoredGraph, Instance
 from domkernel.simple_rules import PREDICATES, SimpleRule
 
-from helpers import brute_force_dom, mixed_instance_stream, star_graph
+from helpers import brute_force_dom, colored, mixed_instance_stream, star_graph
 
 
 def shifted(g: ColoredGraph, offset: int) -> ColoredGraph:
     """g with every vertex id moved by offset."""
-    return ColoredGraph.from_edges(
+    return colored(
         [(u + offset, v + offset) for u, v in g.edges()],
         white=[v + offset for v in g.white_vertices()],
-        isolated=[v + offset for v in g.vertices()],
+        isolated=[v + offset for v in sorted(g.adj)],
     )
 
 
@@ -359,7 +359,7 @@ class TestKernelize:
                 assert again.initial_vertices == again.final_vertices
                 assert again.initial_edges == again.final_edges
                 for rule in SimpleRule:
-                    for v in inst.graph.vertices():
+                    for v in sorted(inst.graph.adj):
                         assert PREDICATES[rule](inst.graph, v) is None
 
     def test_reports_are_deterministic_up_to_elapsed(self):
@@ -379,6 +379,20 @@ class TestKernelize:
                 inst = Instance.from_graph(g.copy())
                 kernelize(inst, config)
                 assert base == len(inst.solution) + exact_dom(inst.graph).size
+
+    def test_tier_4_whitening_preserves_the_optimum(self):
+        # The mixed stream above never makes tier 4 whiten; under on.none
+        # and on.one, small hub cycles do.
+        whitened = 0
+        for hubs, paths in ((3, 4), (3, 6), (4, 4), (4, 6), (5, 5)):
+            g = hub_cycle(hubs, paths)
+            base = exact_dom(g).size
+            for config in ALL_CONFIGS:
+                inst = Instance.from_graph(g.copy())
+                report = kernelize(inst, config)
+                whitened += report.rule_applications["sparsity_whitened"]
+                assert base == len(inst.solution) + exact_dom(inst.graph).size
+        assert whitened > 0
 
     def test_vertex_growth_is_bounded_by_gadget_insertions(self):
         for g in mixed_instance_stream(seed=19, count=60):

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 
 from domkernel.exact import exact_dom
-from domkernel.graph import BLACK, WHITE, ColoredGraph, Instance, is_1_scattered
+from domkernel.graph import WHITE, ColoredGraph, Instance, is_1_scattered
 
 from helpers import (
     bfs_distances,
     brute_force_dom,
     bw_to_plain_gadget,
     check_invariants,
+    colored,
     colored_graphs,
     dominates,
     path_graph,
@@ -97,23 +98,30 @@ class TestColoredGraph:
         g = path_graph(3, white=[2])
         h = g.copy()
         h.remove_vertex(0)
-        h.set_color(1, BLACK)
+        h.black.add(1)
         assert g.vertex_count == 3 and 2 not in g.black
         assert h.add_vertex() == 3
 
     def test_without(self):
         g = star_graph(4)
         h = residual(g, [0])
-        assert h.vertices() == [1, 2, 3, 4]
+        assert sorted(h.adj) == [1, 2, 3, 4]
         assert h.edge_count == 0
         check_invariants(h)
         assert g.edge_count == 4
 
     def test_from_edges(self):
-        g = ColoredGraph.from_edges([(0, 2), (2, 5)], white=[2], isolated=[7])
-        assert g.vertices() == [0, 2, 5, 7]
+        g = ColoredGraph.from_edges([(0, 2), (2, 5)])
+        assert sorted(g.adj) == [0, 2, 5]
         assert g.edges() == [(0, 2), (2, 5)]
+        assert g.black == {0, 2, 5}
+
+    def test_colored_helper(self):
+        g = colored([(0, 2), (2, 5)], white=[2], isolated=[7])
+        assert sorted(g.adj) == [0, 2, 5, 7]
         assert g.white_vertices() == {2}
+        with pytest.raises(KeyError):
+            colored([(0, 1)], white=[3])
 
     def test_check_invariants_catches_asymmetry(self):
         g = path_graph(2)
@@ -160,7 +168,7 @@ class TestInstance:
     @settings(max_examples=120)
     def test_take_never_loses_solutions(self, g):
         opt = brute_force_dom(g)
-        for v in g.vertices():
+        for v in sorted(g.adj):
             inst = Instance(g.copy())
             inst.take_into_solution(v)
             assert opt <= len(inst.solution) + brute_force_dom(inst.graph)
@@ -202,7 +210,7 @@ class TestScatteredCheck:
     @settings(max_examples=150)
     def test_agrees_with_pairwise_distance(self, g):
         rng = random.Random(g.vertex_count * 1000 + g.edge_count)
-        vs = [v for v in g.vertices() if rng.random() < 0.5]
+        vs = [v for v in sorted(g.adj) if rng.random() < 0.5]
         by_distance = all(
             bfs_distances(g, u).get(v, 4) >= 3
             for i, u in enumerate(vs)

@@ -1,6 +1,7 @@
 """The package and the scripts import nothing outside the standard
 library; they and the tests import nothing they never use; the package
-root binds no name; every package name the benchmark uses exists."""
+root binds no name; every package name the benchmark uses exists; colour
+is written only through `ColoredGraph.black`."""
 
 import ast
 import importlib
@@ -60,6 +61,38 @@ def test_only_stdlib_and_package_imports(path):
 def test_every_import_is_used(path):
     unused = unused_imports(path)
     assert not unused, f"{path.name} imports {unused} but never uses them"
+
+
+COLOUR_API = {"set_color", "BLACK", "WHITE"}
+
+
+def colour_api_names(path):
+    """The string colour API names path uses as a name, an attribute or
+    an import."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+    return found & COLOUR_API
+
+
+COLOUR_EXEMPT = ("graph.py", "test_graph.py")
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in SOURCES + SCRIPTS + TESTS if p.name not in COLOUR_EXEMPT],
+    ids=lambda p: p.name,
+)
+def test_colour_is_written_through_black(path):
+    """Outside graph.py and its unit tests, nothing uses the string colour
+    API; its one remaining caller is perfbench's bw-small set-up."""
+    used = colour_api_names(path)
+    assert not used, f"{path.name} uses {sorted(used)}"
 
 
 def test_package_root_binds_no_name():

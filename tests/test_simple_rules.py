@@ -21,6 +21,7 @@ from domkernel.simple_rules import (
 import helpers
 from helpers import (
     apply_first,
+    colored,
     apply_one_simple_rule,
     apply_simple_exhaustively_naive,
     colored_graphs,
@@ -52,9 +53,7 @@ class TestWwEdge:
         assert not apply_first(inst, SimpleRule.WW_EDGE)
 
     def test_picks_largest_endpoint_then_largest_neighbor(self):
-        g = ColoredGraph.from_edges(
-            [(0, 1), (0, 2), (1, 2)], white=[0, 1, 2]
-        )
+        g = colored([(0, 1), (0, 2), (1, 2)], white=[0, 1, 2])
         inst = Instance.from_graph(g)
         assert apply_first(inst, SimpleRule.WW_EDGE)
         assert inst.graph.edges() == [(0, 1), (0, 2)]
@@ -62,7 +61,7 @@ class TestWwEdge:
 
 class TestWhiteNoBlack:
     def test_isolated_white_removed(self):
-        g = ColoredGraph.from_edges([], white=[0], isolated=[0])
+        g = colored([], white=[0], isolated=[0])
         inst = Instance.from_graph(g)
         assert apply_first(inst, SimpleRule.WHITE_NO_BLACK)
         assert inst.graph.vertex_count == 0
@@ -81,13 +80,13 @@ class TestWhiteSubsumed:
     def test_white_pendant_on_covering_vertex(self):
         # u=3 white hangs off v=1; u's one black neighbor is 1 itself,
         # whose closed black neighborhood trivially contains it.
-        g = ColoredGraph.from_edges([(0, 1), (1, 2), (1, 3)], white=[3])
+        g = colored([(0, 1), (1, 2), (1, 3)], white=[3])
         inst = Instance.from_graph(g)
         assert apply_first(inst, SimpleRule.WHITE_SUBSUMED)
         assert 3 not in inst.graph
 
     def test_twin_whites_drop_the_larger(self):
-        g = ColoredGraph.from_edges(
+        g = colored(
             [(0, 3), (0, 4), (1, 3), (1, 4), (3, 4)], white=[3, 4]
         )
         inst = Instance.from_graph(g)
@@ -130,14 +129,14 @@ class TestBlackToWhite:
 
 class TestIsolatedBlack:
     def test_taken_into_solution(self):
-        g = ColoredGraph.from_edges([], isolated=[5])
+        g = colored([], isolated=[5])
         inst = Instance.from_graph(g)
         assert apply_first(inst, SimpleRule.ISOLATED_BLACK)
         assert inst.solution == {5}
         assert inst.graph.vertex_count == 0
 
     def test_isolated_white_is_not_this_rule(self):
-        g = ColoredGraph.from_edges([], white=[5], isolated=[5])
+        g = colored([], white=[5], isolated=[5])
         inst = Instance.from_graph(g)
         assert not apply_first(inst, SimpleRule.ISOLATED_BLACK)
         assert apply_first(inst, SimpleRule.WHITE_NO_BLACK)
@@ -184,7 +183,7 @@ class TestExhaustive:
             inst = Instance.from_graph(g)
             apply_simple_exhaustively(inst)
             for rule in SimpleRule:
-                for v in inst.graph.vertices():
+                for v in sorted(inst.graph.adj):
                     assert PREDICATES[rule](inst.graph, v) is None
 
     def test_stats_track_every_application(self):
@@ -269,7 +268,7 @@ class TestFiringSequence:
 
 
 def assert_off_color_rules_do_not_fire(g):
-    for v in g.vertices():
+    for v in sorted(g.adj):
         for rule in set(SimpleRule) - set(RULES_OF[v in g.black]):
             assert PREDICATES[rule](g, v) is None, (SimpleRule(rule), v)
 
@@ -441,7 +440,7 @@ class TestRuleProperties:
         no_black = PREDICATES[SimpleRule.WHITE_NO_BLACK]
         subsumed = PREDICATES[SimpleRule.WHITE_SUBSUMED]
         for g in mixed_instance_stream(seed=31, count=120):
-            for v in g.vertices():
+            for v in sorted(g.adj):
                 if g.adj[v] and no_black(g, v) is not None:
                     assert subsumed(g, v) is not None
 
