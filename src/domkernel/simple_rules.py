@@ -11,8 +11,8 @@ Rule order is fixed.  One "step" of the reference semantics applies the
 lowest-numbered rule that matches anywhere, at its largest matching vertex
 (rule 1 removes the edge at the largest white vertex with a white neighbor,
 toward its largest white neighbor).  The production fixed-point driver
-reproduces exactly that sequence of steps from one heap of vertices per
-rule, popping from the lowest non-empty one.  It keeps one invariant:
+reproduces exactly that sequence of steps from one queue of vertices
+per rule, taking from the lowest non-empty one.  It keeps one invariant:
 every applicable (rule, vertex) key is queued.  After a firing it queues
 only the keys that the firing may have made applicable, which is what
 makes large sparse instances affordable.
@@ -30,9 +30,10 @@ groups; the white rules share one vertex set:
   WHITE_NO_BLACK      none.  v's neighbors are all white and only lose a
                       white neighbor.
   WHITE_SUBSUMED      ISOLATED_BLACK or DEGREE1_BLACK: each black neighbor
-                      x of v left with no edge or one; BLACK_TO_WHITE: every
-                      black neighbor of every such x.  x's adjacency
-                      shrinks, so x may fit in a black neighbor's ball; v was
+                      x of v left with no edge or one; BLACK_TO_WHITE: each
+                      black neighbor u of a black neighbor x of v with
+                      N(x) <= N[u].  Only x's adjacency shrinks, so x is the
+                      only witness that may newly fit in a ball; v was
                       white, so no white vertex's black neighbors change.
   BLACK_TO_WHITE      the white rules: v and each white neighbor of v.
                       v turns white and its neighbors lose a black neighbor,
@@ -43,6 +44,15 @@ groups; the white rules share one vertex set:
                       turns white and loses s; a white outside N(s) next to
                       an already white y sees y lose only s, which it never
                       had to dominate; no black vertex loses an edge.
+
+So the three white queues hold one set whenever the white rules' turn
+comes: the seed and every black firing queue one set under all three,
+and a black key is only taken once they are empty; WHITE_NO_BLACK and
+WHITE_SUBSUMED queue no white rule, and WW_EDGE only its own vertex,
+which is then the largest key left.  The driver keeps no white queue: it
+sorts that set once and sweeps it once per white rule, largest first,
+re-checking the rule at a vertex until it fails, which takes the same
+keys in the same order.
 
 Scanning largest-first is a deliberate choice: on hierarchically built
 planar instances the freshest (largest-id) vertices sit at the leaves of
@@ -92,13 +102,17 @@ def _white_no_black(g: ColoredGraph, v: int) -> int | None:
 
 
 def _white_subsumed_partner(g: ColoredGraph, u: int) -> int | None:
-    """Some neighbor v of white u with N[u] cap Black <= N[v] cap Black.
-    Which one does not matter: the rule removes u whatever the witness."""
+    """Some neighbor v of white u with N[u] cap Black <= N[v] cap Black;
+    N[v] also holds u, so deg v >= |N(u) cap Black|.  Which one does not
+    matter: the rule removes u whatever the witness."""
     if u in g.black:
         return None
     adj = g.adj
     need = adj[u] & g.black
+    k = len(need)
     for v in adj[u]:
+        if len(adj[v]) < k:
+            continue
         missing = need - adj[v]
         if not missing or missing == {v}:
             return v
@@ -106,14 +120,16 @@ def _white_subsumed_partner(g: ColoredGraph, u: int) -> int | None:
 
 
 def _black_to_white_partner(g: ColoredGraph, u: int) -> int | None:
-    """Some black neighbor v of black u with N[u] >= N[v].  Which one does
-    not matter: the rule whitens u whatever the witness."""
+    """Some black neighbor v of black u with N[u] >= N[v]; N(v) holds u
+    but not v, so deg v <= deg u.  Which one does not matter: the rule
+    whitens u whatever the witness."""
     if u not in g.black:
         return None
     adj = g.adj
     ball = adj[u] | {u}
+    degree = len(adj[u])
     for v in adj[u] & g.black:
-        if adj[v] <= ball:
+        if len(adj[v]) <= degree and adj[v] <= ball:
             return v
     return None
 
@@ -141,7 +157,7 @@ PREDICATES = (  # indexed by SimpleRule
 STAT_NAMES = tuple(rule.name.lower() for rule in SimpleRule)
 
 RULES_OF = ((0, 1, 2), (3, 4, 5))  # the rules a vertex can fire, by `v in black`
-WHITE_RULES = RULES_OF[False]
+WHITE_RULES, BLACK_RULES = RULES_OF
 
 
 def fire(inst: Instance, rule: int, v: int, witness: int) -> list:
@@ -170,7 +186,9 @@ def fire(inst: Instance, rule: int, v: int, witness: int) -> list:
                 isolated.add(x)
             elif len(ax) == 1:
                 degree1.add(x)
-            whitenable |= ax & black
+            for u in ax & black:
+                if len(adj[u]) >= len(ax) and ax <= adj[u] | {u}:
+                    whitenable.add(u)
         keys = [
             (SimpleRule.BLACK_TO_WHITE, whitenable),
             (SimpleRule.ISOLATED_BLACK, isolated),
@@ -215,52 +233,63 @@ def initial_keys(g: ColoredGraph) -> list:
 def apply_simple_exhaustively(inst: Instance) -> int:
     """Apply the six rules to a fixed point; returns the application count.
 
-    Behaviorally identical to the naive loop.  Each rule has one heap of
-    negated vertex ids and one set of the ids queued in it, seeded from
-    `initial_keys`.  The loop pops from the lowest rule with a non-empty
-    heap, so it pops the lowest rule at its largest queued vertex, and
-    keeps one invariant: every applicable key is queued.  The seed holds
+    Behaviorally identical to the naive loop.  Starting from the seed of
+    `initial_keys`, it alternates two phases.  The white phase sweeps the
+    white set, as the module docstring says.  The black phase pops from
+    the lowest non-empty of three heaps of negated vertex ids, each with
+    the set of ids queued in it, until a firing returns whites for the
+    next white phase; the run ends when the black heaps run dry.  Both
+    keep one invariant: every applicable key is queued.  The seed holds
     every key that applies at the start; `fire` returns, grouped by rule,
-    every key its mutation may have made applicable, and the driver pushes
-    the part of each group not already queued; a key that applied before
-    the firing and was not popped is still queued.  So the popped valid
-    key is always the lowest-numbered applicable rule at its largest
-    vertex.  After a firing the scan restarts at the lowest rule pushed
-    to, as no lower heap can have filled.  Stale keys, such as the black
-    rules of a whitened vertex, are discarded on pop by re-validation.
+    every key its mutation may have made applicable; a key that applied
+    before the firing and was not taken is still queued.  So the key taken
+    and found valid is always the lowest-numbered applicable rule at its
+    largest vertex.  Stale black keys, such as those of a whitened or
+    removed vertex, are discarded on pop by re-validation.
     """
     g = inst.graph
     adj = g.adj
-    queued = [set() for _ in SimpleRule]
+    queued, heaps = {}, {}
     for r, vertices in initial_keys(g):
-        queued[r] |= vertices
-    heaps = [[-v for v in pending] for pending in queued]
-    for heap in heaps:
-        heapq.heapify(heap)
+        if r in WHITE_RULES:
+            whites = vertices
+        else:
+            queued[r] = vertices
+            heaps[r] = [-v for v in vertices]
+            heapq.heapify(heaps[r])
     predicates = PREDICATES
     heappop, heappush = heapq.heappop, heapq.heappush
     count = 0
-    rule = 0
-    while rule < len(heaps):
-        heap, pending, predicate = heaps[rule], queued[rule], predicates[rule]
-        lowest = rule
-        while heap and lowest == rule:
-            v = -heappop(heap)
-            pending.discard(v)
-            if v not in adj:
-                continue
-            witness = predicate(g, v)
-            if witness is None:
-                continue
-            count += 1
-            for r, vertices in fire(inst, rule, v, witness):
-                new = vertices - queued[r]
-                if new:
-                    queued[r] |= new
-                    into = heaps[r]
-                    for x in new:
-                        heappush(into, -x)
-                    if r < lowest:
-                        lowest = r
-        rule = lowest if lowest < rule else rule + 1
-    return count
+    while True:
+        order = sorted(whites, reverse=True)
+        for rule in WHITE_RULES:
+            predicate = predicates[rule]
+            for v in order:
+                while v in adj:
+                    witness = predicate(g, v)
+                    if witness is None:
+                        break
+                    count += 1
+                    for r, vertices in fire(inst, rule, v, witness):
+                        if r in heaps:  # WW_EDGE's {v} is the next `while` test
+                            new = vertices - queued[r]
+                            queued[r] |= new
+                            for x in new:
+                                heappush(heaps[r], -x)
+        whites = ()
+        for rule in BLACK_RULES:
+            heap, pending, predicate = heaps[rule], queued[rule], predicates[rule]
+            while heap and not whites:
+                v = -heappop(heap)
+                pending.discard(v)
+                if v not in adj:
+                    continue
+                witness = predicate(g, v)
+                if witness is None:
+                    continue
+                count += 1
+                whites = fire(inst, rule, v, witness)[0][1]  # one set, all white rules
+            if whites:
+                break
+        else:
+            return count

@@ -185,6 +185,26 @@ def flat_keys(groups) -> list:
     return [(rule, v) for rule, vertices in groups for v in vertices]
 
 
+def golden_witnesses(g: ColoredGraph, rule: SimpleRule, v: int) -> set:
+    """The witnesses with which rule applies at v, written from the rule
+    statements (Alber, Fellows and Niedermeier, J. ACM 2004) without the
+    production predicates; empty when the rule does not apply at v."""
+    adj, black = g.adj, g.black
+    white = v not in black
+    if rule == SimpleRule.WW_EDGE:  # an edge to another white
+        return {w for w in adj[v] if white and w not in black}
+    if rule == SimpleRule.WHITE_NO_BLACK:  # a white with no black neighbor
+        return {v} if white and not adj[v] & black else set()
+    if rule == SimpleRule.WHITE_SUBSUMED:  # a neighbor covers v's blacks
+        return {w for w in adj[v] if white and adj[v] & black <= adj[w] | {w}}
+    if rule == SimpleRule.BLACK_TO_WHITE:  # a black neighbor inside N[v]
+        return {w for w in adj[v] & black if not white and adj[w] <= adj[v] | {v}}
+    if rule == SimpleRule.ISOLATED_BLACK:  # a black with no neighbor
+        return {v} if not white and not adj[v] else set()
+    # DEGREE1_BLACK: a black with one neighbor, which must be taken
+    return set(adj[v]) if not white and len(adj[v]) == 1 else set()
+
+
 def apply_first(inst, rule: SimpleRule) -> bool:
     """Apply rule once, at its largest applicable vertex."""
     g = inst.graph

@@ -27,6 +27,7 @@ from helpers import (
     colored_graphs,
     cycle_graph,
     flat_keys,
+    golden_witnesses,
     mixed_instance_stream,
     path_graph,
     phi,
@@ -267,6 +268,36 @@ class TestFiringSequence:
         assert len(self._assert_same(wheel_with_pendants(40))) > 40
 
 
+def assert_predicates_match_the_rule_statements(g):
+    for v in sorted(g.adj):
+        for rule in SimpleRule:
+            witness = PREDICATES[rule](g, v)
+            golden = golden_witnesses(g, rule, v)
+            if not golden:
+                assert witness is None, (rule, v, witness)
+                continue
+            assert witness in golden, (rule, v, witness, golden)
+            if rule == SimpleRule.WW_EDGE:
+                assert witness == max(golden), (rule, v, witness)
+            elif rule == SimpleRule.DEGREE1_BLACK:
+                assert {witness} == golden, (rule, v, witness)
+
+
+class TestGoldenPredicates:
+    """Each predicate applies exactly where its rule statement does, with
+    a witness the statement allows: the firing-sequence tests run the same
+    predicates in both drivers, so they cannot see a predicate's error."""
+
+    def test_on_mixed_instances(self):
+        for g in mixed_instance_stream(seed=89, count=300):
+            assert_predicates_match_the_rule_statements(g)
+
+    @given(colored_graphs(max_vertices=12))
+    @settings(max_examples=150)
+    def test_on_arbitrary_graphs(self, g):
+        assert_predicates_match_the_rule_statements(g)
+
+
 def assert_off_color_rules_do_not_fire(g):
     for v in sorted(g.adj):
         for rule in set(SimpleRule) - set(RULES_OF[v in g.black]):
@@ -318,12 +349,30 @@ def applicable_keys(g):
     }
 
 
+def assert_groups_fit_the_white_sweep(rule, v, groups):
+    """What the driver's white sweep assumes of `fire`'s groups: a black
+    firing returns one set under all three white rules, WHITE_NO_BLACK
+    nothing, WHITE_SUBSUMED only black rules, WW_EDGE only its own key."""
+    rules = [r for r, _ in groups]
+    if rule in RULES_OF[True]:
+        assert rules == list(RULES_OF[False]), (SimpleRule(rule), rules)
+        assert all(vertices == groups[0][1] for _, vertices in groups)
+    elif rule == SimpleRule.WHITE_NO_BLACK:
+        assert groups == []
+    elif rule == SimpleRule.WHITE_SUBSUMED:
+        assert set(rules) <= set(RULES_OF[True]), rules
+    else:
+        assert groups == [(SimpleRule.WW_EDGE, {v})], groups
+
+
 def assert_fire_returns_every_enabled_key(g):
     before = applicable_keys(g)
     for fired in before:
         rule, v = fired
         inst = Instance.from_graph(g.copy())
-        returned = flat_keys(fire(inst, rule, v, PREDICATES[rule](inst.graph, v)))
+        groups = fire(inst, rule, v, PREDICATES[rule](inst.graph, v))
+        assert_groups_fit_the_white_sweep(rule, v, groups)
+        returned = flat_keys(groups)
         after = applicable_keys(inst.graph)
         missed = ((after - before) | (after & {fired})) - set(returned)
         assert not missed, (SimpleRule(rule), v, missed)
@@ -386,7 +435,7 @@ class TestRequeueTable:
 
 def tier1_work(monkeypatch, g):
     """Firings, keys returned by `fire` (summed over its groups) and
-    predicate calls of one run."""
+    predicate calls of one run, in all ("calls") and per SimpleRule."""
     work = Counter()
     real_fire = simple_rules.fire
 
@@ -396,15 +445,17 @@ def tier1_work(monkeypatch, g):
         work["keys"] += len(flat_keys(keys))
         return keys
 
-    def counting(predicate):
+    def counting(rule, predicate):
         def call(g, v):
             work["calls"] += 1
+            work[rule] += 1
             return predicate(g, v)
         return call
 
     with monkeypatch.context() as m:
         m.setattr(simple_rules, "fire", counting_fire)
-        m.setattr(simple_rules, "PREDICATES", tuple(map(counting, PREDICATES)))
+        m.setattr(simple_rules, "PREDICATES", tuple(
+            counting(SimpleRule(r), p) for r, p in enumerate(PREDICATES)))
         inst = Instance.from_graph(g)
         assert apply_simple_exhaustively(inst) == work["firings"]
     work["left"] = inst.graph.vertex_count
@@ -423,14 +474,19 @@ class TestTier1Work:
             assert per_firing <= 2 * small[count] / small["firings"], count
 
     def test_canonical_instance_firings_and_predicate_calls(self, monkeypatch):
-        # The bound is what fire's re-queue table and degree-filtered
-        # seeding reach on 2002x6000 instance 0.  Seeding every black under
-        # all three black rules makes 25,579 calls for these firings, and
-        # re-queueing every rule at every vertex within distance 1 of a
-        # mutation as well makes 39,694.
+        # The bounds are what fire's re-queue table and degree-filtered
+        # seeding reach on 2002x6000 instance 0, whose 2,002 vertices all
+        # start black: no BLACK_TO_WHITE call beyond the seed's one per
+        # black.  Re-queueing BLACK_TO_WHITE at every black neighbor of a
+        # black that lost an edge, not only where that black fits in the
+        # neighbor's ball, makes 23,975 calls for these firings, 11,430 of
+        # them BLACK_TO_WHITE.  Seeding every black under all three black
+        # rules as well makes 25,579, and re-queueing every rule at every
+        # vertex within distance 1 of a mutation as well makes 39,694.
         work = tier1_work(monkeypatch, generate_instance(GroupSpec(2002, 6000), 0, 0))
         assert work["firings"] == 4931
-        assert work["calls"] <= 23_975
+        assert work["calls"] <= 14_547
+        assert work[SimpleRule.BLACK_TO_WHITE] <= 2_002
 
 
 class TestRuleProperties:
