@@ -4,8 +4,8 @@ Three rules act at white vertices and three at black ones; a predicate
 reads a vertex's color as its membership in ``g.black``, and the worklist
 queues each vertex only under the rules of its color.  It seeds a black
 under ISOLATED_BLACK or DEGREE1_BLACK only at degree 0 or 1, where those
-rules can apply; `fire` queues them wherever a firing drops a black's
-degree that far.
+rules can apply, and queues them wherever a firing drops a black's degree
+that far.
 
 Rule order is fixed.  One "step" of the reference semantics applies the
 lowest-numbered rule that matches anywhere, at its largest matching vertex
@@ -20,11 +20,12 @@ makes large sparse instances affordable.
 Those keys follow from what each predicate reads.  Tier 1 only deletes
 edges and vertices and whitens blacks, so a predicate can newly hold only
 where one of its inputs moved.  With "the white rules" for WW_EDGE,
-WHITE_NO_BLACK and WHITE_SUBSUMED, `fire` returns these (rule, vertices)
-groups; the white rules share one vertex set:
+WHITE_NO_BLACK and WHITE_SUBSUMED, each branch of the driver applies its
+rule's mutation and queues these keys; the white rules share one vertex
+set:
 
-  fired at v          groups returned, and which predicate inputs moved
-  WW_EDGE (with w)    WW_EDGE: {v}.  v and w each lose a white neighbor;
+  fired at v          keys queued, and which predicate inputs moved
+  WW_EDGE (with w)    WW_EDGE: v.  v and w each lose a white neighbor;
                       no black set or black adjacency moves, so no key
                       becomes newly true and only v's own key may still be.
   WHITE_NO_BLACK      none.  v's neighbors are all white and only lose a
@@ -51,8 +52,18 @@ and a black key is only taken once they are empty; WHITE_NO_BLACK and
 WHITE_SUBSUMED queue no white rule, and WW_EDGE only its own vertex,
 which is then the largest key left.  The driver keeps no white queue: it
 sorts that set once and sweeps it once per white rule, largest first,
-re-checking the rule at a vertex until it fails, which takes the same
-keys in the same order.
+which takes the same keys in the same order.  WW_EDGE's sweep removes
+every white-white edge of v at once, largest partner first, without its
+predicate: that is what re-checking the rule at v until it fails would
+do, firing by firing and witness by witness.  It relies on the set
+holding only whites, which holds because tier 1 never blackens a vertex.
+WHITE_NO_BLACK and WHITE_SUBSUMED remove v, so they fire at most once
+per vertex.
+
+The driver counts firings per rule and adds them to ``inst.stats`` when
+it returns.  Given a list as ``trace``, it appends each firing's (rule,
+vertex, witness) to it, which is how the tests compare its firing
+sequence with the naive loop's.
 
 Scanning largest-first is a deliberate choice: on hierarchically built
 planar instances the freshest (largest-id) vertices sit at the leaves of
@@ -157,57 +168,7 @@ PREDICATES = (  # indexed by SimpleRule
 STAT_NAMES = tuple(rule.name.lower() for rule in SimpleRule)
 
 RULES_OF = ((0, 1, 2), (3, 4, 5))  # the rules a vertex can fire, by `v in black`
-WHITE_RULES, BLACK_RULES = RULES_OF
-
-
-def fire(inst: Instance, rule: int, v: int, witness: int) -> list:
-    """Apply rule at v with the witness its predicate returned.  Returns
-    the keys the mutation may have made applicable, per the table in the
-    module docstring, as (rule, vertices) groups: if a key applies now but
-    did not before the firing, or it is the fired key and still applies,
-    its vertex is in a group of its rule.  Every returned vertex survives
-    and is grouped under a rule of its current color.  The white rules'
-    groups share one set, which callers only read."""
-    g = inst.graph
-    adj, black = g.adj, g.black
-    if rule == SimpleRule.WW_EDGE:
-        g.remove_edge(v, witness)
-        keys = [(rule, {v})]
-    elif rule == SimpleRule.WHITE_NO_BLACK:
-        g.remove_vertex(v)
-        keys = []
-    elif rule == SimpleRule.WHITE_SUBSUMED:
-        shrunk = adj[v] & black  # the blacks whose adjacency loses v
-        g.remove_vertex(v)
-        isolated, degree1, whitenable = set(), set(), set()
-        for x in shrunk:
-            ax = adj[x]
-            if not ax:
-                isolated.add(x)
-            elif len(ax) == 1:
-                degree1.add(x)
-            for u in ax & black:
-                if len(adj[u]) >= len(ax) and ax <= adj[u] | {u}:
-                    whitenable.add(u)
-        keys = [
-            (SimpleRule.BLACK_TO_WHITE, whitenable),
-            (SimpleRule.ISOLATED_BLACK, isolated),
-            (SimpleRule.DEGREE1_BLACK, degree1),
-        ]
-    elif rule == SimpleRule.BLACK_TO_WHITE:
-        black.remove(v)
-        whites = adj[v] - black
-        whites.add(v)
-        keys = [(r, whites) for r in WHITE_RULES]
-    else:  # ISOLATED_BLACK is its own witness and has no neighbors
-        whitened = adj[witness] & black
-        whites = set(adj[witness])
-        inst.take_into_solution(witness)
-        for y in whitened:
-            whites |= adj[y] - black
-        keys = [(r, whites) for r in WHITE_RULES]
-    inst.stats[STAT_NAMES[rule]] += 1
-    return keys
+WHITE_RULES = RULES_OF[False]
 
 
 # -- incremental fixed point ------------------------------------------
@@ -230,25 +191,29 @@ def initial_keys(g: ColoredGraph) -> list:
     ]
 
 
-def apply_simple_exhaustively(inst: Instance) -> int:
+def apply_simple_exhaustively(inst: Instance, trace: list | None = None) -> int:
     """Apply the six rules to a fixed point; returns the application count.
 
     Behaviorally identical to the naive loop.  Starting from the seed of
     `initial_keys`, it alternates two phases.  The white phase sweeps the
     white set, as the module docstring says.  The black phase pops from
     the lowest non-empty of three heaps of negated vertex ids, each with
-    the set of ids queued in it, until a firing returns whites for the
+    the set of ids queued in it, until a firing yields whites for the
     next white phase; the run ends when the black heaps run dry.  Both
     keep one invariant: every applicable key is queued.  The seed holds
-    every key that applies at the start; `fire` returns, grouped by rule,
-    every key its mutation may have made applicable; a key that applied
-    before the firing and was not taken is still queued.  So the key taken
-    and found valid is always the lowest-numbered applicable rule at its
-    largest vertex.  Stale black keys, such as those of a whitened or
-    removed vertex, are discarded on pop by re-validation.
+    every key that applies at the start; each firing queues, by the
+    table in the module docstring, every key its mutation may have made
+    applicable; a key that applied before the firing and was not taken is
+    still queued.  So the key taken and found valid is always the
+    lowest-numbered applicable rule at its largest vertex.  Stale black
+    keys, such as those of a whitened or removed vertex, are discarded on
+    pop by re-validation.
+
+    When `trace` is a list, each firing appends its (rule, vertex,
+    witness) to it, in firing order.
     """
     g = inst.graph
-    adj = g.adj
+    adj, black = g.adj, g.black
     queued, heaps = {}, {}
     for r, vertices in initial_keys(g):
         if r in WHITE_RULES:
@@ -257,39 +222,83 @@ def apply_simple_exhaustively(inst: Instance) -> int:
             queued[r] = vertices
             heaps[r] = [-v for v in vertices]
             heapq.heapify(heaps[r])
-    predicates = PREDICATES
+    WW, NO_BLACK, SUBSUMED, TO_WHITE, ISOLATED, DEGREE1 = SimpleRule
+    _, no_black, subsumed, to_white, isolated, degree1 = PREDICATES
     heappop, heappush = heapq.heappop, heapq.heappush
-    count = 0
+    fired = [0] * len(SimpleRule)
+
+    def queue(rule, v):
+        if v not in queued[rule]:
+            queued[rule].add(v)
+            heappush(heaps[rule], -v)
+
+    def take(rule, predicate):
+        """Pop rule's queued keys, largest first, up to the first that
+        applies; count it and return its (vertex, witness), else None."""
+        heap, pending = heaps[rule], queued[rule]
+        while heap:
+            v = -heappop(heap)
+            pending.discard(v)
+            if v in adj:
+                witness = predicate(g, v)
+                if witness is not None:
+                    fired[rule] += 1
+                    if trace is not None:
+                        trace.append((rule, v, witness))
+                    return v, witness
+        return None
+
     while True:
         order = sorted(whites, reverse=True)
-        for rule in WHITE_RULES:
-            predicate = predicates[rule]
-            for v in order:
-                while v in adj:
-                    witness = predicate(g, v)
-                    if witness is None:
-                        break
-                    count += 1
-                    for r, vertices in fire(inst, rule, v, witness):
-                        if r in heaps:  # WW_EDGE's {v} is the next `while` test
-                            new = vertices - queued[r]
-                            queued[r] |= new
-                            for x in new:
-                                heappush(heaps[r], -x)
-        whites = ()
-        for rule in BLACK_RULES:
-            heap, pending, predicate = heaps[rule], queued[rule], predicates[rule]
-            while heap and not whites:
-                v = -heappop(heap)
-                pending.discard(v)
-                if v not in adj:
-                    continue
-                witness = predicate(g, v)
-                if witness is None:
-                    continue
-                count += 1
-                whites = fire(inst, rule, v, witness)[0][1]  # one set, all white rules
-            if whites:
-                break
-        else:
-            return count
+        for v in order:
+            partners = adj[v] - black
+            if partners:
+                for w in sorted(partners, reverse=True):
+                    g.remove_edge(v, w)
+                    if trace is not None:
+                        trace.append((WW, v, w))
+                fired[WW] += len(partners)
+        for v in order:
+            if v in adj and no_black(g, v) is not None:
+                g.remove_vertex(v)
+                fired[NO_BLACK] += 1
+                if trace is not None:
+                    trace.append((NO_BLACK, v, v))
+        for v in order:
+            if v in adj and (witness := subsumed(g, v)) is not None:
+                shrunk = adj[v] & black
+                g.remove_vertex(v)
+                fired[SUBSUMED] += 1
+                if trace is not None:
+                    trace.append((SUBSUMED, v, witness))
+                for x in shrunk:
+                    ax = adj[x]
+                    if not ax:
+                        queue(ISOLATED, x)
+                    elif len(ax) == 1:
+                        queue(DEGREE1, x)
+                    for u in ax & black:
+                        if len(adj[u]) >= len(ax) and ax <= adj[u] | {u}:
+                            queue(TO_WHITE, u)
+
+        if (key := take(TO_WHITE, to_white)) is not None:
+            v, _ = key
+            black.remove(v)
+            whites = adj[v] - black
+            whites.add(v)
+            continue
+        while (key := take(ISOLATED, isolated)) is not None:
+            inst.take_into_solution(key[0])
+        if (key := take(DEGREE1, degree1)) is None:
+            break
+        _, s = key
+        whitened = adj[s] & black
+        whites = set(adj[s])
+        inst.take_into_solution(s)
+        for y in whitened:
+            whites |= adj[y] - black
+
+    for rule, n in enumerate(fired):
+        if n:
+            inst.stats[STAT_NAMES[rule]] += n
+    return sum(fired)

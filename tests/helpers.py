@@ -15,7 +15,7 @@ from domkernel.edgelist import load_graph
 from domkernel.engine import ApproachConfig, kernelize
 from domkernel.exact import DEFAULT_VERTEX_LIMIT, exact_dom
 from domkernel.graph import ColoredGraph, Instance
-from domkernel.simple_rules import PREDICATES, SimpleRule, fire
+from domkernel.simple_rules import PREDICATES, STAT_NAMES, SimpleRule
 
 
 # -- builders ----------------------------------------------------------
@@ -180,8 +180,7 @@ def residual(g: ColoredGraph, removed) -> ColoredGraph:
 
 def flat_keys(groups) -> list:
     """The (rule, vertex) keys of the (rule, vertices) groups that
-    `simple_rules.fire` and `simple_rules.initial_keys` return, in group
-    order, repeats kept."""
+    `simple_rules.initial_keys` returns, in group order, repeats kept."""
     return [(rule, v) for rule, vertices in groups for v in vertices]
 
 
@@ -203,6 +202,22 @@ def golden_witnesses(g: ColoredGraph, rule: SimpleRule, v: int) -> set:
         return {v} if not white and not adj[v] else set()
     # DEGREE1_BLACK: a black with one neighbor, which must be taken
     return set(adj[v]) if not white and len(adj[v]) == 1 else set()
+
+
+def fire(inst, rule: SimpleRule, v: int, witness: int) -> None:
+    """Apply rule at v with the witness its predicate returned, and count
+    it in ``inst.stats``: the mutation of each rule, without the
+    production driver's re-queue."""
+    g = inst.graph
+    if rule == SimpleRule.WW_EDGE:
+        g.remove_edge(v, witness)
+    elif rule in (SimpleRule.WHITE_NO_BLACK, SimpleRule.WHITE_SUBSUMED):
+        g.remove_vertex(v)
+    elif rule == SimpleRule.BLACK_TO_WHITE:
+        g.black.remove(v)
+    else:  # ISOLATED_BLACK is its own witness
+        inst.take_into_solution(witness)
+    inst.stats[STAT_NAMES[rule]] += 1
 
 
 def apply_first(inst, rule: SimpleRule) -> bool:
@@ -299,6 +314,21 @@ def mixed_instance_stream(seed: int, count: int, max_n: int = 16):
         else:
             n = rng.randint(4, max_n)
             yield random_planar_colored(rng, n, white_frac)
+
+
+def bw_small_shaped(seed: int, count: int):
+    """Planar GroupSpec(50, 110) instances with 30% of their vertices
+    whitened, drawn as the benchmark's bw-small workload draws its inputs
+    at data seed `seed`."""
+    from domkernel.plangen import GroupSpec, generate_instance
+
+    for i in range(count):
+        g = generate_instance(GroupSpec(50, 110), i, seed)
+        rng = random.Random(seed * 1_000_003 + i)
+        vertices = sorted(g.adj)
+        for v in rng.sample(vertices, round(0.3 * len(vertices))):
+            g.black.remove(v)
+        yield g
 
 
 # -- hypothesis strategies ---------------------------------------------

@@ -1,7 +1,9 @@
 """The six local rules: stated behavior on small graphs, oracle safety,
 potential decrease, and naive/incremental fixed-point equivalence."""
 
+import heapq
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,6 @@ from domkernel.simple_rules import (
     RULES_OF,
     SimpleRule,
     apply_simple_exhaustively,
-    fire,
     initial_keys,
 )
 
@@ -24,6 +25,7 @@ from helpers import (
     colored,
     apply_one_simple_rule,
     apply_simple_exhaustively_naive,
+    bw_small_shaped,
     colored_graphs,
     cycle_graph,
     flat_keys,
@@ -227,21 +229,26 @@ class TestGoldenEquivalence:
         self._assert_same(wheel_with_pendants(40))
 
 
-def firing_sequence(run, g):
-    """The (rule, vertex, witness) sequence of `run` on a copy of g, as
-    recorded at every `fire` call of the driver and of the golden model."""
+def firing_sequence(g):
+    """The (rule, vertex, witness) sequence of the driver on a copy of g,
+    as its `trace` records it."""
     fired = []
-    real_fire = simple_rules.fire
+    assert apply_simple_exhaustively(Instance.from_graph(g.copy()), fired) == len(fired)
+    return fired
+
+
+def naive_firing_sequence(g):
+    """The same sequence for the naive loop, recorded at its `fire` calls."""
+    fired = []
 
     def recording_fire(inst, rule, v, witness):
-        fired.append((SimpleRule(rule), v, witness))
-        return real_fire(inst, rule, v, witness)
+        fired.append((rule, v, witness))
+        real_fire(inst, rule, v, witness)
 
+    real_fire = helpers.fire
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(simple_rules, "fire", recording_fire)
         m.setattr(helpers, "fire", recording_fire)
-        count = run(Instance.from_graph(g.copy()))
-    assert count == len(fired)
+        assert apply_simple_exhaustively_naive(Instance.from_graph(g.copy())) == len(fired)
     return fired
 
 
@@ -251,8 +258,8 @@ class TestFiringSequence:
     than equal end states."""
 
     def _assert_same(self, g):
-        fast = firing_sequence(apply_simple_exhaustively, g)
-        assert fast == firing_sequence(apply_simple_exhaustively_naive, g)
+        fast = firing_sequence(g)
+        assert fast == naive_firing_sequence(g)
         return fast
 
     @given(colored_graphs(max_vertices=12))
@@ -266,6 +273,12 @@ class TestFiringSequence:
 
     def test_on_a_wheel_with_pendants(self):
         assert len(self._assert_same(wheel_with_pendants(40))) > 40
+
+    def test_on_bw_small_shaped_instances(self):
+        # The benchmark's bw-small inputs: where the rules interleave most,
+        # so where a narrowed re-queue shows first.
+        for g in bw_small_shaped(seed=0, count=200):
+            self._assert_same(g)
 
 
 def assert_predicates_match_the_rule_statements(g):
@@ -349,38 +362,6 @@ def applicable_keys(g):
     }
 
 
-def assert_groups_fit_the_white_sweep(rule, v, groups):
-    """What the driver's white sweep assumes of `fire`'s groups: a black
-    firing returns one set under all three white rules, WHITE_NO_BLACK
-    nothing, WHITE_SUBSUMED only black rules, WW_EDGE only its own key."""
-    rules = [r for r, _ in groups]
-    if rule in RULES_OF[True]:
-        assert rules == list(RULES_OF[False]), (SimpleRule(rule), rules)
-        assert all(vertices == groups[0][1] for _, vertices in groups)
-    elif rule == SimpleRule.WHITE_NO_BLACK:
-        assert groups == []
-    elif rule == SimpleRule.WHITE_SUBSUMED:
-        assert set(rules) <= set(RULES_OF[True]), rules
-    else:
-        assert groups == [(SimpleRule.WW_EDGE, {v})], groups
-
-
-def assert_fire_returns_every_enabled_key(g):
-    before = applicable_keys(g)
-    for fired in before:
-        rule, v = fired
-        inst = Instance.from_graph(g.copy())
-        groups = fire(inst, rule, v, PREDICATES[rule](inst.graph, v))
-        assert_groups_fit_the_white_sweep(rule, v, groups)
-        returned = flat_keys(groups)
-        after = applicable_keys(inst.graph)
-        missed = ((after - before) | (after & {fired})) - set(returned)
-        assert not missed, (SimpleRule(rule), v, missed)
-        for r, x in returned:
-            assert x in inst.graph.adj
-            assert r in RULES_OF[x in inst.graph.black], (SimpleRule(r), x)
-
-
 def assert_seed_holds_every_applicable_key(g):
     seed = flat_keys(initial_keys(g))
     assert len(seed) == len(set(seed))
@@ -419,31 +400,14 @@ class TestInitialKeys:
         )
 
 
-class TestRequeueTable:
-    """`fire` returns every key its mutation may have made applicable, so
-    the worklist's invariant "every applicable key is queued" holds."""
-
-    def test_on_mixed_instances(self):
-        for g in mixed_instance_stream(seed=67, count=200):
-            assert_fire_returns_every_enabled_key(g)
-
-    @given(colored_graphs(max_vertices=12))
-    @settings(max_examples=150)
-    def test_on_arbitrary_graphs(self, g):
-        assert_fire_returns_every_enabled_key(g)
-
-
 def tier1_work(monkeypatch, g):
-    """Firings, keys returned by `fire` (summed over its groups) and
-    predicate calls of one run, in all ("calls") and per SimpleRule."""
+    """Firings, heap pushes and predicate calls of one run, the calls in
+    all ("calls") and per SimpleRule."""
     work = Counter()
-    real_fire = simple_rules.fire
 
-    def counting_fire(*args):
-        keys = real_fire(*args)
-        work["firings"] += 1
-        work["keys"] += len(flat_keys(keys))
-        return keys
+    def counting_push(heap, item):
+        work["pushes"] += 1
+        heapq.heappush(heap, item)
 
     def counting(rule, predicate):
         def call(g, v):
@@ -453,11 +417,12 @@ def tier1_work(monkeypatch, g):
         return call
 
     with monkeypatch.context() as m:
-        m.setattr(simple_rules, "fire", counting_fire)
+        m.setattr(simple_rules, "heapq", SimpleNamespace(
+            heapify=heapq.heapify, heappop=heapq.heappop, heappush=counting_push))
         m.setattr(simple_rules, "PREDICATES", tuple(
             counting(SimpleRule(r), p) for r, p in enumerate(PREDICATES)))
         inst = Instance.from_graph(g)
-        assert apply_simple_exhaustively(inst) == work["firings"]
+        work["firings"] = apply_simple_exhaustively(inst)
     work["left"] = inst.graph.vertex_count
     return work
 
@@ -469,24 +434,35 @@ class TestTier1Work:
         small = tier1_work(monkeypatch, wheel_with_pendants(500))
         large = tier1_work(monkeypatch, wheel_with_pendants(4000))
         assert small["left"] == large["left"] == 0
-        for count in ("keys", "calls"):
+        # The only keys the driver pushes are the pendants that the rim's
+        # WHITE_SUBSUMED firings leave isolated: all but the one whose
+        # support DEGREE1_BLACK takes first.  The queued sets absorb a
+        # re-queue widened at every firing on the hub within one sweep, so
+        # the per-firing ratio alone would not show it.
+        assert (small["pushes"], large["pushes"]) == (499, 3_999)
+        for count in ("pushes", "calls"):
             per_firing = large[count] / large["firings"]
             assert per_firing <= 2 * small[count] / small["firings"], count
 
     def test_canonical_instance_firings_and_predicate_calls(self, monkeypatch):
-        # The bounds are what fire's re-queue table and degree-filtered
-        # seeding reach on 2002x6000 instance 0, whose 2,002 vertices all
-        # start black: no BLACK_TO_WHITE call beyond the seed's one per
-        # black.  Re-queueing BLACK_TO_WHITE at every black neighbor of a
-        # black that lost an edge, not only where that black fits in the
-        # neighbor's ball, makes 23,975 calls for these firings, 11,430 of
-        # them BLACK_TO_WHITE.  Seeding every black under all three black
-        # rules as well makes 25,579, and re-queueing every rule at every
-        # vertex within distance 1 of a mutation as well makes 39,694.
+        # The bounds are what the driver's re-queue table and
+        # degree-filtered seeding reach on 2002x6000 instance 0, whose
+        # 2,002 vertices all start black: no BLACK_TO_WHITE call beyond
+        # the seed's one per black, and no WW_EDGE call at all, since the
+        # driver drops a white's white-white edges without its predicate
+        # (calling it once per removed edge and once more per swept white
+        # made 14,547 calls).  Re-queueing BLACK_TO_WHITE at every black
+        # neighbor of a black that lost an edge, not only where that black
+        # fits in the neighbor's ball, made 23,975 calls for these
+        # firings, 11,430 of them BLACK_TO_WHITE.  Seeding every black
+        # under all three black rules as well made 25,579, and re-queueing
+        # every rule at every vertex within distance 1 of a mutation as
+        # well made 39,694.
         work = tier1_work(monkeypatch, generate_instance(GroupSpec(2002, 6000), 0, 0))
         assert work["firings"] == 4931
-        assert work["calls"] <= 14_547
+        assert work["calls"] <= 8_880
         assert work[SimpleRule.BLACK_TO_WHITE] <= 2_002
+        assert work[SimpleRule.WW_EDGE] == 0
 
 
 class TestRuleProperties:
