@@ -5,6 +5,11 @@ exit to the rest of the graph, n2 touches n1, and n3 touches neither.  A
 black vertex in n3 can only be dominated from inside the ball, which forces
 the center(s) in, or at least lets everything the centers would cover be
 whitened.
+
+Such a black x has N(x) inside the (joint) closed neighborhood, so the
+scans generate the centres and pairs that have one (the single rule) or
+two (the pair rule) from the blacks' neighborhoods, and try the rule
+only there: it returns False, changing nothing, everywhere else.
 """
 
 from __future__ import annotations
@@ -85,26 +90,74 @@ def alber_rule2(inst: Instance, v: int, w: int) -> bool:
     return True
 
 
+def single_candidates(g: ColoredGraph) -> list:
+    """The centres v, ascending, with a black neighbor x whose N(x) lies
+    inside N[v]: a black in n3(v) is such an x, so the single rule can
+    fire nowhere else.  Generated from the blacks' neighborhoods."""
+    adj = g.adj
+    out = set()
+    for x in g.black:
+        ax = adj[x]
+        for v in ax:  # N(v) holds x and would hold N(x) - {v}
+            if len(adj[v]) >= len(ax) and len(ax - adj[v]) == 1:
+                out.add(v)
+    return sorted(out)
+
+
+def pair_candidates(g: ColoredGraph) -> list:
+    """The pairs (v, w), v < w, lexicographic, that at least two distinct
+    blacks x count for: x in N(v) counts for w when N(x) lies inside
+    N[v] | N[w] and w is neither v nor x, and symmetrically.  Every black
+    of n3(v, w) counts for the pair, and the pair rule needs two, so it
+    can fire nowhere else.
+
+    With rest = N(x) - N[v], x counts for the w in the intersection of
+    N[y] over y in rest; each is within distance 3 of v (v, x, y, w).
+    When rest is empty, x counts for every w within distance 3 of v, the
+    partners the full scan would try."""
+    adj = g.adj
+    balls = {}
+    first = {}  # pair -> the first black counted for it
+    out = set()
+    for x in g.black:
+        ax = adj[x]
+        for v in ax:
+            rest = ax - adj[v]
+            rest.discard(v)
+            if rest:
+                y = rest.pop()
+                partners = adj[y] | {y}
+                for y in rest:
+                    partners &= adj[y] | {y}
+            else:
+                partners = balls.get(v)
+                if partners is None:
+                    partners = balls[v] = _ball3(g, v)
+            for w in partners:
+                if w != v and w != x:
+                    pair = (v, w) if v < w else (w, v)
+                    if first.setdefault(pair, x) != x:
+                        out.add(pair)
+    return sorted(out)
+
+
+def _ball3(g: ColoredGraph, v: int) -> set:
+    """The vertices within distance 3 of v, v included."""
+    ball = {v}
+    for _ in range(3):
+        ball = g.closed_neighborhood_of_set(ball)
+    return ball
+
+
 def apply_alber_single_first(inst: Instance) -> bool:
-    """Scan vertices ascending; apply the single rule at the first hit."""
-    g = inst.graph
-    for v in sorted(g.adj):
-        if alber_rule1(inst, v):
-            return True
-    return False
+    """Try the single rule at each of `single_candidates`, ascending;
+    apply it at the first hit.  The rule fires at no other vertex, so
+    this is the first hit of a scan over every vertex."""
+    return any(alber_rule1(inst, v) for v in single_candidates(inst.graph))
 
 
 def apply_alber_pair_first(inst: Instance) -> bool:
-    """Scan pairs at distance <= 3 in lexicographic order; apply the pair
-    rule at the first hit."""
-    g = inst.graph
-    for v in sorted(g.adj):
-        ball = {v}
-        for _ in range(3):
-            ball = g.closed_neighborhood_of_set(ball)
-        for w in sorted(ball):
-            if w <= v:
-                continue
-            if alber_rule2(inst, v, w):
-                return True
-    return False
+    """Try the pair rule at each of `pair_candidates`, lexicographic;
+    apply it at the first hit.  The rule fires at no other pair, so this
+    is the first hit of a scan over every pair at distance <= 3."""
+    return any(alber_rule2(inst, v, w) for v, w in pair_candidates(inst.graph))

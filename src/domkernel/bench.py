@@ -216,7 +216,12 @@ def aggregate_means(rows, configs):
             row = dict.fromkeys(CSV_COLUMNS, "")
             row.update(kind="group-mean", group=group, config=config)
             for key in ("fully_solved",) + FRACTIONS:
-                row[key] = sum(r[key] for r in sub) / len(sub)
+                # Added left to right: since Python 3.12, sum() adds
+                # floats with compensation, which changes CSV bytes.
+                total = 0
+                for r in sub:
+                    total += r[key]
+                row[key] = total / len(sub)
             means.append(row)
     return means
 

@@ -1,7 +1,7 @@
 """The six local reduction rules and their exhaustive application.
 
-Three rules act at white vertices and three at black ones; a predicate
-reads a vertex's color as its membership in ``g.black``, and the worklist
+Three rules act at white vertices and three at black ones; a rule reads
+a vertex's color as its membership in ``g.black``, and the worklist
 queues each vertex only under the rules of its color.  It seeds a black
 under ISOLATED_BLACK or DEGREE1_BLACK only at degree 0 or 1, where those
 rules can apply, and queues them wherever a firing drops a black's degree
@@ -17,14 +17,14 @@ every applicable (rule, vertex) key is queued.  After a firing it queues
 only the keys that the firing may have made applicable, which is what
 makes large sparse instances affordable.
 
-Those keys follow from what each predicate reads.  Tier 1 only deletes
-edges and vertices and whitens blacks, so a predicate can newly hold only
-where one of its inputs moved.  With "the white rules" for WW_EDGE,
-WHITE_NO_BLACK and WHITE_SUBSUMED, each branch of the driver applies its
-rule's mutation and queues these keys; the white rules share one vertex
-set:
+Those keys follow from what each rule's condition reads.  Tier 1 only
+deletes edges and vertices and whitens blacks, so a condition can newly
+hold only where one of its inputs moved.  With "the white rules" for
+WW_EDGE, WHITE_NO_BLACK and WHITE_SUBSUMED, each branch of the driver
+applies its rule's mutation and queues these keys; the white rules share
+one vertex set:
 
-  fired at v          keys queued, and which predicate inputs moved
+  fired at v          keys queued, and which condition inputs moved
   WW_EDGE (with w)    WW_EDGE: v.  v and w each lose a white neighbor;
                       no black set or black adjacency moves, so no key
                       becomes newly true and only v's own key may still be.
@@ -53,12 +53,21 @@ WHITE_SUBSUMED queue no white rule, and WW_EDGE only its own vertex,
 which is then the largest key left.  The driver keeps no white queue: it
 sorts that set once and sweeps it once per white rule, largest first,
 which takes the same keys in the same order.  WW_EDGE's sweep removes
-every white-white edge of v at once, largest partner first, without its
-predicate: that is what re-checking the rule at v until it fails would
-do, firing by firing and witness by witness.  It relies on the set
-holding only whites, which holds because tier 1 never blackens a vertex.
-WHITE_NO_BLACK and WHITE_SUBSUMED remove v, so they fire at most once
-per vertex.
+every white-white edge of v at once, largest partner first: that is
+what re-checking the rule at v until it fails would do, firing by firing
+and witness by witness.  It relies on the set holding only whites, which
+holds because tier 1 never blackens a vertex.  After the WW_EDGE sweep
+every vertex of the set has only black neighbors, and keeps them: the
+other two sweeps remove whites only.  So WHITE_NO_BLACK fires exactly at
+the swept vertices left with no edge, and WHITE_SUBSUMED at v needs a
+neighbor u with N(v) <= N[u].  WHITE_NO_BLACK and WHITE_SUBSUMED remove
+v, so they fire at most once per vertex.
+
+Each rule is stated once in this module: by its branch of the driver,
+which tests the rule's condition inline and applies its mutation.  The
+rules' plain statements, one predicate per rule, live in
+``tests/helpers.py`` with the naive loop that applies them one step at a
+time; the tests check the driver's firing sequence against that loop.
 
 The driver counts firings per rule and adds them to ``inst.stats`` when
 it returns.  Given a list as ``trace``, it appends each firing's (rule,
@@ -91,79 +100,6 @@ class SimpleRule(IntEnum):
     ISOLATED_BLACK = 4   # take an isolated black
     DEGREE1_BLACK = 5    # take the sole neighbor of a degree-1 black
 
-
-# -- applicability predicates -----------------------------------------
-#
-# Each predicate returns the witness its rule fires with when the rule
-# applies at v, else None.  It reads only the adjacency of v and of v's
-# current neighbors and whether those vertices are black; the fixed-point
-# driver relies on that locality.
-
-
-def _ww_partner(g: ColoredGraph, v: int) -> int | None:
-    """Largest white neighbor of white v, if any.  Together with the
-    largest-first vertex scan this makes the removed edge deterministic."""
-    if v in g.black:
-        return None
-    return max(g.adj[v] - g.black, default=None)
-
-
-def _white_no_black(g: ColoredGraph, v: int) -> int | None:
-    return v if v not in g.black and g.adj[v].isdisjoint(g.black) else None
-
-
-def _white_subsumed_partner(g: ColoredGraph, u: int) -> int | None:
-    """Some neighbor v of white u with N[u] cap Black <= N[v] cap Black;
-    N[v] also holds u, so deg v >= |N(u) cap Black|.  Which one does not
-    matter: the rule removes u whatever the witness."""
-    if u in g.black:
-        return None
-    adj = g.adj
-    need = adj[u] & g.black
-    k = len(need)
-    for v in adj[u]:
-        if len(adj[v]) < k:
-            continue
-        missing = need - adj[v]
-        if not missing or missing == {v}:
-            return v
-    return None
-
-
-def _black_to_white_partner(g: ColoredGraph, u: int) -> int | None:
-    """Some black neighbor v of black u with N[u] >= N[v]; N(v) holds u
-    but not v, so deg v <= deg u.  Which one does not matter: the rule
-    whitens u whatever the witness."""
-    if u not in g.black:
-        return None
-    adj = g.adj
-    ball = adj[u] | {u}
-    degree = len(adj[u])
-    for v in adj[u] & g.black:
-        if len(adj[v]) <= degree and adj[v] <= ball:
-            return v
-    return None
-
-
-def _isolated_black(g: ColoredGraph, v: int) -> int | None:
-    return v if v in g.black and not g.adj[v] else None
-
-
-def _degree1_support(g: ColoredGraph, v: int) -> int | None:
-    """The sole neighbor of degree-1 black v."""
-    if v not in g.black or len(g.adj[v]) != 1:
-        return None
-    return next(iter(g.adj[v]))
-
-
-PREDICATES = (  # indexed by SimpleRule
-    _ww_partner,
-    _white_no_black,
-    _white_subsumed_partner,
-    _black_to_white_partner,
-    _isolated_black,
-    _degree1_support,
-)
 
 STAT_NAMES = tuple(rule.name.lower() for rule in SimpleRule)
 
@@ -214,87 +150,112 @@ def apply_simple_exhaustively(inst: Instance, trace: list | None = None) -> int:
     """
     g = inst.graph
     adj, black = g.adj, g.black
-    queued, heaps = {}, {}
-    for r, vertices in initial_keys(g):
-        if r in WHITE_RULES:
-            whites = vertices
-        else:
-            queued[r] = vertices
-            heaps[r] = [-v for v in vertices]
-            heapq.heapify(heaps[r])
-    WW, NO_BLACK, SUBSUMED, TO_WHITE, ISOLATED, DEGREE1 = SimpleRule
-    _, no_black, subsumed, to_white, isolated, degree1 = PREDICATES
+    (_, whites), _, _, *black_keys = initial_keys(g)
+    to_white_q, isolated_q, degree1_q = (queued for _, queued in black_keys)
+    to_white_h, isolated_h, degree1_h = heaps = [
+        [-v for v in queued] for _, queued in black_keys
+    ]
     heappop, heappush = heapq.heappop, heapq.heappush
+    for heap in heaps:
+        heapq.heapify(heap)
+    WW, NO_BLACK, SUBSUMED, TO_WHITE, ISOLATED, DEGREE1 = SimpleRule
     fired = [0] * len(SimpleRule)
 
-    def queue(rule, v):
-        if v not in queued[rule]:
-            queued[rule].add(v)
-            heappush(heaps[rule], -v)
-
-    def take(rule, predicate):
-        """Pop rule's queued keys, largest first, up to the first that
-        applies; count it and return its (vertex, witness), else None."""
-        heap, pending = heaps[rule], queued[rule]
-        while heap:
-            v = -heappop(heap)
-            pending.discard(v)
-            if v in adj:
-                witness = predicate(g, v)
-                if witness is not None:
-                    fired[rule] += 1
-                    if trace is not None:
-                        trace.append((rule, v, witness))
-                    return v, witness
-        return None
-
     while True:
+        # The white phase.  After v's WW_EDGE turn every neighbor of v is
+        # black, and stays so: so WHITE_NO_BLACK applies at v exactly
+        # when v is left with no edge, and the black neighbors that
+        # WHITE_SUBSUMED must cover are all of N(v).
         order = sorted(whites, reverse=True)
+        lonely, covered = [], []
         for v in order:
-            partners = adj[v] - black
-            if partners:
+            av = adj[v]
+            if not av <= black:
+                partners = av - black
                 for w in sorted(partners, reverse=True):
-                    g.remove_edge(v, w)
+                    av.remove(w)
+                    adj[w].remove(v)
                     if trace is not None:
                         trace.append((WW, v, w))
                 fired[WW] += len(partners)
-        for v in order:
-            if v in adj and no_black(g, v) is not None:
-                g.remove_vertex(v)
-                fired[NO_BLACK] += 1
-                if trace is not None:
-                    trace.append((NO_BLACK, v, v))
-        for v in order:
-            if v in adj and (witness := subsumed(g, v)) is not None:
-                shrunk = adj[v] & black
-                g.remove_vertex(v)
-                fired[SUBSUMED] += 1
-                if trace is not None:
-                    trace.append((SUBSUMED, v, witness))
-                for x in shrunk:
-                    ax = adj[x]
-                    if not ax:
-                        queue(ISOLATED, x)
-                    elif len(ax) == 1:
-                        queue(DEGREE1, x)
-                    for u in ax & black:
-                        if len(adj[u]) >= len(ax) and ax <= adj[u] | {u}:
-                            queue(TO_WHITE, u)
+            (covered if av else lonely).append(v)
+        for v in lonely:
+            del adj[v]
+            if trace is not None:
+                trace.append((NO_BLACK, v, v))
+        fired[NO_BLACK] += len(lonely)
+        for v in covered:
+            av = adj[v]
+            k = len(av)
+            for u in av:  # N(v) - N(u) is at least {u}
+                if len(adj[u]) >= k and len(av - adj[u]) == 1:
+                    break
+            else:
+                continue
+            del adj[v]
+            fired[SUBSUMED] += 1
+            if trace is not None:
+                trace.append((SUBSUMED, v, u))
+            for x in av:
+                ax = adj[x]
+                ax.remove(v)
+                if not ax:
+                    if x not in isolated_q:
+                        isolated_q.add(x)
+                        heappush(isolated_h, -x)
+                elif len(ax) == 1 and x not in degree1_q:
+                    degree1_q.add(x)
+                    heappush(degree1_h, -x)
+                for y in ax & black:
+                    if (y not in to_white_q and len(adj[y]) >= len(ax)
+                            and ax <= adj[y] | {y}):
+                        to_white_q.add(y)
+                        heappush(to_white_h, -y)
 
-        if (key := take(TO_WHITE, to_white)) is not None:
-            v, _ = key
-            black.remove(v)
-            whites = adj[v] - black
-            whites.add(v)
+        # The black phase: BLACK_TO_WHITE at its largest queued black
+        # that has a black neighbor x with N(x) <= N[u]; then every
+        # isolated black; then one DEGREE1_BLACK.
+        witness = None
+        while to_white_h and witness is None:
+            u = -heappop(to_white_h)
+            to_white_q.discard(u)
+            if u in black:
+                au = adj[u]
+                degree = len(au)
+                for x in au & black:  # N(x) - N(u) is at least {u}
+                    if len(adj[x]) <= degree and len(adj[x] - au) == 1:
+                        witness = x
+                        break
+        if witness is not None:
+            black.remove(u)
+            fired[TO_WHITE] += 1
+            if trace is not None:
+                trace.append((TO_WHITE, u, witness))
+            whites = au - black
+            whites.add(u)
             continue
-        while (key := take(ISOLATED, isolated)) is not None:
-            inst.take_into_solution(key[0])
-        if (key := take(DEGREE1, degree1)) is None:
+        while isolated_h:
+            v = -heappop(isolated_h)
+            isolated_q.discard(v)
+            if v in black and not adj[v]:
+                inst.take_into_solution(v)
+                fired[ISOLATED] += 1
+                if trace is not None:
+                    trace.append((ISOLATED, v, v))
+        while degree1_h:
+            v = -heappop(degree1_h)
+            degree1_q.discard(v)
+            if v in black and len(adj[v]) == 1:
+                (witness,) = adj[v]
+                break
+        if witness is None:
             break
-        _, s = key
-        whitened = adj[s] & black
-        whites = set(adj[s])
-        inst.take_into_solution(s)
+        fired[DEGREE1] += 1
+        if trace is not None:
+            trace.append((DEGREE1, v, witness))
+        whitened = adj[witness] & black
+        whites = set(adj[witness])
+        inst.take_into_solution(witness)
         for y in whitened:
             whites |= adj[y] - black
 

@@ -10,12 +10,13 @@ import random
 
 from hypothesis import strategies as st
 
+from domkernel.alber import alber_rule1, alber_rule2
 from domkernel.bench import CSV_COLUMNS
 from domkernel.edgelist import load_graph
 from domkernel.engine import ApproachConfig, kernelize
 from domkernel.exact import DEFAULT_VERTEX_LIMIT, exact_dom
 from domkernel.graph import ColoredGraph, Instance
-from domkernel.simple_rules import PREDICATES, STAT_NAMES, SimpleRule
+from domkernel.simple_rules import STAT_NAMES, SimpleRule
 
 
 # -- builders ----------------------------------------------------------
@@ -74,6 +75,26 @@ def wheel_with_pendants(k: int) -> ColoredGraph:
     edges += [(i, i % k + 1) for i in rim]
     edges += [(i, k + i) for i in rim]
     return colored(edges, rim)
+
+
+def hub_cycle(hubs: int, paths: int) -> ColoredGraph:
+    """Hubs on a cycle, each consecutive pair joined by `paths` paths of
+    length 3; all black.  The pair rule and tier 4 both fire on it."""
+    edges = []
+    nxt = hubs
+    for h in range(hubs):
+        for _ in range(paths):
+            edges += [(h, nxt), (nxt, nxt + 1), (nxt + 1, (h + 1) % hubs)]
+            nxt += 2
+    return ColoredGraph.from_edges(edges)
+
+
+# An all-black graph on which the single-vertex rule fires after tier 1.
+SINGLE_FIRES = ColoredGraph.from_edges(
+    [(0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 5), (1, 6), (1, 7), (2, 4),
+     (2, 5), (2, 6), (3, 5), (3, 6), (3, 7), (4, 5), (4, 6), (4, 7), (5, 6),
+     (5, 7)]
+)
 
 
 def bw_to_plain_gadget(g: ColoredGraph) -> ColoredGraph:
@@ -176,6 +197,77 @@ def residual(g: ColoredGraph, removed) -> ColoredGraph:
 
 
 # -- golden models of the simple rules ---------------------------------
+#
+# Each predicate returns the witness its rule fires with when the rule
+# applies at v, else None: the rule's statement, which the production
+# driver applies inline.  It reads only the adjacency of v and of v's
+# current neighbors and whether those vertices are black.
+
+
+def _ww_partner(g: ColoredGraph, v: int) -> int | None:
+    """Largest white neighbor of white v, if any.  Together with the
+    largest-first vertex scan this makes the removed edge deterministic."""
+    if v in g.black:
+        return None
+    return max(g.adj[v] - g.black, default=None)
+
+
+def _white_no_black(g: ColoredGraph, v: int) -> int | None:
+    return v if v not in g.black and g.adj[v].isdisjoint(g.black) else None
+
+
+def _white_subsumed_partner(g: ColoredGraph, u: int) -> int | None:
+    """Some neighbor v of white u with N[u] cap Black <= N[v] cap Black;
+    N[v] also holds u, so deg v >= |N(u) cap Black|.  Which one does not
+    matter: the rule removes u whatever the witness."""
+    if u in g.black:
+        return None
+    adj = g.adj
+    need = adj[u] & g.black
+    k = len(need)
+    for v in adj[u]:
+        if len(adj[v]) < k:
+            continue
+        missing = need - adj[v]
+        if not missing or missing == {v}:
+            return v
+    return None
+
+
+def _black_to_white_partner(g: ColoredGraph, u: int) -> int | None:
+    """Some black neighbor v of black u with N[u] >= N[v]; N(v) holds u
+    but not v, so deg v <= deg u.  Which one does not matter: the rule
+    whitens u whatever the witness."""
+    if u not in g.black:
+        return None
+    adj = g.adj
+    ball = adj[u] | {u}
+    degree = len(adj[u])
+    for v in adj[u] & g.black:
+        if len(adj[v]) <= degree and adj[v] <= ball:
+            return v
+    return None
+
+
+def _isolated_black(g: ColoredGraph, v: int) -> int | None:
+    return v if v in g.black and not g.adj[v] else None
+
+
+def _degree1_support(g: ColoredGraph, v: int) -> int | None:
+    """The sole neighbor of degree-1 black v."""
+    if v not in g.black or len(g.adj[v]) != 1:
+        return None
+    return next(iter(g.adj[v]))
+
+
+PREDICATES = (  # indexed by SimpleRule
+    _ww_partner,
+    _white_no_black,
+    _white_subsumed_partner,
+    _black_to_white_partner,
+    _isolated_black,
+    _degree1_support,
+)
 
 
 def flat_keys(groups) -> list:
@@ -246,6 +338,29 @@ def apply_simple_exhaustively_naive(inst) -> int:
     while apply_one_simple_rule(inst) is not None:
         count += 1
     return count
+
+
+# -- golden models of the Alber scans -----------------------------------
+
+
+def apply_alber_single_first_naive(inst) -> bool:
+    """Reference single scan: try the rule at every vertex, ascending;
+    apply it at the first hit."""
+    return any(alber_rule1(inst, v) for v in sorted(inst.graph.adj))
+
+
+def apply_alber_pair_first_naive(inst) -> bool:
+    """Reference pair scan: try the rule at every pair at distance <= 3,
+    lexicographic; apply it at the first hit."""
+    g = inst.graph
+    for v in sorted(g.adj):
+        ball = {v}
+        for _ in range(3):
+            ball = g.closed_neighborhood_of_set(ball)
+        for w in sorted(ball):
+            if w > v and alber_rule2(inst, v, w):
+                return True
+    return False
 
 
 # -- golden model of the bench sweep ---------------------------------------

@@ -8,17 +8,26 @@ from domkernel.alber import (
     alber_rule2,
     apply_alber_pair_first,
     apply_alber_single_first,
+    pair_candidates,
     partition,
+    single_candidates,
 )
+from domkernel.engine import ApproachConfig, kernelize
 from domkernel.exact import exact_dom
 from domkernel.graph import ColoredGraph, Instance
 from domkernel.plangen import canonical_groups, generate_instance
 from domkernel.simple_rules import apply_simple_exhaustively
 
 from helpers import (
+    SINGLE_FIRES,
+    apply_alber_pair_first_naive,
+    apply_alber_single_first_naive,
     bfs_distances,
+    bw_small_shaped,
+    colored,
     colored_graphs,
     cycle_graph,
+    hub_cycle,
     mixed_instance_stream,
     path_graph,
     phi,
@@ -278,3 +287,111 @@ class TestOracleSafety:
             potential = phi(inst)
             if apply_alber_pair_first(inst):
                 assert phi(inst) < potential
+
+
+def off_none_kernel(g: ColoredGraph) -> ColoredGraph:
+    inst = Instance.from_graph(g.copy())
+    kernelize(inst, ApproachConfig.from_name("off.none"))
+    return inst.graph
+
+
+def alber_inputs() -> list:
+    """Graphs on which the Alber tiers have work: the tier-1 kernels they
+    run on in the benchmark's sweeps; hand-built graphs on which the
+    single rule, the pair rule and its gadget fire, as given and as
+    tier-1 kernels; and, as given, small random graphs, which are no
+    tier-1 fixed points, so the single rule fires at black centres too."""
+    graphs = [generate_instance(spec, 0, 0) for spec in canonical_groups()]
+    graphs += bw_small_shaped(0, 200)
+    built = [hub_cycle(h, p) for h, p in ((3, 4), (3, 6), (3, 12), (4, 4), (5, 5))]
+    built += [SINGLE_FIRES, both_cover_graph(9)]
+    kernels = [off_none_kernel(g) for g in graphs + built]
+    return kernels + built + list(mixed_instance_stream(13, 60))
+
+
+def same_instance(a: Instance, b: Instance) -> bool:
+    return (a.graph.adj, a.graph.black, a.solution, a.stats) == (
+        b.graph.adj, b.graph.black, b.solution, b.stats)
+
+
+class TestCandidates:
+    """The scans try the rules only at generated candidates, which must
+    hold every centre and pair where a rule fires."""
+
+    @pytest.mark.parametrize("scan, golden", [
+        (apply_alber_single_first, apply_alber_single_first_naive),
+        (apply_alber_pair_first, apply_alber_pair_first_naive),
+    ], ids=["single", "pair"])
+    def test_scans_leave_what_the_full_scans_leave(self, scan, golden):
+        fired = 0
+        for g in alber_inputs():
+            fast = Instance.from_graph(g.copy())
+            slow = Instance.from_graph(g.copy())
+            while True:  # to the rule's own fixed point, firing by firing
+                hit = scan(fast)
+                assert hit == golden(slow)
+                assert same_instance(fast, slow)
+                if not hit:
+                    break
+                fired += 1
+        assert fired >= 10
+
+    def test_every_firing_centre_is_a_candidate(self):
+        fired = 0
+        for g in alber_inputs():
+            candidates = set(single_candidates(g))
+            inst = Instance.from_graph(g.copy())
+            for v in sorted(g.adj):
+                if alber_rule1(inst, v):  # False changes nothing
+                    assert v in candidates, v
+                    fired += 1
+                    inst = Instance.from_graph(g.copy())
+        assert fired >= 10
+
+    def test_every_firing_pair_is_a_candidate(self):
+        fired = 0
+        for g in alber_inputs():
+            candidates = set(pair_candidates(g))
+            inst = Instance.from_graph(g.copy())
+            for v in sorted(g.adj):
+                near = bfs_distances(g, v)
+                for w in sorted(near):
+                    if w > v and near[w] <= 3 and alber_rule2(inst, v, w):
+                        assert (v, w) in candidates, (v, w)
+                        fired += 1
+                        inst = Instance.from_graph(g.copy())
+        assert fired >= 10
+
+    def test_candidates_are_the_stated_sets(self):
+        # Exactly the centres with a black neighbor x, N(x) inside N[v],
+        # and the pairs at distance <= 3 with two blacks x in their joint
+        # shell, N(x) inside N[v] | N[w]: no more, so no wasted calls.
+        for g in alber_inputs():
+            adj, black = g.adj, g.black
+            assert single_candidates(g) == [
+                v for v in sorted(adj)
+                if any(adj[x] <= adj[v] | {v} for x in adj[v] & black)
+            ]
+            pairs = []
+            for v in sorted(adj):
+                near = bfs_distances(g, v)
+                for w in sorted(near):
+                    if w <= v or near[w] > 3:
+                        continue
+                    ball = adj[v] | adj[w] | {v, w}
+                    shell = (adj[v] | adj[w]) - {v, w}
+                    if sum(adj[x] <= ball for x in shell & black) >= 2:
+                        pairs.append((v, w))
+            assert pair_candidates(g) == pairs
+
+    def test_a_black_inside_n_v_counts_for_a_pair_at_distance_3(self):
+        # White path 0-2-3-4 with black pendants 1 on 0 and 5 on 4.  N(1)
+        # lies inside N[0], so 1 counts for every partner within distance
+        # 3 of 0, and 5 likewise from 4; no other vertex is black.  Only
+        # (0, 4), at distance 3, gets two blacks, and the rule fires there.
+        g = colored([(0, 1), (0, 2), (2, 3), (3, 4), (4, 5)], white=[0, 2, 3, 4])
+        assert bfs_distances(g, 0)[4] == 3
+        assert pair_candidates(g) == [(0, 4)]
+        inst = Instance.from_graph(g)
+        assert alber_rule2(inst, 0, 4)
+        assert inst.solution == {0, 4}

@@ -11,6 +11,7 @@ import domkernel.engine as engine
 from domkernel.bench import (
     BenchRunError,
     CSV_COLUMNS,
+    aggregate_means,
     read_manifest,
     run_bench,
     worse_than_baseline_notes,
@@ -432,6 +433,21 @@ class TestDeterminism:
         assert cells[CSV_COLUMNS.index("fully_solved")] in ("true", "false")
         fraction = cells[CSV_COLUMNS.index("remaining_vertex_fraction")]
         assert float(fraction) == float(repr(float(fraction)))
+
+
+class TestAggregateMeans:
+    def test_means_add_left_to_right_on_every_python(self):
+        # Ten additions of 0.1 from the left give 0.9999999999999999;
+        # sum() on Python 3.12 and later would give 1.0, and the mean 0.1.
+        rows = [
+            {"group": "g", "config": "off.none", "fully_solved": i < 3,
+             "remaining_vertex_fraction": 0.1, "remaining_edge_fraction": 0.1}
+            for i in range(10)
+        ]
+        (mean,) = aggregate_means(rows, ["off.none"])
+        assert mean["remaining_vertex_fraction"] == 0.09999999999999999
+        assert mean["remaining_edge_fraction"] == 0.09999999999999999
+        assert mean["fully_solved"] == 0.3
 
 
 class TestWorseThanBaselineNotes:

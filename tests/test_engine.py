@@ -16,9 +16,17 @@ from domkernel.engine import (
 )
 from domkernel.exact import exact_dom
 from domkernel.graph import ColoredGraph, Instance
-from domkernel.simple_rules import PREDICATES, SimpleRule
+from domkernel.simple_rules import SimpleRule
 
-from helpers import brute_force_dom, colored, mixed_instance_stream, star_graph
+from helpers import (
+    PREDICATES,
+    SINGLE_FIRES,
+    brute_force_dom,
+    colored,
+    hub_cycle,
+    mixed_instance_stream,
+    star_graph,
+)
 
 
 def shifted(g: ColoredGraph, offset: int) -> ColoredGraph:
@@ -101,26 +109,6 @@ HIGHER_TIERS = {  # engine's names for the tiers above tier 1, in firing order
         "sparsity_reduce",
     ),
 }
-
-
-def hub_cycle(hubs: int, paths: int) -> ColoredGraph:
-    """Hubs on a cycle, each consecutive pair joined by `paths` paths of
-    length 3; all black.  The pair rule and tier 4 both fire on it."""
-    edges = []
-    nxt = hubs
-    for h in range(hubs):
-        for _ in range(paths):
-            edges += [(h, nxt), (nxt, nxt + 1), (nxt + 1, (h + 1) % hubs)]
-            nxt += 2
-    return ColoredGraph.from_edges(edges)
-
-
-# An all-black graph on which the single-vertex rule fires after tier 1.
-SINGLE_FIRES = ColoredGraph.from_edges(
-    [(0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 5), (1, 6), (1, 7), (2, 4),
-     (2, 5), (2, 6), (3, 5), (3, 6), (3, 7), (4, 5), (4, 6), (4, 7), (5, 6),
-     (5, 7)]
-)
 
 
 @pytest.fixture

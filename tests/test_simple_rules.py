@@ -12,7 +12,6 @@ import domkernel.simple_rules as simple_rules
 from domkernel.graph import ColoredGraph, Instance
 from domkernel.plangen import GroupSpec, generate_instance
 from domkernel.simple_rules import (
-    PREDICATES,
     RULES_OF,
     SimpleRule,
     apply_simple_exhaustively,
@@ -21,6 +20,7 @@ from domkernel.simple_rules import (
 
 import helpers
 from helpers import (
+    PREDICATES,
     apply_first,
     colored,
     apply_one_simple_rule,
@@ -333,26 +333,14 @@ class TestColorTable:
     def test_off_color_rules_never_fire_on_arbitrary_graphs(self, g):
         assert_off_color_rules_do_not_fire(g)
 
-    def test_off_color_predicate_calls_are_bounded(self, monkeypatch):
-        # The only off-color calls left are the black rules of vertices
+    def test_off_color_pops_are_bounded(self, monkeypatch):
+        # The only black keys popped at a white are those of vertices
         # whitened after they were queued: at most three per black.
-        off_color = 0
-
-        def counting(rule, predicate):
-            def call(g, v):
-                nonlocal off_color
-                off_color += rule not in RULES_OF[v in g.black]
-                return predicate(g, v)
-            return call
-
-        monkeypatch.setattr(
-            simple_rules, "PREDICATES",
-            tuple(counting(r, p) for r, p in enumerate(PREDICATES)),
-        )
         g = generate_instance(GroupSpec(302, 900), 0, 0)
         blacks = len(g.black)
-        assert apply_simple_exhaustively(Instance.from_graph(g)) > 0
-        assert off_color <= 3 * blacks
+        work = tier1_work(monkeypatch, g)
+        assert work["firings"] > 0
+        assert work["off_color"] <= 3 * blacks
 
 
 def applicable_keys(g):
@@ -401,26 +389,32 @@ class TestInitialKeys:
 
 
 def tier1_work(monkeypatch, g):
-    """Firings, heap pushes and predicate calls of one run, the calls in
-    all ("calls") and per SimpleRule."""
+    """Firings, heap pushes and keys examined of one run on g.  The keys
+    are the heap pops ("pops"), of which "off_color" pop a vertex that is
+    still there but white, and the entries of the lists the driver sorts
+    ("swept"): the white sweeps' vertices and WW_EDGE's partners."""
     work = Counter()
+    black = g.black
 
     def counting_push(heap, item):
         work["pushes"] += 1
         heapq.heappush(heap, item)
 
-    def counting(rule, predicate):
-        def call(g, v):
-            work["calls"] += 1
-            work[rule] += 1
-            return predicate(g, v)
-        return call
+    def counting_pop(heap):
+        item = heapq.heappop(heap)
+        work["pops"] += 1
+        work["off_color"] += -item in g.adj and -item not in black
+        return item
+
+    def counting_sorted(*args, **kwargs):
+        out = sorted(*args, **kwargs)
+        work["swept"] += len(out)
+        return out
 
     with monkeypatch.context() as m:
         m.setattr(simple_rules, "heapq", SimpleNamespace(
-            heapify=heapq.heapify, heappop=heapq.heappop, heappush=counting_push))
-        m.setattr(simple_rules, "PREDICATES", tuple(
-            counting(SimpleRule(r), p) for r, p in enumerate(PREDICATES)))
+            heapify=heapq.heapify, heappop=counting_pop, heappush=counting_push))
+        m.setattr(simple_rules, "sorted", counting_sorted, raising=False)
         inst = Instance.from_graph(g)
         work["firings"] = apply_simple_exhaustively(inst)
     work["left"] = inst.graph.vertex_count
@@ -428,7 +422,11 @@ def tier1_work(monkeypatch, g):
 
 
 class TestTier1Work:
-    """Deterministic work counts, so a wider re-queue fails without a timing."""
+    """Deterministic work counts, so a wider re-queue fails without a
+    timing.  The exact counts are also those of the earlier driver that
+    checked each key through a predicate call, measured with this
+    helper: applying the rules inline changed how a key is checked, not
+    which keys are."""
 
     def test_wheel_work_per_firing_does_not_grow_with_the_hub(self, monkeypatch):
         small = tier1_work(monkeypatch, wheel_with_pendants(500))
@@ -440,29 +438,26 @@ class TestTier1Work:
         # re-queue widened at every firing on the hub within one sweep, so
         # the per-firing ratio alone would not show it.
         assert (small["pushes"], large["pushes"]) == (499, 3_999)
-        for count in ("pushes", "calls"):
+        assert (small["pops"], small["swept"]) == (1_500, 2_000)
+        assert (large["pops"], large["swept"]) == (12_000, 16_000)
+        for count in ("pushes", "pops", "swept"):
             per_firing = large[count] / large["firings"]
             assert per_firing <= 2 * small[count] / small["firings"], count
 
-    def test_canonical_instance_firings_and_predicate_calls(self, monkeypatch):
-        # The bounds are what the driver's re-queue table and
-        # degree-filtered seeding reach on 2002x6000 instance 0, whose
-        # 2,002 vertices all start black: no BLACK_TO_WHITE call beyond
-        # the seed's one per black, and no WW_EDGE call at all, since the
-        # driver drops a white's white-white edges without its predicate
-        # (calling it once per removed edge and once more per swept white
-        # made 14,547 calls).  Re-queueing BLACK_TO_WHITE at every black
-        # neighbor of a black that lost an edge, not only where that black
-        # fits in the neighbor's ball, made 23,975 calls for these
-        # firings, 11,430 of them BLACK_TO_WHITE.  Seeding every black
-        # under all three black rules as well made 25,579, and re-queueing
-        # every rule at every vertex within distance 1 of a mutation as
-        # well made 39,694.
+    def test_canonical_instance_firings_and_keys_examined(self, monkeypatch):
+        # 2002x6000 instance 0, whose 2,002 vertices all start black and
+        # at degree 3 or more: the seed's one BLACK_TO_WHITE key per
+        # black and the re-queue table's 353 pushes give 2,355 pops, and
+        # the white phases sweep 5,667 entries.  Earlier drivers checked
+        # keys through predicate calls: 14,547 with one call per WW_EDGE
+        # firing, 23,975 with BLACK_TO_WHITE re-queued at every black
+        # neighbor of a black that lost an edge, 25,579 with every black
+        # seeded under all three black rules, and 39,694 with every rule
+        # re-queued within distance 1 of a mutation.
         work = tier1_work(monkeypatch, generate_instance(GroupSpec(2002, 6000), 0, 0))
         assert work["firings"] == 4931
-        assert work["calls"] <= 8_880
-        assert work[SimpleRule.BLACK_TO_WHITE] <= 2_002
-        assert work[SimpleRule.WW_EDGE] == 0
+        assert work["left"] == 178
+        assert (work["pushes"], work["pops"], work["swept"]) == (353, 2_355, 5_667)
 
 
 class TestRuleProperties:
