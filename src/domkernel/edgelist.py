@@ -10,6 +10,7 @@ sidecar (or when no sidecar is given) are black.
 from __future__ import annotations
 
 from pathlib import Path
+from typing import NoReturn
 
 from .graph import ColoredGraph
 
@@ -24,52 +25,85 @@ class EdgeListError(ValueError):
         self.line_no = line_no
 
 
-def _id_lines(path, arity):
-    """Yield (line_no, ids) for each data line of path, where ids is a
-    tuple of `arity` (1 or 2) non-negative integer vertex ids."""
+def _read_text(path) -> str:
     try:
-        text = Path(path).read_text()
+        return Path(path).read_text()
     except UnicodeDecodeError as exc:
         raise EdgeListError(path, None, f"undecodable text: {exc}") from None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        parts = raw.split()
-        if not parts or parts[0][0] == "#":
-            continue
-        if len(parts) != arity:
-            raise EdgeListError(
-                path, line_no, f"expected {arity} vertex id(s), got {len(parts)} tokens"
-            )
-        try:  # unpacked directly: tuple(map(int, parts)) makes loading slower
-            ids = (int(parts[0]), int(parts[1])) if arity == 2 else (int(parts[0]),)
-        except ValueError:
-            raise EdgeListError(
-                path, line_no, f"non-integer vertex id in {raw.strip()!r}"
-            ) from None
-        if "-" in raw and min(ids) < 0:  # int() gives a negative only after a '-'
-            raise EdgeListError(path, line_no, "vertex ids must be non-negative")
-        yield line_no, ids
 
 
-def read_edge_list(path) -> list[tuple[int, int]]:
-    """Parse the edge pairs; duplicate edges are tolerated and collapse."""
-    edges = []
-    for line_no, (u, v) in _id_lines(path, 2):
-        if u == v:
-            raise EdgeListError(path, line_no, f"self-loop at {u} not allowed")
-        edges.append((u, v))
-    return edges
+def _refuse(path, line_no: int, raw: str, arity: int) -> NoReturn:
+    """Raise the EdgeListError for a data line of `arity` (1 or 2) vertex
+    ids that fails a check.  The checks, in order: the token count,
+    integer ids, non-negative ids, and for an edge no self-loop.  Called
+    only for a line that fails one of them."""
+    parts = raw.split()
+    if len(parts) != arity:
+        raise EdgeListError(
+            path, line_no, f"expected {arity} vertex id(s), got {len(parts)} tokens"
+        )
+    try:
+        ids = [int(p) for p in parts]
+    except ValueError:
+        raise EdgeListError(
+            path, line_no, f"non-integer vertex id in {raw.strip()!r}"
+        ) from None
+    if min(ids) < 0:
+        raise EdgeListError(path, line_no, "vertex ids must be non-negative")
+    raise EdgeListError(path, line_no, f"self-loop at {ids[0]} not allowed")
 
 
 def read_white_list(path) -> set[int]:
-    return {w for _, (w,) in _id_lines(path, 1)}
+    whites = set()
+    for line_no, raw in enumerate(_read_text(path).splitlines(), start=1):
+        parts = raw.split()
+        if not parts or parts[0][0] == "#":
+            continue
+        try:
+            (w,) = map(int, parts)
+        except ValueError:
+            _refuse(path, line_no, raw, 1)
+        if w < 0:
+            _refuse(path, line_no, raw, 1)
+        whites.add(w)
+    return whites
 
 
 def load_graph(path, white_path=None) -> ColoredGraph:
-    """Build the colored graph from an edge list plus optional sidecar."""
-    g = ColoredGraph.from_edges(read_edge_list(path))
+    """Build the colored graph from an edge list plus optional sidecar.
+
+    One loop over the lines checks each edge and adds it straight into
+    the adjacency; duplicate and reversed edges collapse.  Vertices enter
+    in order of first appearance, as ``ColoredGraph.from_edges`` adds
+    them, and the graph equals ``from_edges`` of the file's edges."""
+    adj: dict[int, set[int]] = {}
+    for line_no, raw in enumerate(_read_text(path).splitlines(), start=1):
+        parts = raw.split()
+        if not parts or parts[0][0] == "#":
+            continue
+        try:
+            a, b = parts
+            u, v = int(a), int(b)
+        except ValueError:
+            _refuse(path, line_no, raw, 2)
+        # int() gives a negative only after a '-'
+        if u == v or "-" in raw and (u < 0 or v < 0):
+            _refuse(path, line_no, raw, 2)
+        if u in adj:
+            adj[u].add(v)
+        else:
+            adj[u] = {v}
+        if v in adj:
+            adj[v].add(u)
+        else:
+            adj[v] = {u}
+    g = ColoredGraph()
+    g.adj = adj
+    g.black.update(adj)
+    g._next_id = max(adj, default=-1) + 1
     if white_path is not None:
         whites = read_white_list(white_path)
-        missing = whites - g.adj.keys()
+        missing = whites - adj.keys()
         if missing:
             raise EdgeListError(
                 white_path, None,

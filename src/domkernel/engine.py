@@ -9,7 +9,7 @@ ever run on graphs the cheap rules cannot shrink further.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .alber import apply_alber_pair_first, apply_alber_single_first
 from .graph import Instance
@@ -110,7 +110,9 @@ class KernelReport:
         return self.final_edges / self.initial_edges
 
     def to_dict(self) -> dict:
-        out = asdict(self)
+        # Shallow: every field but rule_applications, rebuilt below, is
+        # immutable.
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
         out["rule_applications"] = dict(sorted(self.rule_applications.items()))
         out["remaining_vertex_fraction"] = self.remaining_vertex_fraction
         out["remaining_edge_fraction"] = self.remaining_edge_fraction

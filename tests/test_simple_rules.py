@@ -333,14 +333,31 @@ class TestColorTable:
     def test_off_color_rules_never_fire_on_arbitrary_graphs(self, g):
         assert_off_color_rules_do_not_fire(g)
 
-    def test_off_color_pops_are_bounded(self, monkeypatch):
-        # The only black keys popped at a white are those of vertices
-        # whitened after they were queued: at most three per black.
-        g = generate_instance(GroupSpec(302, 900), 0, 0)
-        blacks = len(g.black)
-        work = tier1_work(monkeypatch, g)
-        assert work["firings"] > 0
-        assert work["off_color"] <= 3 * blacks
+    def test_no_pop_finds_a_white(self, monkeypatch):
+        """No black heap pops a vertex that is still there but white.
+        Every key is black when pushed, each heap holds a vertex at most
+        once, and a white phase follows every whitening before the next
+        pop.  Only two rules whiten:
+
+        - BLACK_TO_WHITE whitens the key u it popped, whose one entry in
+          its heap is gone.  If u is queued under DEGREE1_BLACK, its one
+          neighbor x is black with N(x) = {u}; the next white phase
+          sweeps u, and WHITE_SUBSUMED removes it, covered by x.  A black
+          queued under ISOLATED_BLACK has no neighbor to be whitened by.
+        - DEGREE1_BLACK fires only once the BLACK_TO_WHITE and
+          ISOLATED_BLACK heaps are empty.  A black y it whitens that is
+          queued under DEGREE1_BLACK had the taken support as its one
+          neighbor, so y is left isolated, swept as a neighbor of the
+          support, and removed by WHITE_NO_BLACK.
+
+        So this fails if the next white set misses u or y, or if a white
+        is queued under BLACK_TO_WHITE."""
+        graphs = [generate_instance(GroupSpec(302, 900), 0, 0),
+                  *bw_small_shaped(0, 200)]
+        for g in graphs:
+            work = tier1_work(monkeypatch, g)
+            assert work["firings"] > 0
+            assert work["off_color"] == 0
 
 
 def applicable_keys(g):
