@@ -6,10 +6,14 @@ black vertex in n3 can only be dominated from inside the ball, which forces
 the center(s) in, or at least lets everything the centers would cover be
 whitened.
 
-Such a black x has N(x) inside the (joint) closed neighborhood, so the
-scans generate the centres and pairs that have one (the single rule) or
-two (the pair rule) from the blacks' neighborhoods, and try the rule
-only there: it returns False, changing nothing, everywhere else.
+The single rule needs no partition: a black x lies in n3(v) exactly when
+x is a neighbor of v and N(y) lies inside N[v] for every y in N[x] - {v}
+(y = x keeps x out of n1, the other y keep x out of n2).  So its scan is
+one pass over the blacks, and what it reads lies within distance 2 of v.
+The pair rule partitions at each pair that has two blacks x with N(x)
+inside the joint closed neighborhood; those pairs are generated from the
+blacks' neighborhoods, and the rule returns False, changing nothing, at
+every other pair.
 """
 
 from __future__ import annotations
@@ -29,21 +33,6 @@ def partition(g: ColoredGraph, *centers: int) -> tuple[set, set, set]:
     n1 = {u for u in shell if not adj[u] <= ball}
     n2 = {u for u in shell - n1 if not adj[u].isdisjoint(n1)}
     return n1, n2, shell - n1 - n2
-
-
-def alber_rule1(inst: Instance, v: int) -> bool:
-    """Take v if its n3 shell contains a black vertex.
-
-    Such a vertex is dominated only from within N[v] minus n1, and every
-    candidate x there has N[x] inside N[v], so swapping x for v never hurts.
-    """
-    g = inst.graph
-    _, _, n3 = partition(g, v)
-    if n3.isdisjoint(g.black):
-        return False
-    inst.take_into_solution(v)
-    inst.stats["alber_single"] += 1
-    return True
 
 
 def alber_rule2(inst: Instance, v: int, w: int) -> bool:
@@ -88,20 +77,6 @@ def alber_rule2(inst: Instance, v: int, w: int) -> bool:
         inst.take_into_solution(w)
     inst.stats["alber_pair"] += 1
     return True
-
-
-def single_candidates(g: ColoredGraph) -> list:
-    """The centres v, ascending, with a black neighbor x whose N(x) lies
-    inside N[v]: a black in n3(v) is such an x, so the single rule can
-    fire nowhere else.  Generated from the blacks' neighborhoods."""
-    adj = g.adj
-    out = set()
-    for x in g.black:
-        ax = adj[x]
-        for v in ax:  # N(v) holds x and would hold N(x) - {v}
-            if len(adj[v]) >= len(ax) and len(ax - adj[v]) == 1:
-                out.add(v)
-    return sorted(out)
 
 
 def pair_candidates(g: ColoredGraph) -> list:
@@ -150,10 +125,34 @@ def _ball3(g: ColoredGraph, v: int) -> set:
 
 
 def apply_alber_single_first(inst: Instance) -> bool:
-    """Try the single rule at each of `single_candidates`, ascending;
-    apply it at the first hit.  The rule fires at no other vertex, so
-    this is the first hit of a scan over every vertex."""
-    return any(alber_rule1(inst, v) for v in single_candidates(inst.graph))
+    """Take the smallest centre v with a black in its n3 shell, if any:
+    one pass over the blacks x, each tried at its neighbors v below the
+    best centre so far.  That is the first hit of the rule tried at every
+    vertex, ascending.
+
+    A black x in n3(v) is dominated only from within N[v] minus n1, and
+    every dominator there has its closed neighborhood inside N[v], so
+    swapping it for v never hurts.
+    """
+    g = inst.graph
+    adj = g.adj
+    best = None
+    for x in g.black:
+        ax = adj[x]
+        for v in ax:
+            if best is not None and v >= best:
+                continue
+            # N(y) - N(v) holds v for every y in N[x] - {v}, all of them in
+            # N(v) once x passes, so N(y) <= N[v] means it holds only v.
+            av = adj[v]
+            if len(ax - av) == 1 and all(
+                    len(adj[y] - av) == 1 for y in ax if y != v):
+                best = v
+    if best is None:
+        return False
+    inst.take_into_solution(best)
+    inst.stats["alber_single"] += 1
+    return True
 
 
 def apply_alber_pair_first(inst: Instance) -> bool:

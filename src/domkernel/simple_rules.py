@@ -103,28 +103,22 @@ class SimpleRule(IntEnum):
 
 STAT_NAMES = tuple(rule.name.lower() for rule in SimpleRule)
 
-RULES_OF = ((0, 1, 2), (3, 4, 5))  # the rules a vertex can fire, by `v in black`
-WHITE_RULES = RULES_OF[False]
-
 
 # -- incremental fixed point ------------------------------------------
 
 
-def initial_keys(g: ColoredGraph) -> list:
-    """The keys the worklist starts from, as (rule, vertices) groups:
-    every white under the white rules (one shared set); every black under
-    BLACK_TO_WHITE, and also under ISOLATED_BLACK if it has no neighbor or
-    DEGREE1_BLACK if it has one.  Those two rules cannot apply at a black
-    of degree 2 or more, so every applicable key is among these."""
+def initial_keys(g: ColoredGraph) -> tuple:
+    """The vertices the worklist starts from, as (whites, blacks,
+    isolated, degree1): every white, queued under the three white rules;
+    every black, under BLACK_TO_WHITE; and the blacks with no neighbor or
+    one, under ISOLATED_BLACK or DEGREE1_BLACK.  Those two rules cannot
+    apply at a black of degree 2 or more, so every applicable key is
+    among these."""
     adj, black = g.adj, g.black
     whites = adj.keys() - black
     low = {v for v in black if len(adj[v]) < 2}
     isolated = {v for v in low if not adj[v]}
-    return [(r, whites) for r in WHITE_RULES] + [
-        (SimpleRule.BLACK_TO_WHITE, set(black)),
-        (SimpleRule.ISOLATED_BLACK, isolated),
-        (SimpleRule.DEGREE1_BLACK, low - isolated),
-    ]
+    return whites, set(black), isolated, low - isolated
 
 
 def apply_simple_exhaustively(inst: Instance, trace: list | None = None) -> int:
@@ -150,10 +144,10 @@ def apply_simple_exhaustively(inst: Instance, trace: list | None = None) -> int:
     """
     g = inst.graph
     adj, black = g.adj, g.black
-    (_, whites), _, _, *black_keys = initial_keys(g)
-    to_white_q, isolated_q, degree1_q = (queued for _, queued in black_keys)
+    whites, *black_keys = initial_keys(g)
+    to_white_q, isolated_q, degree1_q = black_keys
     to_white_h, isolated_h, degree1_h = heaps = [
-        [-v for v in queued] for _, queued in black_keys
+        [-v for v in queued] for queued in black_keys
     ]
     heappop, heappush = heapq.heappop, heapq.heappush
     for heap in heaps:

@@ -10,7 +10,7 @@ import random
 
 from hypothesis import strategies as st
 
-from domkernel.alber import alber_rule1, alber_rule2
+from domkernel.alber import alber_rule2, partition
 from domkernel.bench import CSV_COLUMNS
 from domkernel.edgelist import load_graph
 from domkernel.engine import ApproachConfig, kernelize
@@ -270,10 +270,14 @@ PREDICATES = (  # indexed by SimpleRule
 )
 
 
-def flat_keys(groups) -> list:
-    """The (rule, vertex) keys of the (rule, vertices) groups that
-    `simple_rules.initial_keys` returns, in group order, repeats kept."""
-    return [(rule, v) for rule, vertices in groups for v in vertices]
+def flat_keys(seed) -> list:
+    """The (rule, vertex) keys of the (whites, blacks, isolated, degree1)
+    seed that `simple_rules.initial_keys` returns, in rule order, repeats
+    kept: the whites under each white rule, the blacks under
+    BLACK_TO_WHITE, and the last two sets under their rules."""
+    whites, blacks, isolated, degree1 = seed
+    groups = (whites, whites, whites, blacks, isolated, degree1)
+    return [(rule, v) for rule, vertices in zip(SimpleRule, groups) for v in vertices]
 
 
 def golden_witnesses(g: ColoredGraph, rule: SimpleRule, v: int) -> set:
@@ -340,7 +344,19 @@ def apply_simple_exhaustively_naive(inst) -> int:
     return count
 
 
-# -- golden models of the Alber scans -----------------------------------
+# -- golden models of the Alber single rule and scans ------------------
+
+
+def alber_rule1(inst, v: int) -> bool:
+    """Reference single rule: take v if its n3 shell, from `partition`,
+    contains a black vertex, and count it as ``alber_single``."""
+    g = inst.graph
+    _, _, n3 = partition(g, v)
+    if n3.isdisjoint(g.black):
+        return False
+    inst.take_into_solution(v)
+    inst.stats["alber_single"] += 1
+    return True
 
 
 def apply_alber_single_first_naive(inst) -> bool:

@@ -6,9 +6,11 @@ bypassing capture, so a plain `pytest -v` run shows both the verdict per
 test and the measured quantities.  Criteria 4, 5, 7, and 8 share one
 full benchmark run over the canonical generated dataset (25 instances
 per group, master seed 0); the run doubles as the audit hook for
-scatter validity and the stopwatch for the time budget.
+scatter validity, the stopwatch for the time budget, and the behaviour
+oracle: its CSV must hash to the recorded digest.
 """
 
+import hashlib
 import os
 import time
 from types import SimpleNamespace
@@ -21,6 +23,7 @@ from domkernel.bench import (
     read_manifest,
     run_bench,
     worse_than_baseline_notes,
+    write_csv,
     write_dataset,
 )
 from domkernel.engine import ALL_CONFIGS, ATTEMPT_LIMIT, ApproachConfig, kernelize
@@ -37,6 +40,10 @@ from helpers import (
 )
 
 FRACTION_METRICS = ("remaining_vertex_fraction", "remaining_edge_fraction")
+
+# sha256 of the CSV that `domkernel gen --seed 0 --instances 25` and
+# `domkernel bench` write under all six configurations.
+CANONICAL_CSV_SHA256 = "18e4238b438d603df9b67ac13b3e7b928937ed0a9b847e1a4305283bdcb7636f"
 
 
 def _verdict(capsys, num, label, ok, detail):
@@ -273,6 +280,14 @@ def test_criterion_8_bench_terminates_in_budget(capsys, bench_run):
         f"{len(rows)} runs in {bench_run.elapsed:.1f}s (limit 1800s), "
         f"max attempts {max_attempts} of {ATTEMPT_LIMIT}",
     )
+
+
+def test_sweep_csv_is_byte_identical(bench_run, tmp_path):
+    """The sweep writes the recorded CSV byte for byte: a change that
+    alters one byte has changed behaviour, not just speed."""
+    path = tmp_path / "results.csv"
+    write_csv(path, bench_run.result)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CANONICAL_CSV_SHA256
 
 
 def test_real_world_corpus_or_waiver(capsys):

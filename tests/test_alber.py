@@ -4,13 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from domkernel.alber import (
-    alber_rule1,
     alber_rule2,
     apply_alber_pair_first,
     apply_alber_single_first,
     pair_candidates,
     partition,
-    single_candidates,
 )
 from domkernel.engine import ApproachConfig, kernelize
 from domkernel.exact import exact_dom
@@ -20,6 +18,7 @@ from domkernel.simple_rules import apply_simple_exhaustively
 
 from helpers import (
     SINGLE_FIRES,
+    alber_rule1,
     apply_alber_pair_first_naive,
     apply_alber_single_first_naive,
     bfs_distances,
@@ -315,8 +314,9 @@ def same_instance(a: Instance, b: Instance) -> bool:
 
 
 class TestCandidates:
-    """The scans try the rules only at generated candidates, which must
-    hold every centre and pair where a rule fires."""
+    """Each scan fires where the golden full scan fires.  The pair scan
+    tries its rule only at generated candidates, which must hold every
+    pair where the rule fires."""
 
     @pytest.mark.parametrize("scan, golden", [
         (apply_alber_single_first, apply_alber_single_first_naive),
@@ -336,18 +336,6 @@ class TestCandidates:
                 fired += 1
         assert fired >= 10
 
-    def test_every_firing_centre_is_a_candidate(self):
-        fired = 0
-        for g in alber_inputs():
-            candidates = set(single_candidates(g))
-            inst = Instance.from_graph(g.copy())
-            for v in sorted(g.adj):
-                if alber_rule1(inst, v):  # False changes nothing
-                    assert v in candidates, v
-                    fired += 1
-                    inst = Instance.from_graph(g.copy())
-        assert fired >= 10
-
     def test_every_firing_pair_is_a_candidate(self):
         fired = 0
         for g in alber_inputs():
@@ -363,15 +351,10 @@ class TestCandidates:
         assert fired >= 10
 
     def test_candidates_are_the_stated_sets(self):
-        # Exactly the centres with a black neighbor x, N(x) inside N[v],
-        # and the pairs at distance <= 3 with two blacks x in their joint
-        # shell, N(x) inside N[v] | N[w]: no more, so no wasted calls.
+        # Exactly the pairs at distance <= 3 with two blacks x in their
+        # joint shell, N(x) inside N[v] | N[w]: no more, so no wasted calls.
         for g in alber_inputs():
             adj, black = g.adj, g.black
-            assert single_candidates(g) == [
-                v for v in sorted(adj)
-                if any(adj[x] <= adj[v] | {v} for x in adj[v] & black)
-            ]
             pairs = []
             for v in sorted(adj):
                 near = bfs_distances(g, v)
@@ -395,3 +378,66 @@ class TestCandidates:
         inst = Instance.from_graph(g)
         assert alber_rule2(inst, 0, 4)
         assert inst.solution == {0, 4}
+
+
+def within_distance_2(g: ColoredGraph, centres) -> ColoredGraph:
+    """The subgraph of g induced by the vertices within distance 2 of the
+    centres, colours kept.  It keeps g's next fresh id, so that a gadget
+    planted on it gets the ids it would get on g."""
+    ball = set(centres)
+    for _ in range(2):
+        ball = g.closed_neighborhood_of_set(ball)
+    near = ColoredGraph()
+    near.adj = {u: g.adj[u] & ball for u in ball}
+    near.black = g.black & ball
+    near._next_id = g._next_id
+    return near
+
+
+def outcome(rule, g: ColoredGraph, *centres) -> tuple:
+    """Whether rule fires at the centres of g, which it mutates; the
+    solution it commits; and the vertices that enter or leave the black
+    set."""
+    inst = Instance.from_graph(g)
+    black = set(g.black)
+    return rule(inst, *centres), inst.solution, black ^ g.black
+
+
+def radius_inputs() -> list:
+    """Small random graphs as given, on which the single rule fires; the
+    canonical tier-1 kernels; and a gadget firing whose graph has a larger
+    id beyond the pair's distance 2."""
+    gadget = both_cover_graph(9)
+    gadget.add_vertex(20)
+    graphs = [off_none_kernel(generate_instance(spec, 0, 0))
+              for spec in canonical_groups()]
+    return graphs + [gadget] + list(mixed_instance_stream(31, 300))
+
+
+class TestReadRadius:
+    """Each Alber rule reads nothing beyond distance 2 of its centres: it
+    does the same on g as on the subgraph induced within distance 2.  At
+    distance 1 both rules disagree on most of these cases."""
+
+    def test_single_rule_reads_within_distance_2(self):
+        fired = 0
+        for g in radius_inputs():
+            for v in sorted(g.adj):
+                near = outcome(alber_rule1, within_distance_2(g, [v]), v)
+                assert outcome(alber_rule1, g.copy(), v) == near, v
+                fired += near[0]
+        assert fired >= 10
+
+    def test_pair_rule_reads_within_distance_2(self):
+        fired = gadgets = 0
+        for g in radius_inputs():
+            for v in sorted(g.adj):
+                dist = bfs_distances(g, v)
+                for w in sorted(dist):
+                    if w <= v or dist[w] > 3:
+                        continue
+                    near = outcome(alber_rule2, within_distance_2(g, [v, w]), v, w)
+                    assert outcome(alber_rule2, g.copy(), v, w) == near, (v, w)
+                    fired += near[0]
+                    gadgets += max(near[2], default=-1) >= g._next_id
+        assert fired >= 10 and gadgets >= 1
