@@ -1,0 +1,90 @@
+#!/usr/bin/env python3
+"""The scale ladder: CPU time per vertex of `kernelize` as planar input
+grows.
+
+For instance 0 at seed 0 of each rung, 16016x48000, 32032x96000,
+64064x192000 and 128128x384000 (GroupSpec(2002k, 6000k) for k = 8, 16,
+32, 64), runs off.none and on.both once each, from the generated graph,
+and prints one JSON line per run: the rung, the configuration, the
+vertices, the CPU seconds of the kernelize call and per input vertex,
+the pair-rule firings, and each tier's calls and CPU seconds.  The tier
+numbers come from wrappers assigned, for the run, to the tier names that
+`domkernel.engine` looks up.  All times are `time.process_time`.
+
+    PYTHONPATH=src python3 scripts/ladder.py
+
+takes no options and about 10 s.  One run per rung is a pointer, not a
+claim: CPU speed on a shared host varies from run to run.
+"""
+
+import json
+import sys
+import time
+
+import domkernel.engine as engine
+from domkernel.engine import ApproachConfig, kernelize
+from domkernel.graph import Instance
+from domkernel.plangen import GroupSpec, generate_instance
+
+RUNGS = tuple(GroupSpec(2002 * k, 6000 * k, 1) for k in (8, 16, 32, 64))
+CONFIGS = ("off.none", "on.both")
+TIERS = (
+    "apply_simple_exhaustively",
+    "apply_alber_single_first",
+    "apply_alber_pair_first",
+    "sparsity_reduce",
+)
+
+
+def measure(spec: GroupSpec, g, config_name: str) -> dict:
+    """Kernelize g under the configuration, timing each tier call."""
+    tiers = {name: {"calls": 0, "cpu_s": 0.0} for name in TIERS}
+    originals = {name: getattr(engine, name) for name in TIERS}
+
+    def timed(name):
+        tier, record = originals[name], tiers[name]
+
+        def call(*args, **kwargs):
+            start = time.process_time()
+            try:
+                return tier(*args, **kwargs)
+            finally:
+                record["calls"] += 1
+                record["cpu_s"] += time.process_time() - start
+        return call
+
+    try:
+        for name in TIERS:
+            setattr(engine, name, timed(name))
+        start = time.process_time()
+        report = kernelize(Instance.from_graph(g), ApproachConfig.from_name(config_name))
+        cpu = time.process_time() - start
+    finally:
+        for name, tier in originals.items():
+            setattr(engine, name, tier)
+    return {
+        "group": spec.name,
+        "config": config_name,
+        "vertices": report.initial_vertices,
+        "cpu_s": round(cpu, 4),
+        "us_per_vertex": round(cpu / report.initial_vertices * 1e6, 2),
+        "pair_firings": report.rule_applications["alber_pair"],
+        "tiers": {
+            name: {"calls": t["calls"], "cpu_s": round(t["cpu_s"], 4)}
+            for name, t in tiers.items() if t["calls"]
+        },
+    }
+
+
+def main(rungs=RUNGS, out=sys.stdout) -> int:
+    for spec in rungs:
+        g = generate_instance(spec, 0, 0)
+        for config_name in CONFIGS:
+            line = measure(spec, g.copy(), config_name)
+            out.write(json.dumps(line) + "\n")
+            out.flush()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

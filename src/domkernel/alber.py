@@ -14,11 +14,36 @@ The pair rule partitions at each pair that has two blacks x with N(x)
 inside the joint closed neighborhood; those pairs are generated from the
 blacks' neighborhoods, and the rule returns False, changing nothing, at
 every other pair.
+
+Within one kernelize run both scans resume where their last call
+stopped, reading the run's `Touched` log of changed vertices.  Whether
+the single rule fires at v, whether (v, w) is a candidate, and whether
+the pair rule fires there, depend on nothing beyond the subgraph induced
+within distance 2 of the centres (tests/test_alber.py::TestReadRadius).
+That subgraph stays the same while no vertex within distance 2 of the
+centres changes its adjacency or colour.  So after changes T only the
+centres, and the pairs with an endpoint, within distance 2 of T can
+change status: that is both tiers' dirty radius.
+
+A call that hit found every centre or pair before its hit to fail, and
+tried none after it; a call that missed found them all to fail.  So the
+next call must try, in the same order, the dirty ones before the last
+hit and every one from the hit on; every other one before the hit still
+fails, and the first that fires is the first hit of the full scan.  The
+pair scan keeps its untried candidates in a heap, to which it adds the
+dirty candidates.  The single scan, whose hits are rare, keeps only
+whether its last call hit: after a hit it tries every centre again,
+after a miss only the dirty ones.
 """
 
 from __future__ import annotations
 
-from .graph import ColoredGraph, Instance
+from heapq import heappop, heappush
+
+from .graph import ColoredGraph, Instance, Touched
+
+# The two tiers' names as readers of the run's `Touched` log.
+SINGLE, PAIR = "single", "pair"
 
 
 def partition(g: ColoredGraph, *centers: int) -> tuple[set, set, set]:
@@ -79,22 +104,26 @@ def alber_rule2(inst: Instance, v: int, w: int) -> bool:
     return True
 
 
-def pair_candidates(g: ColoredGraph) -> list:
+def pair_candidates(g: ColoredGraph, near: set | None = None) -> list:
     """The pairs (v, w), v < w, lexicographic, that at least two distinct
     blacks x count for: x in N(v) counts for w when N(x) lies inside
     N[v] | N[w] and w is neither v nor x, and symmetrically.  Every black
     of n3(v, w) counts for the pair, and the pair rule needs two, so it
-    can fire nowhere else.
+    can fire nowhere else.  With `near`, only the pairs with an endpoint
+    in near.
 
     With rest = N(x) - N[v], x counts for the w in the intersection of
     N[y] over y in rest; each is within distance 3 of v (v, x, y, w).
     When rest is empty, x counts for every w within distance 3 of v, the
-    partners the full scan would try."""
+    partners the full scan would try.  So a black that counts for a pair
+    with an endpoint in near lies within distance 4 of near (x, v, and
+    three steps to w), and only those blacks are read."""
     adj = g.adj
+    blacks = g.black if near is None else g.ball(near, 4) & g.black
     balls = {}
     first = {}  # pair -> the first black counted for it
     out = set()
-    for x in g.black:
+    for x in blacks:
         ax = adj[x]
         for v in ax:
             rest = ax - adj[v]
@@ -107,37 +136,40 @@ def pair_candidates(g: ColoredGraph) -> list:
             else:
                 partners = balls.get(v)
                 if partners is None:
-                    partners = balls[v] = _ball3(g, v)
+                    partners = balls[v] = g.ball((v,), 3)
             for w in partners:
                 if w != v and w != x:
                     pair = (v, w) if v < w else (w, v)
                     if first.setdefault(pair, x) != x:
                         out.add(pair)
+    if near is not None:
+        out = {p for p in out if p[0] in near or p[1] in near}
     return sorted(out)
 
 
-def _ball3(g: ColoredGraph, v: int) -> set:
-    """The vertices within distance 3 of v, v included."""
-    ball = {v}
-    for _ in range(3):
-        ball = g.closed_neighborhood_of_set(ball)
-    return ball
-
-
-def apply_alber_single_first(inst: Instance) -> bool:
+def apply_alber_single_first(inst: Instance, touched: Touched | None = None) -> bool:
     """Take the smallest centre v with a black in its n3 shell, if any:
     one pass over the blacks x, each tried at its neighbors v below the
     best centre so far.  That is the first hit of the rule tried at every
     vertex, ascending.
+
+    After a call that missed, only the centres within distance 2 of a
+    change can fire (see the module docstring), and their black
+    neighbors lie within distance 3 of it: the pass reads only those
+    blacks.  Any other centre it tries still fails.
 
     A black x in n3(v) is dominated only from within N[v] minus n1, and
     every dominator there has its closed neighborhood inside N[v], so
     swapping it for v never hurts.
     """
     g = inst.graph
-    adj = g.adj
+    adj, black = g.adj, g.black
+    if touched is None:
+        touched = Touched()
+    near = touched.near(g, SINGLE, 3)
+    missed = near is not None and not touched.scans.get(SINGLE)
     best = None
-    for x in g.black:
+    for x in near & black if missed else black:
         ax = adj[x]
         for v in ax:
             if best is not None and v >= best:
@@ -148,15 +180,65 @@ def apply_alber_single_first(inst: Instance) -> bool:
             if len(ax - av) == 1 and all(
                     len(adj[y] - av) == 1 for y in ax if y != v):
                 best = v
+    touched.scans[SINGLE] = best is not None  # whether this call hit
     if best is None:
         return False
+    touched.log.append(best)
+    touched.log += adj[best]
     inst.take_into_solution(best)
     inst.stats["alber_single"] += 1
     return True
 
 
-def apply_alber_pair_first(inst: Instance) -> bool:
-    """Try the pair rule at each of `pair_candidates`, lexicographic;
-    apply it at the first hit.  The rule fires at no other pair, so this
-    is the first hit of a scan over every pair at distance <= 3."""
-    return any(alber_rule2(inst, v, w) for v, w in pair_candidates(inst.graph))
+def apply_alber_pair_first(inst: Instance, touched: Touched | None = None) -> bool:
+    """Apply the pair rule at the first pair, lexicographic, where it
+    fires among `pair_candidates`, the only pairs where it can; that is
+    the first hit of a scan over every pair at distance <= 3.
+
+    The untried candidates wait in a heap of (v, w, stamp) that lasts
+    the run.  Each later call queues the candidates with an endpoint
+    within distance 2 of a vertex changed since its last call, stamped
+    with the log's length, and so marks their older entries stale.  An
+    entry that is stale or has lost an endpoint is dropped unread.  When
+    `Touched.near` returns every vertex, the call starts over, as the
+    first one does.
+    """
+    g = inst.graph
+    adj = g.adj
+    if touched is None:
+        touched = Touched()
+    near = touched.near(g, PAIR, 2)
+    stamp = len(touched.log)  # larger at every call that sees a change
+    if near is None:
+        queue, requeued = touched.scans[PAIR] = [], {}
+        candidates = pair_candidates(g)
+        for k, (v, w) in enumerate(candidates):
+            if _fires(inst, v, w, touched.log):
+                # Sorted, so already a heap.
+                queue += [(a, b, stamp) for a, b in candidates[k + 1:]]
+                return True
+        return False
+    queue, requeued = touched.scans.setdefault(PAIR, ([], {}))
+    for v in near:
+        requeued[v] = stamp
+    for v, w in pair_candidates(g, near):
+        heappush(queue, (v, w, stamp))
+    while queue:
+        v, w, queued = heappop(queue)
+        if (v in adj and w in adj and requeued.get(v, -1) <= queued
+                and requeued.get(w, -1) <= queued and _fires(inst, v, w, touched.log)):
+            return True
+    return False
+
+
+def _fires(inst: Instance, v: int, w: int, log: list) -> bool:
+    """Apply the pair rule at (v, w); when it fires, log v, w and their
+    neighborhoods, which hold every vertex it changed."""
+    adj = inst.graph.adj
+    av, aw = adj[v], adj[w]  # kept after a take removes v or w
+    if not alber_rule2(inst, v, w):
+        return False
+    log += (v, w)
+    log += av
+    log += aw
+    return True

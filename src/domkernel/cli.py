@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from .edgelist import EdgeListError, load_graph, write_edge_list, write_white_li
 from .engine import ApproachConfig, kernelize
 from .exact import DEFAULT_VERTEX_LIMIT, OracleSizeError, exact_dom
 from .graph import Instance
-from .plangen import canonical_groups, generate_group
+from .plangen import GroupSpec, canonical_groups, generate_group
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -47,7 +48,8 @@ def build_parser() -> _Parser:
     )
     gen.add_argument(
         "--groups", default=None,
-        help="comma-separated group names to restrict to, e.g. 302x900",
+        help="comma-separated NxM group names to generate instead of the"
+        " canonical six: N vertices thinned to M edges, e.g. 302x900",
     )
 
     ker = sub.add_parser("kernelize", help="reduce one instance")
@@ -89,15 +91,23 @@ def _name_list(flag, value):
     return names
 
 
+def _group(name: str, instances: int) -> GroupSpec:
+    """The group an NxM name stands for, with `instances` instances."""
+    match = re.fullmatch(r"([1-9][0-9]*)x(0|[1-9][0-9]*)", name)
+    if match is None:
+        raise ValueError(f"--groups names are NxM, e.g. 302x900; got {name!r}")
+    try:
+        return GroupSpec(int(match[1]), int(match[2]), instances)
+    except ValueError as exc:
+        raise ValueError(f"--groups {name}: {exc}") from None
+
+
 def _cmd_gen(args) -> int:
-    groups = canonical_groups(args.instances)
-    if args.groups is not None:
-        wanted = _name_list("--groups", args.groups)
-        by_name = {g.name: g for g in groups}
-        missing = [w for w in wanted if w not in by_name]
-        if missing:
-            raise ValueError(f"unknown group names: {', '.join(missing)}")
-        groups = tuple(by_name[w] for w in wanted)
+    if args.groups is None:
+        groups = canonical_groups(args.instances)
+    else:
+        names = _name_list("--groups", args.groups)
+        groups = tuple(_group(name, args.instances) for name in names)
     graphs = ((spec.name, generate_group(spec, args.seed)) for spec in groups)
     metadata = {"master_seed": args.seed, "instances_per_group": args.instances}
     manifest = write_dataset(args.out, graphs, metadata)

@@ -3,7 +3,8 @@
 Tier 1 is the six simple rules run to exhaustion; tier 2 the single-vertex
 neighborhood rule; tier 3 the pair rule; tier 4 the sparsity reduction.
 Any success at a higher tier falls back to tier 1, so expensive scans only
-ever run on graphs the cheap rules cannot shrink further.
+ever run on graphs the cheap rules cannot shrink further.  Within a run,
+tiers 1 to 3 revisit only what changed since they last looked.
 """
 
 from __future__ import annotations
@@ -11,12 +12,16 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, fields
 
-from .alber import apply_alber_pair_first, apply_alber_single_first
-from .graph import Instance
-from .simple_rules import STAT_NAMES, apply_simple_exhaustively
+from .alber import PAIR, SINGLE, apply_alber_pair_first, apply_alber_single_first
+from .graph import Instance, Touched
+from .simple_rules import READER, STAT_NAMES, apply_simple_exhaustively
 from .sparsity import sparsity_reduce
 
 ALBER_MODES = ("none", "one", "both")
+
+# The tiers that read the run's `Touched` log, in ApproachConfig.tiers
+# order: tier 1 and the two Alber tiers.  Tier 4 only writes to it.
+READERS = (READER, SINGLE, PAIR)
 
 ATTEMPT_LIMIT = 10_000_000
 
@@ -141,6 +146,21 @@ def kernelize(
     counts, ``attempts`` and the elapsed time continue from ``after``, so
     the report equals a run from the input.  Any other ``after``, or any
     ``after`` for ``off.none``, raises ValueError.
+
+    Higher tiers revisit only what changed.  The run keeps one `Touched`
+    log, which every tier call gets, and this invariant holds: each
+    vertex whose adjacency or colour changed after a reading tier last
+    looked is in the log past that look.  Each tier adds its own
+    changes: tier 1 the vertices each firing changed, once a higher tier
+    has looked; the single tier the centre it takes and its neighbours;
+    the pair tier v, w and their neighbourhoods, which hold the whitened
+    shell and the gadget's two new vertices; tier 4 the vertices it
+    whitens.  Tier 1 then re-seeds only N[changes] (see `simple_rules`),
+    the Alber tiers resume their scans (see `alber`), and tier 4 scans
+    everything.  A tier that has not looked scans everything, as does a
+    tier called without the log.  A continued run starts with the
+    prefix's tiers counted as having looked, since the kernel is their
+    fixed point.
     """
     tiers = config.tiers
     g = inst.graph
@@ -161,8 +181,11 @@ def kernelize(
         attempts = after.attempts
         start -= after.elapsed_seconds
         i = len(tiers) - 1
+    touched = Touched()
+    for reader in READERS[:i]:  # the prefix's tiers, in a continued run
+        touched.mark(reader)
     while i < len(tiers):
-        reduced = tiers[i](inst)
+        reduced = tiers[i](inst, touched=touched)
         attempts += 1 + (reduced if i == 0 else 0)
         i = 0 if i and reduced else i + 1
         if attempts > ATTEMPT_LIMIT:

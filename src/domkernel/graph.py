@@ -107,6 +107,22 @@ class ColoredGraph:
             out.add(v)
         return out
 
+    def ball(self, vs, radius: int) -> set[int]:
+        """The vertices within distance `radius` of the members of vs that
+        are vertices of the graph."""
+        adj = self.adj
+        seen = {v for v in vs if v in adj}
+        frontier = seen
+        for _ in range(radius):
+            if len(seen) == len(adj):
+                break
+            reached = set()
+            for v in frontier:
+                reached |= adj[v]
+            frontier = reached - seen
+            seen |= frontier
+        return seen
+
     def white_vertices(self) -> set[int]:
         return self.adj.keys() - self.black
 
@@ -158,6 +174,47 @@ class Instance:
 
     def copy(self) -> "Instance":
         return Instance(self.graph.copy(), set(self.solution), Counter(self.stats))
+
+
+class Touched:
+    """The vertices whose adjacency or colour changed during one kernelize
+    run, removed ones included: one log that every tier appends to, and
+    that each tier reading it consumes from where it last looked.
+
+    A reader that has not looked yet gets None, which stands for every
+    vertex; so a tier handed a fresh object scans the whole graph, and
+    that is what a tier called without one does.  ``scans`` keeps each
+    reader's own resume state between its calls.
+    """
+
+    __slots__ = ("log", "scans", "_marks")
+
+    def __init__(self) -> None:
+        self.log: list[int] = []
+        self.scans: dict = {}
+        self._marks: dict = {}
+
+    def near(self, g: ColoredGraph, reader: str, radius: int) -> set[int] | None:
+        """The vertices of g within distance `radius` of those changed
+        since reader last looked; None, for every vertex, on reader's
+        first look or when that is every vertex.  Either way, reader has
+        now looked."""
+        start = self._marks.get(reader)
+        end = self._marks[reader] = len(self.log)
+        if start is None:
+            return None
+        near = g.ball(self.log[start:end], radius)
+        return None if len(near) == len(g.adj) else near
+
+    def mark(self, reader: str) -> None:
+        """Count everything logged so far as seen by reader."""
+        self._marks[reader] = len(self.log)
+
+    def watched(self, writer: str) -> bool:
+        """Whether a reader other than writer has looked.  Until one has,
+        every reader's next look returns None, so writer's changes need
+        no log."""
+        return len(self._marks) > (writer in self._marks)
 
 
 def is_1_scattered(g: ColoredGraph, vs, removed=frozenset()) -> bool:

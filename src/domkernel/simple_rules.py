@@ -69,6 +69,17 @@ rules' plain statements, one predicate per rule, live in
 ``tests/helpers.py`` with the naive loop that applies them one step at a
 time; the tests check the driver's firing sequence against that loop.
 
+Within one kernelize run tier 1 runs again after every higher tier that
+reduces, and those tiers fire only on a tier-1 fixed point.  A rule's
+condition at u reads only the adjacency and colour of u and of u's
+neighbors; if none of them changed, neither did the condition.  So after
+the changes T that the run's `Touched` log holds since tier 1 last ran,
+only the keys of N[T] can have become applicable.  The re-run is seeded
+with N[T] alone, which keeps the invariant the worklist needs, so it fires
+exactly what a seed of every vertex would.  Once a higher tier has
+looked at the log, tier 1 logs what each firing changes; until then
+every tier scans in full at its next call, and nothing is logged.
+
 The driver counts firings per rule and adds them to ``inst.stats`` when
 it returns.  Given a list as ``trace``, it appends each firing's (rule,
 vertex, witness) to it, which is how the tests compare its firing
@@ -87,7 +98,7 @@ from __future__ import annotations
 import heapq
 from enum import IntEnum
 
-from .graph import ColoredGraph, Instance
+from .graph import ColoredGraph, Instance, Touched
 
 
 class SimpleRule(IntEnum):
@@ -103,25 +114,34 @@ class SimpleRule(IntEnum):
 
 STAT_NAMES = tuple(rule.name.lower() for rule in SimpleRule)
 
+# This tier's name as a reader of the run's `Touched` log.
+READER = "simple"
+
 
 # -- incremental fixed point ------------------------------------------
 
 
-def initial_keys(g: ColoredGraph) -> tuple:
+def initial_keys(g: ColoredGraph, near: set | None = None) -> tuple:
     """The vertices the worklist starts from, as (whites, blacks,
-    isolated, degree1): every white, queued under the three white rules;
-    every black, under BLACK_TO_WHITE; and the blacks with no neighbor or
-    one, under ISOLATED_BLACK or DEGREE1_BLACK.  Those two rules cannot
-    apply at a black of degree 2 or more, so every applicable key is
-    among these."""
+    isolated, degree1): every white of `near` (all vertices when None),
+    queued under the three white rules; every black of it, under
+    BLACK_TO_WHITE; and those blacks with no neighbor or one, under
+    ISOLATED_BLACK or DEGREE1_BLACK.  Those two rules cannot apply at a
+    black of degree 2 or more, so every applicable key of `near` is among
+    these."""
     adj, black = g.adj, g.black
-    whites = adj.keys() - black
-    low = {v for v in black if len(adj[v]) < 2}
+    if near is None:
+        whites, blacks = adj.keys() - black, set(black)
+    else:
+        whites, blacks = near - black, near & black
+    low = {v for v in blacks if len(adj[v]) < 2}
     isolated = {v for v in low if not adj[v]}
-    return whites, set(black), isolated, low - isolated
+    return whites, blacks, isolated, low - isolated
 
 
-def apply_simple_exhaustively(inst: Instance, trace: list | None = None) -> int:
+def apply_simple_exhaustively(
+    inst: Instance, trace: list | None = None, touched: Touched | None = None
+) -> int:
     """Apply the six rules to a fixed point; returns the application count.
 
     Behaviorally identical to the naive loop.  Starting from the seed of
@@ -141,10 +161,30 @@ def apply_simple_exhaustively(inst: Instance, trace: list | None = None) -> int:
 
     When `trace` is a list, each firing appends its (rule, vertex,
     witness) to it, in firing order.
+
+    With `touched`, the run's log of changed vertices, the seed is N[T]
+    for the vertices T changed since this tier last ran (see the module
+    docstring), or every vertex when `Touched.near` says so.
     """
     g = inst.graph
     adj, black = g.adj, g.black
-    whites, *black_keys = initial_keys(g)
+    if touched is None:
+        touched = Touched()
+    near = touched.near(g, READER, 1)
+    log = touched.log if touched.watched(READER) else None
+    noting = trace is not None or log is not None
+    if noting:
+        def note(rule, v, witness, also=()):
+            """Record one firing: in the trace, and the vertices it
+            changed (among v, the witness and `also`) in the log."""
+            if trace is not None:
+                trace.append((rule, v, witness))
+            if log is not None:
+                log.append(v)
+                log.append(witness)
+                log.extend(also)
+
+    whites, *black_keys = initial_keys(g, near)
     to_white_q, isolated_q, degree1_q = black_keys
     to_white_h, isolated_h, degree1_h = heaps = [
         [-v for v in queued] for queued in black_keys
@@ -169,14 +209,14 @@ def apply_simple_exhaustively(inst: Instance, trace: list | None = None) -> int:
                 for w in sorted(partners, reverse=True):
                     av.remove(w)
                     adj[w].remove(v)
-                    if trace is not None:
-                        trace.append((WW, v, w))
+                    if noting:
+                        note(WW, v, w)
                 fired[WW] += len(partners)
             (covered if av else lonely).append(v)
         for v in lonely:
             del adj[v]
-            if trace is not None:
-                trace.append((NO_BLACK, v, v))
+            if noting:
+                note(NO_BLACK, v, v)
         fired[NO_BLACK] += len(lonely)
         for v in covered:
             av = adj[v]
@@ -188,8 +228,8 @@ def apply_simple_exhaustively(inst: Instance, trace: list | None = None) -> int:
                 continue
             del adj[v]
             fired[SUBSUMED] += 1
-            if trace is not None:
-                trace.append((SUBSUMED, v, u))
+            if noting:
+                note(SUBSUMED, v, u, av)
             for x in av:
                 ax = adj[x]
                 ax.remove(v)
@@ -223,8 +263,8 @@ def apply_simple_exhaustively(inst: Instance, trace: list | None = None) -> int:
         if witness is not None:
             black.remove(u)
             fired[TO_WHITE] += 1
-            if trace is not None:
-                trace.append((TO_WHITE, u, witness))
+            if noting:
+                note(TO_WHITE, u, witness)
             whites = au - black
             whites.add(u)
             continue
@@ -234,8 +274,8 @@ def apply_simple_exhaustively(inst: Instance, trace: list | None = None) -> int:
             if v in black and not adj[v]:
                 inst.take_into_solution(v)
                 fired[ISOLATED] += 1
-                if trace is not None:
-                    trace.append((ISOLATED, v, v))
+                if noting:
+                    note(ISOLATED, v, v)
         while degree1_h:
             v = -heappop(degree1_h)
             degree1_q.discard(v)
@@ -245,14 +285,15 @@ def apply_simple_exhaustively(inst: Instance, trace: list | None = None) -> int:
         if witness is None:
             break
         fired[DEGREE1] += 1
-        if trace is not None:
-            trace.append((DEGREE1, v, witness))
+        if noting:
+            note(DEGREE1, v, witness, adj[witness])
         whitened = adj[witness] & black
         whites = set(adj[witness])
         inst.take_into_solution(witness)
         for y in whitened:
             whites |= adj[y] - black
 
+    touched.mark(READER)
     for rule, n in enumerate(fired):
         if n:
             inst.stats[STAT_NAMES[rule]] += n

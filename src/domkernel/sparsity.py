@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 import math
 
-from .graph import ColoredGraph, Instance, is_1_scattered
+from .graph import ColoredGraph, Instance, Touched, is_1_scattered
 
 # Escalation stops once no vertex outside D' has more than this many D'
 # neighbors.
@@ -23,7 +23,9 @@ def greedy_dominating_set(g: ColoredGraph, targets) -> set[int]:
 
     Each step takes the vertex covering the most still-uncovered targets,
     ties to the smallest id.  Lazily re-evaluates stale heap entries, which
-    is equivalent to the full rescan because coverage only shrinks.
+    is equivalent to the full rescan because coverage only shrinks.  Only
+    N[targets] covers any; when the targets are under an eighth of the
+    vertices, only it is read, and group_and_reduce's calls stay local.
     """
     remaining = set(targets)
     out: set[int] = set()
@@ -31,7 +33,8 @@ def greedy_dominating_set(g: ColoredGraph, targets) -> set[int]:
         return out
     adj = g.adj
     heap = []
-    for v in adj:
+    few = 8 * len(remaining) < len(adj)
+    for v in g.closed_neighborhood_of_set(remaining) if few else adj:
         c = len(adj[v] & remaining) + (1 if v in remaining else 0)
         if c:
             heap.append((-c, v))
@@ -101,9 +104,12 @@ def uqw_scatter(
     return frozenset(scattered), frozenset(deleted)
 
 
-def group_and_reduce(inst: Instance, d: frozenset, scattered) -> int:
+def group_and_reduce(
+    inst: Instance, d: frozenset, scattered, log: list | None = None
+) -> int:
     """Whiten irrelevant dominatees inside a 1-scattered family, against the
-    pool d: D' plus the hubs the scatter call deleted.
+    pool d: D' plus the hubs the scatter call deleted; returns how many,
+    and appends them to `log` when given.
 
     Members are grouped by the pair (direct pool contact, two-step contact
     with black pool members).  For a group B the counting argument: the
@@ -144,14 +150,17 @@ def group_and_reduce(inst: Instance, d: frozenset, scattered) -> int:
         excess = len(members) - cover - 1
         if excess <= 0:
             continue
-        g.black.difference_update(sorted(members, reverse=True)[:excess])
+        whiten = sorted(members, reverse=True)[:excess]
+        g.black.difference_update(whiten)
+        if log is not None:
+            log += whiten
         whitened += excess
     if whitened:
         inst.stats["sparsity_whitened"] += whitened
     return whitened
 
 
-def sparsity_reduce(inst: Instance) -> int:
+def sparsity_reduce(inst: Instance, touched: Touched | None = None) -> int:
     """One full escalation run; returns how many blacks were whitened.
 
     Starts from a greedy dominating pool of the current blacks.  Each pass
@@ -159,17 +168,21 @@ def sparsity_reduce(inst: Instance) -> int:
     group by group, then checks for a hub: the vertex outside D' with the
     most D' neighbors.  While that count exceeds HUB_THRESHOLD the hub
     joins D' and the pass repeats; pool growth bounds the loop.
+
+    Every call scans the whole graph; with `touched` it logs the
+    vertices it whitened.
     """
     g = inst.graph
     if not g.black:
         return 0
+    log = None if touched is None else touched.log
     d_prime = greedy_dominating_set(g, g.black)
     total = 0
     while True:
         inst.stats["sparsity_passes"] += 1
         scattered, deleted = uqw_scatter(g, g.black - d_prime, d_prime)
         inst.stats["sparsity_scatter_calls"] += 1
-        total += group_and_reduce(inst, frozenset(d_prime | deleted), scattered)
+        total += group_and_reduce(inst, frozenset(d_prime | deleted), scattered, log)
 
         count, hub = min(
             ((-len(g.adj[v] & d_prime), v) for v in g.adj.keys() - d_prime),

@@ -379,6 +379,64 @@ def apply_alber_pair_first_naive(inst) -> bool:
     return False
 
 
+def off_none_kernel(g: ColoredGraph) -> ColoredGraph:
+    """The kernel tier 1 alone leaves of a copy of g."""
+    inst = Instance.from_graph(g.copy())
+    kernelize(inst, ApproachConfig.from_name("off.none"))
+    return inst.graph
+
+
+# -- changes between tier calls -----------------------------------------
+
+
+def perturb(g: ColoredGraph, rng: random.Random, log: list) -> None:
+    """Change g at one to three random places, appending every vertex
+    whose adjacency or colour changed to log: drop an edge or a vertex,
+    add an edge or a fresh vertex joined to up to three vertices, or flip
+    a colour either way.  The changes a tier's resume must follow, and
+    more than the tiers themselves make."""
+    for _ in range(rng.randint(1, 3)):
+        vs = sorted(g.adj)
+        if not vs:
+            return
+        op = rng.randrange(5)
+        if op == 0 and g.edge_count:
+            u = rng.choice([v for v in vs if g.adj[v]])
+            w = rng.choice(sorted(g.adj[u]))
+            g.remove_edge(u, w)
+            log += (u, w)
+        elif op == 1:
+            v = rng.choice(vs)
+            log.append(v)
+            log += g.adj[v]
+            g.remove_vertex(v)
+        elif op == 2 and len(vs) > 1:
+            u, w = rng.sample(vs, 2)
+            if w not in g.adj[u]:
+                g.add_edge(u, w)
+                log += (u, w)
+        elif op == 3:
+            z = g.add_vertex()
+            log.append(z)
+            for u in rng.sample(vs, min(len(vs), rng.randint(1, 3))):
+                g.add_edge(z, u)
+                log.append(u)
+        else:
+            v = rng.choice(vs)
+            g.black ^= {v}
+            log.append(v)
+
+
+def changed_vertices(before: ColoredGraph, after: ColoredGraph) -> set:
+    """The vertices whose adjacency or colour differs between two states
+    of one graph, removed and added ones included."""
+    return {
+        v for v in before.adj.keys() | after.adj.keys()
+        if before.adj.get(v) != after.adj.get(v)
+        or (v in before.black) != (v in after.black)
+    }
+
+
 # -- golden model of the bench sweep ---------------------------------------
 
 

@@ -1,5 +1,7 @@
 """Neighborhood partitions and the two partition-based reduction rules."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,9 +12,8 @@ from domkernel.alber import (
     pair_candidates,
     partition,
 )
-from domkernel.engine import ApproachConfig, kernelize
 from domkernel.exact import exact_dom
-from domkernel.graph import ColoredGraph, Instance
+from domkernel.graph import ColoredGraph, Instance, Touched
 from domkernel.plangen import canonical_groups, generate_instance
 from domkernel.simple_rules import apply_simple_exhaustively
 
@@ -28,7 +29,9 @@ from helpers import (
     cycle_graph,
     hub_cycle,
     mixed_instance_stream,
+    off_none_kernel,
     path_graph,
+    perturb,
     phi,
     star_graph,
     verify_rule_safety,
@@ -288,12 +291,6 @@ class TestOracleSafety:
                 assert phi(inst) < potential
 
 
-def off_none_kernel(g: ColoredGraph) -> ColoredGraph:
-    inst = Instance.from_graph(g.copy())
-    kernelize(inst, ApproachConfig.from_name("off.none"))
-    return inst.graph
-
-
 def alber_inputs() -> list:
     """Graphs on which the Alber tiers have work: the tier-1 kernels they
     run on in the benchmark's sweeps; hand-built graphs on which the
@@ -367,6 +364,25 @@ class TestCandidates:
                         pairs.append((v, w))
             assert pair_candidates(g) == pairs
 
+    def test_candidates_near_a_set_are_the_full_ones_touching_it(self):
+        # The pairs with an endpoint in near, from the blacks within
+        # distance 4 of near; a black inside N(v) (the pendants below)
+        # counts for a pair (v, w) with w three steps away.
+        rng = random.Random(11)
+        graphs = alber_inputs()
+        graphs.append(colored([(0, 1), (0, 2), (2, 3), (3, 4), (4, 5)],
+                              white=[0, 2, 3, 4]))
+        touching = 0
+        for g in graphs:
+            full = pair_candidates(g)
+            vs = sorted(g.adj)
+            nears = [{v} for v in vs] + [set(rng.sample(vs, min(len(vs), 5)))]
+            for near in nears:
+                want = [p for p in full if p[0] in near or p[1] in near]
+                assert pair_candidates(g, near) == want, near
+                touching += len(want)
+        assert touching >= 5000
+
     def test_a_black_inside_n_v_counts_for_a_pair_at_distance_3(self):
         # White path 0-2-3-4 with black pendants 1 on 0 and 5 on 4.  N(1)
         # lies inside N[0], so 1 counts for every partner within distance
@@ -380,12 +396,12 @@ class TestCandidates:
         assert inst.solution == {0, 4}
 
 
-def within_distance_2(g: ColoredGraph, centres) -> ColoredGraph:
-    """The subgraph of g induced by the vertices within distance 2 of the
-    centres, colours kept.  It keeps g's next fresh id, so that a gadget
-    planted on it gets the ids it would get on g."""
+def within_distance(g: ColoredGraph, centres, radius: int = 2) -> ColoredGraph:
+    """The subgraph of g induced by the vertices within distance `radius`
+    of the centres, colours kept.  It keeps g's next fresh id, so that a
+    gadget planted on it gets the ids it would get on g."""
     ball = set(centres)
-    for _ in range(2):
+    for _ in range(radius):
         ball = g.closed_neighborhood_of_set(ball)
     near = ColoredGraph()
     near.adj = {u: g.adj[u] & ball for u in ball}
@@ -415,15 +431,17 @@ def radius_inputs() -> list:
 
 
 class TestReadRadius:
-    """Each Alber rule reads nothing beyond distance 2 of its centres: it
-    does the same on g as on the subgraph induced within distance 2.  At
-    distance 1 both rules disagree on most of these cases."""
+    """Each Alber rule, and whether a pair is a candidate, reads nothing
+    beyond distance 2 of the centres: each does the same on g as on the
+    subgraph induced within distance 2.  At distance 1 they disagree on
+    many of these cases.  The resumed scans re-try what lies within
+    distance 2 of a changed vertex, as nothing else can change status."""
 
     def test_single_rule_reads_within_distance_2(self):
         fired = 0
         for g in radius_inputs():
             for v in sorted(g.adj):
-                near = outcome(alber_rule1, within_distance_2(g, [v]), v)
+                near = outcome(alber_rule1, within_distance(g, [v]), v)
                 assert outcome(alber_rule1, g.copy(), v) == near, v
                 fired += near[0]
         assert fired >= 10
@@ -436,8 +454,58 @@ class TestReadRadius:
                 for w in sorted(dist):
                     if w <= v or dist[w] > 3:
                         continue
-                    near = outcome(alber_rule2, within_distance_2(g, [v, w]), v, w)
+                    near = outcome(alber_rule2, within_distance(g, [v, w]), v, w)
                     assert outcome(alber_rule2, g.copy(), v, w) == near, (v, w)
                     fired += near[0]
                     gadgets += max(near[2], default=-1) >= g._next_id
         assert fired >= 10 and gadgets >= 1
+
+
+class TestResume:
+    """Given the run's `Touched` log, each scan resumes its last one and
+    re-tries only what lies near the logged changes.  After any changes,
+    logged, it must hit where the full scan hits."""
+
+    @pytest.mark.parametrize("scan, golden", [
+        (apply_alber_single_first, apply_alber_single_first_naive),
+        (apply_alber_pair_first, apply_alber_pair_first_naive),
+    ], ids=["single", "pair"])
+    def test_resumed_scans_hit_where_the_full_scans_hit(self, scan, golden):
+        rng = random.Random(17)
+        corpus = [off_none_kernel(generate_instance(spec, i, 0))
+                  for spec in canonical_groups()[:3] for i in range(3)]
+        corpus += [hub_cycle(h, p) for h, p in ((3, 4), (3, 6), (4, 4))]
+        corpus += [SINGLE_FIRES, both_cover_graph(9)]
+        corpus += list(mixed_instance_stream(19, 200, 20))
+        corpus += bw_small_shaped(1, 30)
+        hits = resumed = 0
+        for g in corpus:
+            inst = Instance.from_graph(g.copy())
+            touched = Touched()
+            for step in range(8):
+                before = inst.copy()
+                hit = scan(inst, touched=touched)
+                assert hit == golden(before), step
+                assert same_instance(inst, before), step
+                hits += hit
+                resumed += hit and step > 0
+                perturb(inst.graph, rng, touched.log)
+        assert resumed >= 100
+
+    def test_pair_candidates_read_within_distance_2(self):
+        candidates = disagree_at_1 = 0
+        for g in radius_inputs():
+            full = set(pair_candidates(g))
+            for v in sorted(g.adj):
+                dist = bfs_distances(g, v)
+                for w in sorted(dist):
+                    if w <= v or dist[w] > 3:
+                        continue
+                    want = (v, w) in full
+                    near = within_distance(g, [v, w])
+                    assert ((v, w) in pair_candidates(near)) == want, (v, w)
+                    near = within_distance(g, [v, w], 1)
+                    disagree_at_1 += ((v, w) in pair_candidates(near)) != want
+                    candidates += want
+        assert candidates >= 1000
+        assert disagree_at_1 == 7461

@@ -359,9 +359,9 @@ class TestSharedTier1:
             calls.append((report, inst.graph))
             return report
 
-        def sizing_tier1(inst):
+        def sizing_tier1(inst, **kwargs):
             tier1_sizes.append((len(loads) - 1, inst.graph.vertex_count))
-            return real_tier1(inst)
+            return real_tier1(inst, **kwargs)
 
         monkeypatch.setattr(bench, "load_graph", counting_load)
         monkeypatch.setattr(bench, "kernelize", capturing_kernelize)

@@ -10,7 +10,7 @@ from domkernel.cli import main
 from domkernel.edgelist import write_edge_list, write_white_list
 from domkernel.engine import ALL_CONFIGS
 from domkernel.exact import exact_dom
-from domkernel.plangen import GroupSpec, generate_instance
+from domkernel.plangen import GroupSpec, canonical_groups, generate_instance
 
 from helpers import cycle_graph, path_graph, star_graph
 
@@ -71,10 +71,50 @@ class TestGen:
         on_disk, listed = self.files_on_disk_and_in_manifest(out)
         assert on_disk == listed == {"302x900/inst_000.edges"}
 
+    def test_canonical_names_write_the_canonical_bytes(self, tmp_path):
+        names = ",".join(spec.name for spec in canonical_groups())
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["gen", "--out", str(a), "--instances", "1"]) == 0
+        assert main(["gen", "--out", str(b), "--instances", "1", "--groups", names]) == 0
+        files = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
+        assert len(files) == 7
+        for rel in files:
+            assert (a / rel).read_bytes() == (b / rel).read_bytes()
+
     def test_unknown_group_is_a_usage_error(self, tmp_path, capsys):
-        code = main(["gen", "--out", str(tmp_path / "x"), "--groups", "1x1"])
+        # 1x1 has the NxM form, but GroupSpec refuses it; its reason is shown.
+        out = tmp_path / "x"
+        code = main(["gen", "--out", str(out), "--groups", "1x1"])
         assert code == 1
-        assert "unknown group" in capsys.readouterr().err
+        assert "need at least 3 vertices" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_more_edges_than_planar_allows_is_a_usage_error(self, tmp_path, capsys):
+        # Half of 2002x6000 is not 1001x3000: a planar graph on 1001
+        # vertices has at most 3 * 1001 - 6 = 2997 edges.
+        out = tmp_path / "x"
+        assert main(["gen", "--out", str(out), "--groups", "1001x3000"]) == 1
+        assert "edge target 3000 outside [0, 2997]" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["big", "302x", "302X900", "0302x900", "302x900x1"])
+    def test_a_group_name_that_is_not_nxm_is_a_usage_error(self, tmp_path, capsys, name):
+        out = tmp_path / "x"
+        assert main(["gen", "--out", str(out), "--groups", f"302x900,{name}"]) == 1
+        assert "NxM" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_any_nxm_name_generates_its_group(self, tmp_path):
+        out = tmp_path / "data"
+        argv = ["gen", "--out", str(out), "--groups", "1001x2997",
+                "--instances", "1", "--seed", "4"]
+        assert main(argv) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["groups"] == ["1001x2997"]
+        want = tmp_path / "want.edges"
+        write_edge_list(want, generate_instance(GroupSpec(1001, 2997, 1), 0, 4))
+        got = out / manifest["files"][0]["path"]
+        assert got.read_bytes() == want.read_bytes()
 
     @pytest.mark.parametrize(
         "groups", [",", "302x900,302x900"], ids=["no-groups", "repeated-group"]

@@ -5,6 +5,7 @@ import re
 import pytest
 
 import domkernel.engine as engine
+from domkernel.alber import apply_alber_pair_first, apply_alber_single_first
 from domkernel.bench import CSV_COLUMNS
 from domkernel.engine import (
     ALL_CONFIGS,
@@ -16,15 +17,22 @@ from domkernel.engine import (
 )
 from domkernel.exact import exact_dom
 from domkernel.graph import ColoredGraph, Instance
-from domkernel.simple_rules import SimpleRule
+from domkernel.plangen import GroupSpec, canonical_groups, generate_instance
+from domkernel.simple_rules import SimpleRule, apply_simple_exhaustively
+from domkernel.sparsity import sparsity_reduce
 
 from helpers import (
     PREDICATES,
     SINGLE_FIRES,
+    apply_alber_pair_first_naive,
+    apply_alber_single_first_naive,
     brute_force_dom,
+    bw_small_shaped,
+    changed_vertices,
     colored,
     hub_cycle,
     mixed_instance_stream,
+    off_none_kernel,
     star_graph,
 )
 
@@ -120,8 +128,8 @@ def tier_log(monkeypatch):
     def recording(name):
         tier = getattr(engine, name)
 
-        def call(inst):
-            result = tier(inst)
+        def call(inst, **kwargs):
+            result = tier(inst, **kwargs)
             log.append((name, result))
             return result
         return call
@@ -272,6 +280,156 @@ class TestKernelizeAfter:
             if config.prefix is None or config.prefix.name != name:
                 with pytest.raises(ValueError, match=re.escape(config.name)):
                     kernelize(inst.copy(), config, report)
+
+
+# The tiers as their own modules define them, kept from before any test
+# wraps engine's attributes.  Called without run state, each call scans
+# the whole graph.
+STATELESS = {
+    "apply_simple_exhaustively": apply_simple_exhaustively,
+    "apply_alber_single_first": apply_alber_single_first,
+    "apply_alber_pair_first": apply_alber_pair_first,
+    "sparsity_reduce": sparsity_reduce,
+}
+NAIVE = dict(
+    STATELESS,
+    apply_alber_single_first=apply_alber_single_first_naive,
+    apply_alber_pair_first=apply_alber_pair_first_naive,
+)
+
+
+def golden_run(g: ColoredGraph, config, tiers: dict):
+    """kernelize's loop, from the input, over config's tiers taken from
+    `tiers`, each call a full scan: tier 1 seeded with every vertex, the
+    Alber tiers trying every centre or pair.  Returns the instance it
+    left, the (tier, result) of each call and tier 1's trace."""
+    inst = Instance.from_graph(g.copy())
+    names = ("apply_simple_exhaustively",) + HIGHER_TIERS[config.name]
+    calls, trace = [], []
+    i = 0
+    while i < len(names):
+        if i == 0:
+            reduced = apply_simple_exhaustively(inst, trace)
+        else:
+            reduced = tiers[names[i]](inst)
+        calls.append((names[i], reduced))
+        i = 0 if i and reduced else i + 1
+    return inst, calls, trace
+
+
+def engine_run(inst, config, after=None):
+    """kernelize(inst, config, after) with every tier wrapped at its engine
+    attribute: returns the report, the (tier, result) of each call and
+    tier 1's trace.  The wrappers forward the run state kernelize passes."""
+    calls, trace = [], []
+
+    def recording(name):
+        tier = STATELESS[name]
+
+        def call(inst, **kwargs):
+            if name == "apply_simple_exhaustively":
+                kwargs["trace"] = trace
+            result = tier(inst, **kwargs)
+            calls.append((name, result))
+            return result
+        return call
+
+    with pytest.MonkeyPatch.context() as m:
+        for name in STATELESS:
+            m.setattr(engine, name, recording(name))
+        report = kernelize(inst, config, after)
+    return report, calls, trace
+
+
+def same_state(a: Instance, b: Instance) -> bool:
+    return (a.graph.adj, a.graph.black, a.solution, a.stats) == (
+        b.graph.adj, b.graph.black, b.solution, b.stats)
+
+
+def assert_engine_matches_full_scans(g: ColoredGraph, tiers: dict) -> int:
+    """Under every configuration, kernelize from the input, and continuing
+    its prefix's run as bench chains them, makes the calls, the tier-1
+    firings and the kernel of the full-scan loop.  Returns how many of
+    the loop's calls above tier 1 reduced."""
+    golden = {c: golden_run(g, c, tiers) for c in ALL_CONFIGS}
+    chained = {}
+    hits = 0
+    for config in ALL_CONFIGS:
+        want, want_calls, want_trace = golden[config]
+        inst = Instance.from_graph(g.copy())
+        report, calls, trace = engine_run(inst, config)
+        assert (calls, trace) == (want_calls, want_trace), config.name
+        assert same_state(inst, want), config.name
+        assert report.attempts == len(calls) + sum(
+            r for n, r in calls if n == "apply_simple_exhaustively")
+        if config.prefix is None:
+            chained[config] = (inst, report)
+            continue
+        parent, first = chained[config.prefix]
+        _, skip_calls, skip_trace = golden[config.prefix]
+        inst = parent.copy()
+        report, calls, trace = engine_run(inst, config, first)
+        assert calls == want_calls[len(skip_calls):], config.name
+        assert trace == want_trace[len(skip_trace):], config.name
+        assert same_state(inst, want), config.name
+        chained[config] = (inst, report)
+        hits += sum(bool(r) for n, r in want_calls[1:] if n != "apply_simple_exhaustively")
+    return hits
+
+
+def test_every_tier_logs_what_it_changes():
+    # Each vertex a tier changes is in the log by the end of its call.
+    # Tier 1 may skip the log while no higher tier has looked at it, as
+    # every tier then scans in full on its next call.
+    logged = {name: 0 for name in STATELESS}
+
+    def checking(name):
+        tier = STATELESS[name]
+
+        def call(inst, touched):
+            before = inst.graph.copy()
+            start = len(touched.log)
+            must = name != "apply_simple_exhaustively" or touched.watched("simple")
+            result = tier(inst, touched=touched)
+            changed = changed_vertices(before, inst.graph)
+            if must:
+                assert changed <= set(touched.log[start:]), name
+                logged[name] += bool(changed)
+            return result
+        return call
+
+    corpus = list(mixed_instance_stream(seed=43, count=100, max_n=24))
+    corpus += [hub_cycle(h, p) for h, p in ((3, 4), (3, 12), (4, 4), (5, 5))]
+    corpus += [SINGLE_FIRES] + list(bw_small_shaped(0, 40))
+    with pytest.MonkeyPatch.context() as m:
+        for name in STATELESS:
+            m.setattr(engine, name, checking(name))
+        for g in corpus:
+            for config in ALL_CONFIGS:
+                kernelize(Instance.from_graph(g.copy()), config)
+    assert all(logged.values()), logged
+
+
+class TestGoldenEngine:
+    """kernelize carries the vertices each tier changed from call to call,
+    so that tier 1 re-seeds only near them and the Alber scans resume.
+    It must make exactly the calls, tier-1 firings and kernel of a loop
+    whose every tier call scans the whole graph."""
+
+    def test_on_small_inputs_against_the_naive_scans(self):
+        corpus = [off_none_kernel(generate_instance(spec, i, 0))
+                  for spec in canonical_groups() for i in range(5)]
+        corpus += list(mixed_instance_stream(seed=41, count=150, max_n=24))
+        corpus += [hub_cycle(h, p) for h, p in ((3, 4), (3, 6), (3, 12), (4, 4), (5, 5))]
+        corpus += [SINGLE_FIRES]
+        corpus += bw_small_shaped(0, 200)
+        hits = sum(assert_engine_matches_full_scans(g, NAIVE) for g in corpus)
+        assert hits >= 100
+
+    def test_on_a_ladder_rung_against_the_stateless_tiers(self):
+        g = generate_instance(GroupSpec(8008, 24000, 1), 0, 0)
+        hits = assert_engine_matches_full_scans(g, STATELESS)
+        assert hits >= 28
 
 
 class TestKernelReport:

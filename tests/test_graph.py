@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from domkernel.exact import exact_dom
-from domkernel.graph import WHITE, ColoredGraph, Instance, is_1_scattered
+from domkernel.graph import WHITE, ColoredGraph, Instance, Touched, is_1_scattered
 
 from helpers import (
     bfs_distances,
@@ -135,6 +135,53 @@ class TestColoredGraph:
         g.black.add(7)
         with pytest.raises(AssertionError):
             check_invariants(g)
+
+
+class TestBall:
+    @given(colored_graphs(max_vertices=12))
+    @settings(max_examples=100)
+    def test_is_the_vertices_within_the_radius(self, g):
+        for v in sorted(g.adj):
+            dist = bfs_distances(g, v)
+            for radius in range(4):
+                want = {u for u, d in dist.items() if d <= radius}
+                assert g.ball([v], radius) == want
+                assert g.ball([v, -1], radius) == want  # absent ones are skipped
+
+
+class TestTouched:
+    def test_each_reader_reads_from_where_it_last_looked(self):
+        g = path_graph(12)
+        touched = Touched()
+        assert touched.near(g, "a", 0) is None  # every vertex, on a first look
+        touched.log += [3, 1, 3]
+        assert touched.near(g, "b", 0) is None
+        assert touched.near(g, "a", 0) == {1, 3}
+        touched.log.append(4)
+        assert touched.near(g, "a", 1) == {3, 4, 5}
+        assert touched.near(g, "b", 0) == {4}
+        touched.log.append(5)
+        touched.mark("a")
+        assert touched.near(g, "a", 2) == set()
+        assert touched.near(g, "b", 2) == {3, 4, 5, 6, 7}
+
+    def test_a_ball_of_every_vertex_is_none(self):
+        g = path_graph(12)
+        touched = Touched()
+        touched.mark("a")
+        touched.log += [0, 11, 99]  # 99 is no vertex
+        assert touched.near(g, "a", 2) == {0, 1, 2, 9, 10, 11}
+        touched.log += [0, 11]
+        assert touched.near(g, "a", 5) is None
+
+    def test_a_writer_is_watched_once_another_reader_has_looked(self):
+        touched = Touched()
+        assert not touched.watched("a")
+        touched.mark("a")
+        assert not touched.watched("a")
+        assert touched.watched("b")
+        touched.mark("b")
+        assert touched.watched("a")
 
 
 class TestInstance:

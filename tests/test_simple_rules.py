@@ -2,6 +2,7 @@
 potential decrease, and naive/incremental fixed-point equivalence."""
 
 import heapq
+import random
 from collections import Counter
 from types import SimpleNamespace
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 
 import domkernel.simple_rules as simple_rules
-from domkernel.graph import ColoredGraph, Instance
+from domkernel.graph import ColoredGraph, Instance, Touched
 from domkernel.plangen import GroupSpec, generate_instance
 from domkernel.simple_rules import (
     SimpleRule,
@@ -25,12 +26,14 @@ from helpers import (
     apply_one_simple_rule,
     apply_simple_exhaustively_naive,
     bw_small_shaped,
+    changed_vertices,
     colored_graphs,
     cycle_graph,
     flat_keys,
     golden_witnesses,
     mixed_instance_stream,
     path_graph,
+    perturb,
     phi,
     star_graph,
     verify_rule_safety,
@@ -278,6 +281,45 @@ class TestFiringSequence:
         # so where a narrowed re-queue shows first.
         for g in bw_small_shaped(seed=0, count=200):
             self._assert_same(g)
+
+
+class TestSeededRerun:
+    """Given the run's `Touched` log, tier 1 seeds a re-run with N[T] for
+    the vertices T changed since it last reached its fixed point: only
+    there can a rule have become applicable.  That must fire as a seed
+    with every vertex does."""
+
+    def test_seeding_near_the_changes_fires_as_the_full_seed(self):
+        rng = random.Random(23)
+        corpus = list(mixed_instance_stream(seed=29, count=200, max_n=24))
+        corpus += bw_small_shaped(seed=2, count=50)
+        fired = 0
+        for g in corpus:
+            # Two instances with one history, so that their sets iterate
+            # alike and WHITE_SUBSUMED picks the same witnesses.
+            inst = Instance.from_graph(g.copy())
+            full = Instance.from_graph(g.copy())
+            touched = Touched()
+            apply_simple_exhaustively(inst, touched=touched)
+            apply_simple_exhaustively(full)
+            touched.mark("higher tier")
+            for _ in range(6):
+                state = rng.getstate()
+                perturb(inst.graph, rng, touched.log)
+                rng.setstate(state)
+                perturb(full.graph, rng, [])
+                near, everywhere = [], []
+                before = inst.graph.copy()
+                start = len(touched.log)
+                count = apply_simple_exhaustively(inst, near, touched)
+                # It logs every vertex it changes once another tier reads.
+                assert changed_vertices(before, inst.graph) <= set(touched.log[start:])
+                assert count == apply_simple_exhaustively(full, everywhere)
+                assert near == everywhere
+                assert (inst.graph.adj, inst.graph.black, inst.solution) == (
+                    full.graph.adj, full.graph.black, full.solution)
+                fired += count
+        assert fired >= 1000
 
 
 def assert_predicates_match_the_rule_statements(g):
