@@ -12,16 +12,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, fields
 
-from .alber import PAIR, SINGLE, apply_alber_pair_first, apply_alber_single_first
+from .alber import apply_alber_pair_first, apply_alber_single_first
 from .graph import Instance, Touched
-from .simple_rules import READER, STAT_NAMES, apply_simple_exhaustively
+from .simple_rules import STAT_NAMES, apply_simple_exhaustively
 from .sparsity import sparsity_reduce
 
 ALBER_MODES = ("none", "one", "both")
-
-# The tiers that read the run's `Touched` log, in ApproachConfig.tiers
-# order: tier 1 and the two Alber tiers.  Tier 4 only writes to it.
-READERS = (READER, SINGLE, PAIR)
 
 ATTEMPT_LIMIT = 10_000_000
 
@@ -158,9 +154,10 @@ def kernelize(
     whitens.  Tier 1 then re-seeds only N[changes] (see `simple_rules`),
     the Alber tiers resume their scans (see `alber`), and tier 4 scans
     everything.  A tier that has not looked scans everything, as does a
-    tier called without the log.  A continued run starts with the
-    prefix's tiers counted as having looked, since the kernel is their
-    fixed point.
+    tier called without the log.  A continued run's first call, to the
+    tier the prefix lacks, scans everything; after it, every tier that
+    has not looked counts as having looked at the run's start, since the
+    kernel was the fixed point of the prefix's tiers.
     """
     tiers = config.tiers
     g = inst.graph
@@ -182,10 +179,10 @@ def kernelize(
         start -= after.elapsed_seconds
         i = len(tiers) - 1
     touched = Touched()
-    for reader in READERS[:i]:  # the prefix's tiers, in a continued run
-        touched.mark(reader)
     while i < len(tiers):
         reduced = tiers[i](inst, touched=touched)
+        if after is not None:
+            touched.looked_at_start()
         attempts += 1 + (reduced if i == 0 else 0)
         i = 0 if i and reduced else i + 1
         if attempts > ATTEMPT_LIMIT:

@@ -183,23 +183,25 @@ class Touched:
 
     A reader that has not looked yet gets None, which stands for every
     vertex; so a tier handed a fresh object scans the whole graph, and
-    that is what a tier called without one does.  ``scans`` keeps each
-    reader's own resume state between its calls.
+    that is what a tier called without one does.  After
+    ``looked_at_start``, it instead reads the whole log.  ``scans`` keeps
+    each reader's own resume state between its calls.
     """
 
-    __slots__ = ("log", "scans", "_marks")
+    __slots__ = ("log", "scans", "_marks", "_unlooked")
 
     def __init__(self) -> None:
         self.log: list[int] = []
         self.scans: dict = {}
         self._marks: dict = {}
+        self._unlooked: int | None = None  # the mark of a reader yet to look
 
     def near(self, g: ColoredGraph, reader: str, radius: int) -> set[int] | None:
         """The vertices of g within distance `radius` of those changed
         since reader last looked; None, for every vertex, on reader's
         first look or when that is every vertex.  Either way, reader has
         now looked."""
-        start = self._marks.get(reader)
+        start = self._marks.get(reader, self._unlooked)
         end = self._marks[reader] = len(self.log)
         if start is None:
             return None
@@ -210,11 +212,16 @@ class Touched:
         """Count everything logged so far as seen by reader."""
         self._marks[reader] = len(self.log)
 
+    def looked_at_start(self) -> None:
+        """Count every reader that has not looked as having looked before
+        anything was logged: a tier whose fixed point the graph was."""
+        self._unlooked = 0
+
     def watched(self, writer: str) -> bool:
         """Whether a reader other than writer has looked.  Until one has,
         every reader's next look returns None, so writer's changes need
         no log."""
-        return len(self._marks) > (writer in self._marks)
+        return self._unlooked is not None or len(self._marks) > (writer in self._marks)
 
 
 def is_1_scattered(g: ColoredGraph, vs, removed=frozenset()) -> bool:

@@ -24,8 +24,8 @@ def greedy_dominating_set(g: ColoredGraph, targets) -> set[int]:
     Each step takes the vertex covering the most still-uncovered targets,
     ties to the smallest id.  Lazily re-evaluates stale heap entries, which
     is equivalent to the full rescan because coverage only shrinks.  Only
-    N[targets] covers any; when the targets are under an eighth of the
-    vertices, only it is read, and group_and_reduce's calls stay local.
+    N[targets] covers any, so only it is read, and group_and_reduce's
+    calls stay local.
     """
     remaining = set(targets)
     out: set[int] = set()
@@ -33,8 +33,7 @@ def greedy_dominating_set(g: ColoredGraph, targets) -> set[int]:
         return out
     adj = g.adj
     heap = []
-    few = 8 * len(remaining) < len(adj)
-    for v in g.closed_neighborhood_of_set(remaining) if few else adj:
+    for v in g.closed_neighborhood_of_set(remaining):
         c = len(adj[v] & remaining) + (1 if v in remaining else 0)
         if c:
             heap.append((-c, v))

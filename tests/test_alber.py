@@ -460,6 +460,24 @@ class TestReadRadius:
                     gadgets += max(near[2], default=-1) >= g._next_id
         assert fired >= 10 and gadgets >= 1
 
+    def test_pair_candidates_read_within_distance_2(self):
+        candidates = disagree_at_1 = 0
+        for g in radius_inputs():
+            full = set(pair_candidates(g))
+            for v in sorted(g.adj):
+                dist = bfs_distances(g, v)
+                for w in sorted(dist):
+                    if w <= v or dist[w] > 3:
+                        continue
+                    want = (v, w) in full
+                    near = within_distance(g, [v, w])
+                    assert ((v, w) in pair_candidates(near)) == want, (v, w)
+                    near = within_distance(g, [v, w], 1)
+                    disagree_at_1 += ((v, w) in pair_candidates(near)) != want
+                    candidates += want
+        assert candidates >= 1000
+        assert disagree_at_1 == 7461
+
 
 class TestResume:
     """Given the run's `Touched` log, each scan resumes its last one and
@@ -491,21 +509,3 @@ class TestResume:
                 resumed += hit and step > 0
                 perturb(inst.graph, rng, touched.log)
         assert resumed >= 100
-
-    def test_pair_candidates_read_within_distance_2(self):
-        candidates = disagree_at_1 = 0
-        for g in radius_inputs():
-            full = set(pair_candidates(g))
-            for v in sorted(g.adj):
-                dist = bfs_distances(g, v)
-                for w in sorted(dist):
-                    if w <= v or dist[w] > 3:
-                        continue
-                    want = (v, w) in full
-                    near = within_distance(g, [v, w])
-                    assert ((v, w) in pair_candidates(near)) == want, (v, w)
-                    near = within_distance(g, [v, w], 1)
-                    disagree_at_1 += ((v, w) in pair_candidates(near)) != want
-                    candidates += want
-        assert candidates >= 1000
-        assert disagree_at_1 == 7461

@@ -244,6 +244,45 @@ class TestKernelizeAfter:
         # The corpus reaches every higher tier, not only tier 1.
         assert higher == {"alber_single", "alber_pair", "sparsity_whitened"}
 
+    def test_only_the_first_call_of_a_continuation_scans_everything(self):
+        # The first call goes to the tier the prefix lacks; after it, the
+        # prefix's tiers read the log from the run's start.  A reader that
+        # has not looked probes that: it gets None, for every vertex, only
+        # at the first call, or where the log holds every vertex.
+        probes = []
+
+        def probing(name):
+            tier = getattr(engine, name)
+
+            def call(inst, touched):
+                near = touched.near(inst.graph, f"probe {len(probes)}", 0)
+                probes.append((near is None, inst.graph.adj.keys() <= set(touched.log)))
+                return tier(inst, touched=touched)
+            return call
+
+        corpus = list(mixed_instance_stream(seed=22, count=80, max_n=24))
+        corpus += [SINGLE_FIRES, hub_cycle(3, 12), hub_cycle(4, 4)]
+        later = 0
+        for g in corpus:
+            runs = {}  # config -> (instance it left, report)
+            for config in ALL_CONFIGS:
+                if config.prefix is None:
+                    inst = Instance.from_graph(g.copy())
+                    runs[config] = (inst, kernelize(inst, config))
+                    continue
+                parent, first = runs[config.prefix]
+                inst = parent.copy()
+                probes.clear()
+                with pytest.MonkeyPatch.context() as m:
+                    for name in ("apply_simple_exhaustively",) + HIGHER_TIERS["on.both"]:
+                        m.setattr(engine, name, probing(name))
+                    runs[config] = (inst, kernelize(inst, config, first))
+                assert probes[0][0], config.name
+                for every, covered in probes[1:]:
+                    assert not every or covered, config.name
+                    later += not covered
+        assert later >= 20
+
     def test_only_the_pair_tier_keeps_more_than_the_prefix(self):
         # Continuing off.one, on.none or on.one only deletes vertices and
         # edges or whitens blacks, so it keeps no more than its prefix;

@@ -183,6 +183,19 @@ class TestTouched:
         touched.mark("b")
         assert touched.watched("a")
 
+    def test_after_looked_at_start_a_new_reader_reads_the_whole_log(self):
+        g = path_graph(12)
+        touched = Touched()
+        assert touched.near(g, "a", 0) is None
+        touched.log += [3, 7]
+        touched.looked_at_start()
+        assert touched.watched("a") and touched.watched("b")
+        assert touched.near(g, "b", 1) == {2, 3, 4, 6, 7, 8}
+        assert touched.near(g, "a", 0) == {3, 7}
+        touched.log.append(9)
+        assert touched.near(g, "c", 0) == {3, 7, 9}
+        assert touched.near(g, "b", 0) == {9}
+
 
 class TestInstance:
     def test_take_into_solution_whitens_and_removes(self):
