@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 from .alber import apply_alber_pair_first, apply_alber_single_first
 from .graph import Instance, Touched
@@ -58,12 +59,15 @@ class ApproachConfig:
             + ((sparsity_reduce,) if self.sparsity else ())
         )
 
-    @property
+    @cached_property
     def prefix(self) -> "ApproachConfig | None":
         """The configuration whose ``tiers`` are this one's minus its last:
         ``on.X`` -> ``off.X``, ``off.both`` -> ``off.one`` -> ``off.none``,
         and ``off.none`` has none.  A run of this configuration is the
-        prefix's run up to its first call of the tier the prefix lacks."""
+        prefix's run up to its first call of the tier the prefix lacks.
+        Found once per object: a wrapper assigned to a tier name stands
+        for that tier in every configuration's ``tiers`` alike, so the
+        answer never changes."""
         want = self.tiers[:-1]
         return next((c for c in ALL_CONFIGS if c.tiers == want), None)
 

@@ -4,12 +4,19 @@ The driver keeps a working dominator pool D' (greedy at first, grown by hub
 escalation), extracts a 1-scattered family F of blacks outside the pool,
 groups F by how the pool sees each member, and whitens group members that a
 counting argument shows some optimal solution never needs as dominatees.
+
+Only groups of at least 3 members can whiten: a member is black and lies
+outside the pool, so it is one of the blacks the group's cover must
+dominate, the cover has at least one vertex, and the excess |B| - cover - 1
+is at most |B| - 2.  Smaller groups are never keyed in full nor covered.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from collections import Counter
+from itertools import chain
 
 from .graph import ColoredGraph, Instance, Touched, is_1_scattered
 
@@ -25,18 +32,16 @@ def greedy_dominating_set(g: ColoredGraph, targets) -> set[int]:
     ties to the smallest id.  Lazily re-evaluates stale heap entries, which
     is equivalent to the full rescan because coverage only shrinks.  Only
     N[targets] covers any, so only it is read, and group_and_reduce's
-    calls stay local.
+    calls stay local.  Every vertex of N[targets] covers at least one
+    target, so every one starts in the heap.
     """
     remaining = set(targets)
     out: set[int] = set()
     if not remaining:
         return out
     adj = g.adj
-    heap = []
-    for v in g.closed_neighborhood_of_set(remaining):
-        c = len(adj[v] & remaining) + (1 if v in remaining else 0)
-        if c:
-            heap.append((-c, v))
+    reach = remaining.union(*map(adj.__getitem__, remaining))
+    heap = [(-len(adj[v] & remaining) - (v in remaining), v) for v in reach]
     heapq.heapify(heap)
     while remaining:
         negc, v = heapq.heappop(heap)
@@ -63,10 +68,10 @@ def uqw_scatter(
     exceeds max(8, twice the average degree of g - removed), highest degree
     first, ties to the smaller id, since hubs glue neighborhoods together and
     starve the scatter.  Then greedily accepts candidates in ascending
-    residual degree order, blocking the radius-2 ball of every acceptance.
-    Returns (scattered, deleted).  The output is 1-scattered in
-    g - removed - deleted by construction; ``group_and_reduce`` checks
-    that property before it whitens anything.
+    residual degree order, ties to the smaller id, blocking the radius-2
+    ball of every acceptance.  Returns (scattered, deleted).  The output is
+    1-scattered in g - removed - deleted by construction;
+    ``group_and_reduce`` checks that property before it whitens anything.
     """
     adj = g.adj
     deg = {v: len(adj[v] - removed) for v in adj if v not in removed}
@@ -78,10 +83,8 @@ def uqw_scatter(
     cap = math.sqrt(len(candidates))
 
     deleted: set[int] = set()
-    while len(deleted) < cap:
+    while len(deleted) < cap and max(deg.values()) > cutoff:
         v = min(deg, key=lambda x: (-deg[x], x))
-        if deg[v] <= cutoff:
-            break
         del deg[v]
         deleted.add(v)
         for u in adj[v]:
@@ -89,7 +92,8 @@ def uqw_scatter(
                 deg[u] -= 1
 
     gone = removed | deleted
-    order = sorted(candidates - deleted, key=lambda c: (deg[c], c))
+    order = sorted(candidates - deleted)
+    order.sort(key=deg.__getitem__)
     blocked: set[int] = set()
     scattered: list[int] = []
     for c in order:
@@ -117,6 +121,13 @@ def group_and_reduce(
     R = N[M] cap Black, so whenever |B| exceeds a dominating set of R plus
     one, the excess members (largest ids) never need their own dominator
     and lose their black color.  Groups with empty pool contact are skipped.
+
+    Only groups of at least 3 members are covered.  Every member is black
+    and outside d (the scattered check refuses a member in d), so it lies
+    in M and in R: the cover has at least one vertex, and the excess
+    |B| - cover - 1 is at most |B| - 2.  Members are therefore grouped by
+    pool contact first, and the two-step key is built only for contact
+    classes of at least 3 members, since a group is a subset of its class.
     """
     g = inst.graph
     adj = g.adj
@@ -126,22 +137,26 @@ def group_and_reduce(
     if not is_1_scattered(g, scattered, d):
         raise AssertionError("family is not 1-scattered outside the pool")
 
+    by_contact: dict = {}
+    for f in sorted(scattered):
+        by_contact.setdefault(frozenset(adj[f] & d), []).append(f)
+    by_contact.pop(frozenset(), None)
+
     pool_blacks = d & g.black
     groups: dict = {}
-    for f in sorted(scattered):
-        contact = frozenset(adj[f] & d)
-        if not contact:
+    for contact, members in by_contact.items():
+        if len(members) < 3:
             continue
-        second: set[int] = set()
-        for u in adj[f]:
-            second |= adj[u]
-        key = (contact, frozenset(second & pool_blacks))
-        groups.setdefault(key, []).append(f)
+        for f in members:
+            second = pool_blacks.intersection(
+                chain.from_iterable(map(adj.__getitem__, adj[f]))
+            )
+            groups.setdefault((contact, second), []).append(f)
 
     whitened = 0
     for key in sorted(groups, key=lambda k: (sorted(k[0]), sorted(k[1]))):
         members = groups[key]
-        if len(members) < 2:
+        if len(members) < 3:
             continue
         m = g.closed_neighborhood_of_set(members) - d
         reach = g.closed_neighborhood_of_set(m)
@@ -165,7 +180,8 @@ def sparsity_reduce(inst: Instance, touched: Touched | None = None) -> int:
     Starts from a greedy dominating pool of the current blacks.  Each pass
     scatters the blacks outside the pool, whitens irrelevant dominatees
     group by group, then checks for a hub: the vertex outside D' with the
-    most D' neighbors.  While that count exceeds HUB_THRESHOLD the hub
+    most D' neighbors, ties to the smallest id, counted in one pass over
+    the pool's adjacency.  While that count exceeds HUB_THRESHOLD the hub
     joins D' and the pass repeats; pool growth bounds the loop.
 
     Every call scans the whole graph; with `touched` it logs the
@@ -174,6 +190,7 @@ def sparsity_reduce(inst: Instance, touched: Touched | None = None) -> int:
     g = inst.graph
     if not g.black:
         return 0
+    adj = g.adj
     log = None if touched is None else touched.log
     d_prime = greedy_dominating_set(g, g.black)
     total = 0
@@ -183,11 +200,13 @@ def sparsity_reduce(inst: Instance, touched: Touched | None = None) -> int:
         inst.stats["sparsity_scatter_calls"] += 1
         total += group_and_reduce(inst, frozenset(d_prime | deleted), scattered, log)
 
-        count, hub = min(
-            ((-len(g.adj[v] & d_prime), v) for v in g.adj.keys() - d_prime),
-            default=(0, None),
-        )
-        if -count <= HUB_THRESHOLD:
+        if len(d_prime) <= HUB_THRESHOLD:  # no vertex has more D' neighbors
             break
-        d_prime.add(hub)
+        counts = Counter(chain.from_iterable(map(adj.__getitem__, d_prime)))
+        for p in d_prime:
+            counts.pop(p, None)
+        most = max(counts.values(), default=0)
+        if most <= HUB_THRESHOLD:
+            break
+        d_prime.add(min(v for v, c in counts.items() if c == most))
     return total

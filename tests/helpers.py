@@ -5,7 +5,9 @@ random colored instances."""
 
 from __future__ import annotations
 
+import heapq
 import itertools
+import math
 import random
 
 from hypothesis import strategies as st
@@ -15,8 +17,9 @@ from domkernel.bench import CSV_COLUMNS
 from domkernel.edgelist import load_graph
 from domkernel.engine import ApproachConfig, kernelize
 from domkernel.exact import DEFAULT_VERTEX_LIMIT, exact_dom
-from domkernel.graph import ColoredGraph, Instance
+from domkernel.graph import ColoredGraph, Instance, Touched, is_1_scattered
 from domkernel.simple_rules import STAT_NAMES, SimpleRule
+from domkernel.sparsity import HUB_THRESHOLD
 
 
 # -- builders ----------------------------------------------------------
@@ -384,6 +387,190 @@ def off_none_kernel(g: ColoredGraph) -> ColoredGraph:
     inst = Instance.from_graph(g.copy())
     kernelize(inst, ApproachConfig.from_name("off.none"))
     return inst.graph
+
+
+# -- golden model of tier 4 --------------------------------------------
+#
+# The sparsity stage as it was before it skipped the groups that cannot
+# whiten: every group of two or more members is covered, the two-step key
+# is built for every member, and hubs are counted vertex by vertex.
+
+
+def golden_greedy_dominating_set(g: ColoredGraph, targets) -> set[int]:
+    """Greedy max-coverage dominating set of the target vertices.
+
+    Each step takes the vertex covering the most still-uncovered targets,
+    ties to the smallest id.  Lazily re-evaluates stale heap entries, which
+    is equivalent to the full rescan because coverage only shrinks.  Only
+    N[targets] covers any, so only it is read, and group_and_reduce's
+    calls stay local.
+    """
+    remaining = set(targets)
+    out: set[int] = set()
+    if not remaining:
+        return out
+    adj = g.adj
+    heap = []
+    for v in g.closed_neighborhood_of_set(remaining):
+        c = len(adj[v] & remaining) + (1 if v in remaining else 0)
+        if c:
+            heap.append((-c, v))
+    heapq.heapify(heap)
+    while remaining:
+        negc, v = heapq.heappop(heap)
+        c = len(adj[v] & remaining) + (1 if v in remaining else 0)
+        if c == 0:
+            continue
+        if c == -negc:
+            out.add(v)
+            remaining -= adj[v]
+            remaining.discard(v)
+        else:
+            heapq.heappush(heap, (-c, v))
+    return out
+
+
+def golden_uqw_scatter(
+    g: ColoredGraph, candidates, removed=frozenset()
+) -> tuple[frozenset, frozenset]:
+    """Pull a 1-scattered subset out of the candidates in g with `removed`
+    masked out: its vertices, their edges and candidates among them are
+    ignored, as if deleted from g.
+
+    First deletes up to sqrt(#candidates) hub vertices whose residual degree
+    exceeds max(8, twice the average degree of g - removed), highest degree
+    first, ties to the smaller id, since hubs glue neighborhoods together and
+    starve the scatter.  Then greedily accepts candidates in ascending
+    residual degree order, blocking the radius-2 ball of every acceptance.
+    Returns (scattered, deleted).  The output is 1-scattered in
+    g - removed - deleted by construction; ``golden_group_and_reduce``
+    checks that property before it whitens anything.
+    """
+    adj = g.adj
+    deg = {v: len(adj[v] - removed) for v in adj if v not in removed}
+    candidates = set(candidates) - removed
+    if not deg or not candidates:
+        return frozenset(), frozenset()
+
+    cutoff = max(8.0, 4.0 * (sum(deg.values()) // 2) / len(deg))
+    cap = math.sqrt(len(candidates))
+
+    deleted: set[int] = set()
+    while len(deleted) < cap:
+        v = min(deg, key=lambda x: (-deg[x], x))
+        if deg[v] <= cutoff:
+            break
+        del deg[v]
+        deleted.add(v)
+        for u in adj[v]:
+            if u in deg:
+                deg[u] -= 1
+
+    gone = removed | deleted
+    order = sorted(candidates - deleted, key=lambda c: (deg[c], c))
+    blocked: set[int] = set()
+    scattered: list[int] = []
+    for c in order:
+        if c in blocked:
+            continue
+        scattered.append(c)
+        blocked.add(c)
+        for u in adj[c] - gone:
+            blocked.add(u)
+            blocked.update(adj[u] - gone)
+    return frozenset(scattered), frozenset(deleted)
+
+
+def golden_group_and_reduce(
+    inst: Instance, d: frozenset, scattered, log: list | None = None
+) -> int:
+    """Whiten irrelevant dominatees inside a 1-scattered family, against the
+    pool d: D' plus the hubs the scatter call deleted; returns how many,
+    and appends them to `log` when given.
+
+    Members are grouped by the pair (direct pool contact, two-step contact
+    with black pool members).  For a group B the counting argument: the
+    dominators of B's members in any solution are pairwise distinct and live
+    in M = N[B] - D, every such dominator also covers only blacks inside
+    R = N[M] cap Black, so whenever |B| exceeds a dominating set of R plus
+    one, the excess members (largest ids) never need their own dominator
+    and lose their black color.  Groups with empty pool contact are skipped.
+    """
+    g = inst.graph
+    adj = g.adj
+    for f in scattered:
+        if f not in g.black:
+            raise AssertionError(f"scattered vertex {f} is not black")
+    if not is_1_scattered(g, scattered, d):
+        raise AssertionError("family is not 1-scattered outside the pool")
+
+    pool_blacks = d & g.black
+    groups: dict = {}
+    for f in sorted(scattered):
+        contact = frozenset(adj[f] & d)
+        if not contact:
+            continue
+        second: set[int] = set()
+        for u in adj[f]:
+            second |= adj[u]
+        key = (contact, frozenset(second & pool_blacks))
+        groups.setdefault(key, []).append(f)
+
+    whitened = 0
+    for key in sorted(groups, key=lambda k: (sorted(k[0]), sorted(k[1]))):
+        members = groups[key]
+        if len(members) < 2:
+            continue
+        m = g.closed_neighborhood_of_set(members) - d
+        reach = g.closed_neighborhood_of_set(m)
+        cover = len(golden_greedy_dominating_set(g, reach & g.black))
+        excess = len(members) - cover - 1
+        if excess <= 0:
+            continue
+        whiten = sorted(members, reverse=True)[:excess]
+        g.black.difference_update(whiten)
+        if log is not None:
+            log += whiten
+        whitened += excess
+    if whitened:
+        inst.stats["sparsity_whitened"] += whitened
+    return whitened
+
+
+def golden_sparsity_reduce(inst: Instance, touched: Touched | None = None) -> int:
+    """One full escalation run; returns how many blacks were whitened.
+
+    Starts from a greedy dominating pool of the current blacks.  Each pass
+    scatters the blacks outside the pool, whitens irrelevant dominatees
+    group by group, then checks for a hub: the vertex outside D' with the
+    most D' neighbors.  While that count exceeds HUB_THRESHOLD the hub
+    joins D' and the pass repeats; pool growth bounds the loop.
+
+    Every call scans the whole graph; with `touched` it logs the
+    vertices it whitened.
+    """
+    g = inst.graph
+    if not g.black:
+        return 0
+    log = None if touched is None else touched.log
+    d_prime = golden_greedy_dominating_set(g, g.black)
+    total = 0
+    while True:
+        inst.stats["sparsity_passes"] += 1
+        scattered, deleted = golden_uqw_scatter(g, g.black - d_prime, d_prime)
+        inst.stats["sparsity_scatter_calls"] += 1
+        total += golden_group_and_reduce(
+            inst, frozenset(d_prime | deleted), scattered, log
+        )
+
+        count, hub = min(
+            ((-len(g.adj[v] & d_prime), v) for v in g.adj.keys() - d_prime),
+            default=(0, None),
+        )
+        if -count <= HUB_THRESHOLD:
+            break
+        d_prime.add(hub)
+    return total
 
 
 # -- changes between tier calls -----------------------------------------

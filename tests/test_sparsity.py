@@ -6,8 +6,10 @@ import random
 import pytest
 
 import domkernel.sparsity as sparsity_mod
+from domkernel.engine import ApproachConfig, kernelize
 from domkernel.exact import exact_dom
-from domkernel.graph import ColoredGraph, Instance, is_1_scattered
+from domkernel.graph import ColoredGraph, Instance, Touched, is_1_scattered
+from domkernel.plangen import canonical_groups, generate_instance
 from domkernel.sparsity import (
     greedy_dominating_set,
     group_and_reduce,
@@ -17,8 +19,11 @@ from domkernel.sparsity import (
 
 from helpers import (
     apex_stars,
+    bw_small_shaped,
     colored,
     dominates,
+    golden_sparsity_reduce,
+    hub_cycle,
     mixed_instance_stream,
     path_graph,
     random_colored_graph,
@@ -175,6 +180,19 @@ class TestUqwScatter:
         assert deletions > 0
 
 
+@pytest.fixture
+def greedy_calls(monkeypatch):
+    """The target sets of every greedy call that group_and_reduce makes."""
+    calls = []
+
+    def recording(g, targets):
+        calls.append(set(targets))
+        return greedy_dominating_set(g, targets)
+
+    monkeypatch.setattr(sparsity_mod, "greedy_dominating_set", recording)
+    return calls
+
+
 class TestGroupAndReduce:
     def test_rejects_non_black_members(self):
         g = path_graph(3, white=[2])
@@ -198,6 +216,21 @@ class TestGroupAndReduce:
         inst = Instance.from_graph(star_graph(2))
         assert group_and_reduce(inst, frozenset({0}), [1, 2]) == 0
         assert inst.graph.white_vertices() == set()
+
+    def test_two_member_group_makes_no_greedy_call(self, greedy_calls):
+        # Two members can never whiten (the module docstring's bound), so
+        # their group is not covered at all.
+        inst = Instance.from_graph(star_graph(2))
+        assert group_and_reduce(inst, frozenset({0}), [1, 2]) == 0
+        assert greedy_calls == []
+
+    def test_three_members_against_a_one_vertex_cover(self, greedy_calls):
+        # The smallest group that whitens: the center covers the reach,
+        # so the excess is 3 - 1 - 1 = 1 and the largest leaf goes.
+        inst = Instance.from_graph(star_graph(3))
+        assert group_and_reduce(inst, frozenset({0}), [1, 2, 3]) == 1
+        assert inst.graph.white_vertices() == {3}
+        assert greedy_calls == [{0, 1, 2, 3}]
 
     def test_contactless_members_are_skipped(self):
         g = colored([(0, 1)], isolated=[5])
@@ -325,3 +358,45 @@ class TestSparsityReduce:
                 checked += 1
         assert checked > 0
 
+
+def tier4_corpus():
+    """Inputs for the golden tier-4 check.  The random families rarely
+    whiten, so the hand-built families supply most of the whitening
+    calls and hub_graph the escalations; the canonical kernels are what
+    tier 4 meets in the benchmark."""
+    yield from mixed_instance_stream(seed=24, count=300, max_n=30)
+    yield from bw_small_shaped(seed=3, count=100)
+    for hubs in range(3, 9):
+        for paths in range(1, 9):
+            yield hub_cycle(hubs, paths)
+    for stars in range(1, 13):
+        for leaves in range(1, 6):
+            yield apex_stars(stars, leaves)
+    for dominators in range(1, 13):
+        yield hub_graph(dominators)
+    for seed in (0, 1):
+        for spec in canonical_groups():
+            g = generate_instance(spec, 0, seed)
+            for name in ("off.none", "off.both"):
+                inst = Instance.from_graph(g.copy())
+                kernelize(inst, ApproachConfig.from_name(name))
+                yield inst.graph
+
+
+class TestGoldenTier4:
+    def test_matches_the_golden_model(self):
+        # Same return value, black set, stats and whitening log as the
+        # stage that covers every group of two or more members.
+        whitening = escalations = 0
+        for g in tier4_corpus():
+            runs = []
+            for reduce in (golden_sparsity_reduce, sparsity_reduce):
+                inst, touched = Instance.from_graph(g.copy()), Touched()
+                touched.log.append(-1)  # an earlier writer's entry
+                runs.append((reduce(inst, touched), inst.graph.black,
+                             inst.stats, touched.log))
+            assert runs[1] == runs[0]
+            whitening += runs[0][0] > 0
+            escalations += runs[0][2]["sparsity_passes"] > 1
+        assert whitening >= 25
+        assert escalations >= 1
