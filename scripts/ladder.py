@@ -7,7 +7,8 @@ For instance 0 at seed 0 of each rung, 16016x48000, 32032x96000,
 32, 64), runs off.none and on.both once each, from the generated graph,
 and prints one JSON line per run: the rung, the configuration, the
 vertices, the CPU seconds of the kernelize call and per input vertex,
-the pair-rule firings, and each tier's calls and CPU seconds.  The tier
+the pair-rule firings, each tier's calls and CPU seconds, and the CPU
+seconds that `generate_instance` took to build the rung's graph.  The tier
 numbers come from wrappers assigned, for the run, to the tier names that
 `domkernel.engine` looks up.  All times are `time.process_time`.
 
@@ -78,9 +79,12 @@ def measure(spec: GroupSpec, g, config_name: str) -> dict:
 
 def main(rungs=RUNGS, out=sys.stdout) -> int:
     for spec in rungs:
+        start = time.process_time()
         g = generate_instance(spec, 0, 0)
+        generate_s = round(time.process_time() - start, 4)
         for config_name in CONFIGS:
             line = measure(spec, g.copy(), config_name)
+            line["generate_s"] = generate_s
             out.write(json.dumps(line) + "\n")
             out.flush()
     return 0

@@ -114,8 +114,9 @@ def load_graph(path, white_path=None) -> ColoredGraph:
 
 
 def write_edge_list(path, g: ColoredGraph) -> None:
-    lines = [f"# {g.vertex_count} {g.edge_count}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
+    edges = g.edges()
+    lines = [f"# {g.vertex_count} {len(edges)}"]
+    lines += [f"{u} {v}" for u, v in edges]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -90,13 +90,13 @@ class ColoredGraph:
         return sum(map(len, self.adj.values())) // 2
 
     def edges(self) -> list[tuple[int, int]]:
-        """All edges as (u, v) pairs with u < v, sorted."""
+        """All edges as (u, v) pairs with u < v, sorted: vertex by vertex
+        in id order, each vertex's larger neighbours sorted."""
         out = []
-        for u in self.adj:
-            for v in self.adj[u]:
+        for u in sorted(self.adj):
+            for v in sorted(self.adj[u]):
                 if u < v:
                     out.append((u, v))
-        out.sort()
         return out
 
     def closed_neighborhood_of_set(self, vs) -> set[int]:

@@ -3,14 +3,19 @@
 Maximal planar graphs come from repeated face subdivision of a triangle
 (each step drops a fresh vertex into a uniformly random face and joins it
 to the three corners), which keeps planarity by construction and always
-lands on exactly 3n - 6 edges.  Sparser instances are thinned copies with a
-random subset of edges kept and any vertices that end up isolated dropped.
+lands on exactly 3n - 6 edges.  Sparser instances keep a random subset of
+those edges, and any vertex left with no edge is dropped.
+
+Each instance is built once: the triangulation records its edges as
+sorted integer keys u * n + v (u < v), thinning samples positions in that
+list, and one loop over the kept keys builds the adjacency.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import compress
 
 from .graph import ColoredGraph
 
@@ -67,53 +72,81 @@ def _mix(*parts: int) -> int:
     return h
 
 
-def random_maximal_planar(n: int, seed: int) -> ColoredGraph:
-    """Random stacked triangulation on n >= 3 vertices, all black."""
+def _stacked_keys(n: int, seed: int) -> list[int]:
+    """The edges of a random stacked triangulation on n >= 3 vertices as
+    keys u * n + v (u < v), sorted, which is the order of the (u, v)
+    pairs.  Each new vertex v takes one ``randrange(len(faces))`` draw."""
     if n < 3:
         raise ValueError("need at least 3 vertices")
-    rng = random.Random(seed)
-    g = ColoredGraph()
-    for v in range(3):
-        g.add_vertex(v)
-    g.add_edge(0, 1)
-    g.add_edge(0, 2)
-    g.add_edge(1, 2)
+    randrange = random.Random(seed).randrange
+    keys = [1, 2, n + 2]  # the triangle 0-1, 0-2, 1-2
     faces = [(0, 1, 2), (0, 1, 2)]
     for v in range(3, n):
-        i = rng.randrange(len(faces))
+        i = randrange(len(faces))
         a, b, c = faces[i]
-        g.add_vertex(v)
-        g.add_edge(v, a)
-        g.add_edge(v, b)
-        g.add_edge(v, c)
+        keys += (a * n + v, b * n + v, c * n + v)
         faces[i] = (a, b, v)
         faces.append((a, c, v))
         faces.append((b, c, v))
+    keys.sort()
+    return keys
+
+
+def _kept(keys: list[int], m: int, seed: int):
+    """The keys left, in order, after the positions drawn by one
+    ``Random(seed).sample`` of len(keys) - m are removed.  sample picks
+    positions from the population's length alone, so this removes what
+    sampling the keys themselves would."""
+    if m > len(keys):
+        raise ValueError(f"cannot keep {m} of {len(keys)} edges")
+    keep = bytearray(b"\x01") * len(keys)
+    for i in random.Random(seed).sample(range(len(keys)), len(keys) - m):
+        keep[i] = 0
+    return compress(keys, keep)
+
+
+def _build(keys, n: int, order) -> ColoredGraph:
+    """The all-black graph of the edges keyed u * n + v, on the vertices
+    of `order` that have an edge, in that order, with ``_next_id`` n."""
+    adj = {v: set() for v in order}
+    for key in keys:
+        u, v = divmod(key, n)
+        adj[u].add(v)
+        adj[v].add(u)
+    for v in [v for v, nv in adj.items() if not nv]:
+        del adj[v]
+    g = ColoredGraph()
+    g.adj = adj
+    g.black = set(adj)
+    g._next_id = n
     return g
 
 
+def random_maximal_planar(n: int, seed: int) -> ColoredGraph:
+    """Random stacked triangulation on n >= 3 vertices, all black."""
+    return _build(_stacked_keys(n, seed), n, range(n))
+
+
 def thin_to_edges(g: ColoredGraph, m: int, seed: int) -> ColoredGraph:
-    """Copy of g with a random m-subset of its edges kept; vertices left
-    isolated by the removal are dropped as well."""
-    edges = g.edges()
-    if m > len(edges):
-        raise ValueError(f"cannot keep {m} of {len(edges)} edges")
-    rng = random.Random(seed)
-    removed = rng.sample(edges, len(edges) - m)
-    out = g.copy()
-    for u, v in removed:
-        out.remove_edge(u, v)
-    for v in [x for x in out.adj if not out.adj[x]]:
-        out.remove_vertex(v)
+    """Copy of g with a random m-subset of its edges kept, in g's vertex
+    order and with g's colours.  Every vertex left with no edge is
+    dropped, those already isolated in g included.  g is untouched."""
+    n = max(g.adj, default=-1) + 1
+    keys = sorted([u * n + v for u, nu in g.adj.items() for v in nu if u < v])
+    out = _build(_kept(keys, m, seed), n, g.adj)
+    out.black = g.black.intersection(out.adj)
+    out._next_id = g._next_id
     return out
 
 
 def generate_instance(spec: GroupSpec, index: int, master_seed: int) -> ColoredGraph:
-    """Instance `index` of the group under the given master seed."""
-    build_seed = _mix(master_seed, spec.vertices, spec.edges, index, 0)
-    thin_seed = _mix(master_seed, spec.vertices, spec.edges, index, 1)
-    g = random_maximal_planar(spec.vertices, build_seed)
-    return thin_to_edges(g, spec.edges, thin_seed)
+    """Instance `index` of the group under the given master seed: the
+    stacked triangulation thinned to spec.edges edges, built once."""
+    n = spec.vertices
+    build_seed = _mix(master_seed, n, spec.edges, index, 0)
+    thin_seed = _mix(master_seed, n, spec.edges, index, 1)
+    keys = _kept(_stacked_keys(n, build_seed), spec.edges, thin_seed)
+    return _build(keys, n, range(n))
 
 
 def generate_group(spec: GroupSpec, master_seed: int):

@@ -18,6 +18,13 @@ from domkernel.edgelist import load_graph
 from domkernel.engine import ApproachConfig, kernelize
 from domkernel.exact import DEFAULT_VERTEX_LIMIT, exact_dom
 from domkernel.graph import ColoredGraph, Instance, Touched, is_1_scattered
+from domkernel.plangen import (
+    GroupSpec,
+    _mix,
+    generate_instance,
+    random_maximal_planar,
+    thin_to_edges,
+)
 from domkernel.simple_rules import STAT_NAMES, SimpleRule
 from domkernel.sparsity import HUB_THRESHOLD
 
@@ -642,6 +649,62 @@ def bench_rows_per_run(entries, configs) -> list:
     return rows
 
 
+# -- golden model of the generator -------------------------------------
+#
+# The planar generator as it was before it built each instance once: the
+# triangulation through add_vertex and add_edge, then a copy with each
+# sampled edge removed on its own.
+
+
+def golden_random_maximal_planar(n: int, seed: int) -> ColoredGraph:
+    """Random stacked triangulation on n >= 3 vertices, all black."""
+    if n < 3:
+        raise ValueError("need at least 3 vertices")
+    rng = random.Random(seed)
+    g = ColoredGraph()
+    for v in range(3):
+        g.add_vertex(v)
+    g.add_edge(0, 1)
+    g.add_edge(0, 2)
+    g.add_edge(1, 2)
+    faces = [(0, 1, 2), (0, 1, 2)]
+    for v in range(3, n):
+        i = rng.randrange(len(faces))
+        a, b, c = faces[i]
+        g.add_vertex(v)
+        g.add_edge(v, a)
+        g.add_edge(v, b)
+        g.add_edge(v, c)
+        faces[i] = (a, b, v)
+        faces.append((a, c, v))
+        faces.append((b, c, v))
+    return g
+
+
+def golden_thin_to_edges(g: ColoredGraph, m: int, seed: int) -> ColoredGraph:
+    """Copy of g with a random m-subset of its edges kept; vertices left
+    isolated by the removal are dropped as well."""
+    edges = g.edges()
+    if m > len(edges):
+        raise ValueError(f"cannot keep {m} of {len(edges)} edges")
+    rng = random.Random(seed)
+    removed = rng.sample(edges, len(edges) - m)
+    out = g.copy()
+    for u, v in removed:
+        out.remove_edge(u, v)
+    for v in [x for x in out.adj if not out.adj[x]]:
+        out.remove_vertex(v)
+    return out
+
+
+def golden_generate_instance(spec: GroupSpec, index: int, master_seed: int) -> ColoredGraph:
+    """Instance `index` of the group under the given master seed."""
+    build_seed = _mix(master_seed, spec.vertices, spec.edges, index, 0)
+    thin_seed = _mix(master_seed, spec.vertices, spec.edges, index, 1)
+    g = golden_random_maximal_planar(spec.vertices, build_seed)
+    return golden_thin_to_edges(g, spec.edges, thin_seed)
+
+
 # -- random instances --------------------------------------------------
 
 
@@ -666,8 +729,6 @@ def random_planar_colored(
 ) -> ColoredGraph:
     """Small random planar instance: triangulation, thinning, then a random
     subset whitened.  Thinning may drop isolated vertices."""
-    from domkernel.plangen import random_maximal_planar, thin_to_edges
-
     g = random_maximal_planar(n, rng.randrange(1 << 32))
     m = rng.randint(max(0, n - 2), 3 * n - 6)
     g = thin_to_edges(g, m, rng.randrange(1 << 32))
@@ -696,8 +757,6 @@ def bw_small_shaped(seed: int, count: int):
     """Planar GroupSpec(50, 110) instances with 30% of their vertices
     whitened, drawn as the benchmark's bw-small workload draws its inputs
     at data seed `seed`."""
-    from domkernel.plangen import GroupSpec, generate_instance
-
     for i in range(count):
         g = generate_instance(GroupSpec(50, 110), i, seed)
         rng = random.Random(seed * 1_000_003 + i)

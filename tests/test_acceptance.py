@@ -7,10 +7,12 @@ test and the measured quantities.  Criteria 4, 5, 7, and 8 share one
 full benchmark run over the canonical generated dataset (25 instances
 per group, master seed 0); the run doubles as the audit hook for
 scatter validity, the stopwatch for the time budget, and the behaviour
-oracle: its CSV must hash to the recorded digest.
+oracle: its CSV must hash to the recorded digest.  The files that `gen`
+writes must hash to theirs, too.
 """
 
 import hashlib
+import json
 import os
 import time
 from types import SimpleNamespace
@@ -26,6 +28,7 @@ from domkernel.bench import (
     write_csv,
     write_dataset,
 )
+from domkernel.cli import main
 from domkernel.engine import ALL_CONFIGS, ATTEMPT_LIMIT, ApproachConfig, kernelize
 from domkernel.exact import exact_dom
 from domkernel.graph import Instance, is_1_scattered
@@ -44,6 +47,10 @@ FRACTION_METRICS = ("remaining_vertex_fraction", "remaining_edge_fraction")
 # sha256 of the CSV that `domkernel gen --seed 0 --instances 25` and
 # `domkernel bench` write under all six configurations.
 CANONICAL_CSV_SHA256 = "18e4238b438d603df9b67ac13b3e7b928937ed0a9b847e1a4305283bdcb7636f"
+
+# sha256 of what `domkernel gen --seed 0 --instances 1` writes: each file
+# in manifest order, then manifest.json.
+GEN_SHA256 = "e3a23a7766c96008761a9c97e281827774804dade660604208dd4bedd1f43e84"
 
 
 def _verdict(capsys, num, label, ok, detail):
@@ -288,6 +295,21 @@ def test_sweep_csv_is_byte_identical(bench_run, tmp_path):
     path = tmp_path / "results.csv"
     write_csv(path, bench_run.result)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == CANONICAL_CSV_SHA256
+
+
+def test_gen_writes_the_recorded_bytes(tmp_path):
+    """gen writes the recorded dataset byte for byte: the CSV digest pins
+    only what the kernelizer makes of it."""
+    out = tmp_path / "data"
+    assert main(["gen", "--out", str(out), "--seed", "0", "--instances", "1"]) == 0
+    manifest = out / "manifest.json"
+    digest = hashlib.sha256()
+    for item in json.loads(manifest.read_text())["files"]:
+        for key in ("path", "white"):
+            if item[key]:
+                digest.update((out / item[key]).read_bytes())
+    digest.update(manifest.read_bytes())
+    assert digest.hexdigest() == GEN_SHA256
 
 
 def test_real_world_corpus_or_waiver(capsys):

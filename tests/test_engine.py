@@ -1,5 +1,6 @@
 """Configuration naming, the tiered fixed-point driver, and its reports."""
 
+import random
 import re
 
 import pytest
@@ -44,6 +45,27 @@ def shifted(g: ColoredGraph, offset: int) -> ColoredGraph:
         white=[v + offset for v in g.white_vertices()],
         isolated=[v + offset for v in sorted(g.adj)],
     )
+
+
+def shuffled_rebuild(g: ColoredGraph, seed: int) -> ColoredGraph:
+    """g with its vertices, each adjacency set and the black set inserted
+    in a random order drawn from the seed."""
+    rng = random.Random(seed)
+    out = ColoredGraph()
+    for v in rng.sample(list(g.adj), len(g.adj)):
+        out.adj[v] = set(rng.sample(list(g.adj[v]), len(g.adj[v])))
+    out.black = set(rng.sample(list(g.black), len(g.black)))
+    out._next_id = g._next_id
+    return out
+
+
+def kernel_outcome(g: ColoredGraph, config) -> tuple:
+    """The report without its time, the kernel's adjacency and blacks, and
+    the solution of kernelizing g in place under config."""
+    inst = Instance.from_graph(g)
+    report = kernelize(inst, config).to_dict()
+    del report["elapsed_seconds"]
+    return report, inst.graph.adj, inst.graph.black, inst.solution
 
 
 class TestApproachConfig:
@@ -556,6 +578,24 @@ class TestKernelize:
                 a.pop("elapsed_seconds")
                 b.pop("elapsed_seconds")
                 assert a == b
+
+    def test_results_do_not_depend_on_insertion_order(self):
+        """kernelize breaks every tie by vertex id, so rebuilding an input
+        with its vertices, each adjacency set and the black set inserted
+        in a shuffled order changes no report field but the time, no
+        kernel and no solution."""
+        inputs = [*bw_small_shaped(0, 30),
+                  *(generate_instance(GroupSpec(n, 900), 0, 0) for n in (302, 450))]
+        reordered = 0
+        for g in inputs:
+            want = [kernel_outcome(g.copy(), config) for config in ALL_CONFIGS]
+            for seed in (1, 2):
+                h = shuffled_rebuild(g, seed)
+                reordered += any(list(h.adj[v]) != list(g.adj[v]) for v in g.adj)
+                got = [kernel_outcome(shuffled_rebuild(g, seed), config)
+                       for config in ALL_CONFIGS]
+                assert got == want
+        assert reordered == 2 * len(inputs)
 
     def test_every_config_preserves_the_optimum(self):
         for g in mixed_instance_stream(seed=18, count=100, max_n=12):

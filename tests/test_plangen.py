@@ -13,7 +13,22 @@ from domkernel.plangen import (
     thin_to_edges,
 )
 
-from helpers import star_graph
+from helpers import (
+    colored,
+    golden_generate_instance,
+    golden_random_maximal_planar,
+    golden_thin_to_edges,
+    star_graph,
+)
+
+
+def assert_same_graph(got, want) -> None:
+    """Same vertex order, neighbour sets, black set and next fresh id."""
+    assert list(got.adj) == list(want.adj)
+    for v in want.adj:
+        assert got.adj[v] == want.adj[v], v
+    assert got.black == want.black
+    assert got._next_id == want._next_id
 
 
 def is_planar(g) -> bool:
@@ -153,3 +168,64 @@ class TestGenerateInstance:
         assert [g.edges() for g in graphs] == [
             generate_instance(spec, i, master_seed=0).edges() for i in range(4)
         ]
+
+
+class TestGoldenGenerator:
+    """The one-pass generator builds what the triangulate, copy and remove
+    generator in tests/helpers.py builds."""
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_canonical_groups(self, seed):
+        for spec in canonical_groups():
+            for index in (0, 1):
+                assert_same_graph(generate_instance(spec, index, seed),
+                                  golden_generate_instance(spec, index, seed))
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_bw_small_inputs(self, seed):
+        spec = GroupSpec(50, 110)
+        for index in range(100):
+            assert_same_graph(generate_instance(spec, index, seed),
+                              golden_generate_instance(spec, index, seed))
+
+    @pytest.mark.parametrize("spec", [GroupSpec(3, 0), GroupSpec(3, 3),
+                                      GroupSpec(4, 0), GroupSpec(10, 12)],
+                             ids=lambda spec: spec.name)
+    def test_tiny_groups_that_drop_vertices(self, spec):
+        for seed in (0, 3):
+            for index in range(4):
+                g = generate_instance(spec, index, seed)
+                assert_same_graph(g, golden_generate_instance(spec, index, seed))
+                assert g._next_id == spec.vertices
+
+    def test_the_last_vertex_dropped_keeps_the_next_id(self):
+        g = generate_instance(GroupSpec(10, 12), 0, 3)
+        assert 9 not in g.adj
+        assert g._next_id == 10
+
+    def test_a_ladder_rung(self):
+        spec = GroupSpec(16016, 48000)
+        assert_same_graph(generate_instance(spec, 0, 0),
+                          golden_generate_instance(spec, 0, 0))
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 40])
+    def test_triangulation(self, n):
+        assert_same_graph(random_maximal_planar(n, seed=n),
+                          golden_random_maximal_planar(n, seed=n))
+
+    def test_thinning_keeps_colours(self):
+        g = star_graph(4, white=[2])
+        for m in range(5):
+            assert_same_graph(thin_to_edges(g, m, seed=m),
+                              golden_thin_to_edges(g, m, seed=m))
+
+    def test_thinning_with_id_gaps_and_an_isolated_vertex(self):
+        g = colored([(9, 2), (2, 5), (5, 9), (5, 14), (14, 30)],
+                    white=[5], isolated=[7])
+        before = g.copy()
+        for m in range(6):
+            for seed in range(3):
+                out = thin_to_edges(g, m, seed)
+                assert_same_graph(out, golden_thin_to_edges(g, m, seed))
+                assert 7 not in out.adj
+        assert_same_graph(g, before)
