@@ -7,8 +7,10 @@ For instance 0 at seed 0 of each rung, 16016x48000, 32032x96000,
 32, 64), runs off.none and on.both once each, from the generated graph,
 and prints one JSON line per run: the rung, the configuration, the
 vertices, the CPU seconds of the kernelize call and per input vertex,
-the pair-rule firings, each tier's calls and CPU seconds, and the CPU
-seconds that `generate_instance` took to build the rung's graph.  The tier
+the pair-rule firings, each tier's calls and CPU seconds, the CPU
+seconds that `generate_instance` took to build the rung's graph, and the
+CPU seconds that `load_graph` took to read it back from the file that
+`write_edge_list` writes to a temporary directory.  The tier
 numbers come from wrappers assigned, for the run, to the tier names that
 `domkernel.engine` looks up.  All times are `time.process_time`.
 
@@ -20,9 +22,12 @@ claim: CPU speed on a shared host varies from run to run.
 
 import json
 import sys
+import tempfile
 import time
+from pathlib import Path
 
 import domkernel.engine as engine
+from domkernel.edgelist import load_graph, write_edge_list
 from domkernel.engine import ApproachConfig, kernelize
 from domkernel.graph import Instance
 from domkernel.plangen import GroupSpec, generate_instance
@@ -82,9 +87,16 @@ def main(rungs=RUNGS, out=sys.stdout) -> int:
         start = time.process_time()
         g = generate_instance(spec, 0, 0)
         generate_s = round(time.process_time() - start, 4)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / f"{spec.name}.edges"
+            write_edge_list(path, g)
+            start = time.process_time()
+            load_graph(path)
+            load_s = round(time.process_time() - start, 4)
         for config_name in CONFIGS:
             line = measure(spec, g.copy(), config_name)
             line["generate_s"] = generate_s
+            line["load_s"] = load_s
             out.write(json.dumps(line) + "\n")
             out.flush()
     return 0

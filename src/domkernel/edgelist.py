@@ -5,10 +5,17 @@ ids; blank lines and lines starting with '#' are ignored, so writers can
 leave a '# n m' size header for humans.  A sidecar file lists one white
 vertex id per line under the same comment rules; vertices absent from the
 sidecar (or when no sidecar is given) are black.
+
+``load_graph`` gives each id value one int object, which every adjacency
+set holds, so that set lookups succeed on identity.  A file in the plain
+form that ``write_edge_list`` writes is parsed in bulk; any other text,
+and plain text with a self-loop, is checked line by line.
 """
 
 from __future__ import annotations
 
+import operator
+import re
 from pathlib import Path
 from typing import NoReturn
 
@@ -69,15 +76,41 @@ def read_white_list(path) -> set[int]:
     return whites
 
 
-def load_graph(path, white_path=None) -> ColoredGraph:
-    """Build the colored graph from an edge list plus optional sidecar.
+# The leading '#' lines of a file.  A comment line holds no character at
+# which str.splitlines would end it, so both routes see the same lines.
+_COMMENTS = re.compile(r"(?:#[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*\n)*")
+_NO_DIGITS = str.maketrans("", "", "0123456789")
 
-    One loop over the lines checks each edge and adds it straight into
-    the adjacency; duplicate and reversed edges collapse.  Vertices enter
-    in order of first appearance, as ``ColoredGraph.from_edges`` adds
-    them, and the graph equals ``from_edges`` of the file's edges."""
-    adj: dict[int, set[int]] = {}
-    for line_no, raw in enumerate(_read_text(path).splitlines(), start=1):
+
+def _plain_ends(text: str) -> list[int] | None:
+    """The endpoints of text's edges, flat (u1, v1, u2, v2, ...), one int
+    object per id value; None unless text is in the plain form and free
+    of self-loops."""
+    data = text[_COMMENTS.match(text).end():]
+    tokens = data.split()
+    # The data is "<ASCII digits> <ASCII digits>\n" per edge exactly when
+    # it ends in '\n', reads " \n" per edge once those digits are
+    # deleted, and has two tokens per edge, so that no run of digits
+    # before a separator is empty.
+    if data and data[-1] != "\n" or (
+        data.translate(_NO_DIGITS) != " \n" * (len(tokens) // 2)
+    ):
+        return None
+    values = list(map(int, tokens))
+    one: dict[int, int] = {}  # '07' and '7' get one object
+    ends = list(map(one.setdefault, values, values))
+    if any(map(operator.is_, ends[0::2], ends[1::2])):
+        return None  # a self-loop, which the per-line scan locates
+    return ends
+
+
+def _checked_ends(path, text: str) -> list[int]:
+    """The endpoints of any text's edges, as _plain_ends gives them; each
+    line is checked, in order, and the first that fails raises its
+    EdgeListError."""
+    ids: dict[int, int] = {}
+    ends = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
         if not parts or parts[0][0] == "#":
             continue
@@ -89,14 +122,31 @@ def load_graph(path, white_path=None) -> ColoredGraph:
         # int() gives a negative only after a '-'
         if u == v or "-" in raw and (u < 0 or v < 0):
             _refuse(path, line_no, raw, 2)
-        if u in adj:
-            adj[u].add(v)
-        else:
-            adj[u] = {v}
-        if v in adj:
-            adj[v].add(u)
-        else:
-            adj[v] = {u}
+        ends += (ids.setdefault(u, u), ids.setdefault(v, v))
+    return ends
+
+
+def load_graph(path, white_path=None) -> ColoredGraph:
+    """Build the colored graph from an edge list plus optional sidecar.
+
+    Every id value is one int object: each adjacency set holds the dict's
+    own key objects, so a set lookup succeeds on identity.  A file in the
+    form write_edge_list writes (leading '#' lines, then lines of two
+    ASCII-digit ids, one space apart, each ending in a newline) and
+    without self-loops is parsed in bulk; any other text goes through a
+    scan that checks each line and locates the first refusal.  Both feed
+    one adjacency loop: duplicate and reversed edges collapse, vertices
+    enter in order of first appearance, as ``ColoredGraph.from_edges``
+    adds them, and the graph equals ``from_edges`` of the file's edges."""
+    text = _read_text(path)
+    ends = _plain_ends(text)
+    if ends is None:
+        ends = _checked_ends(path, text)
+    adj: dict[int, set[int]] = {v: set() for v in dict.fromkeys(ends)}
+    pairs = iter(ends)
+    for u, v in zip(pairs, pairs):
+        adj[u].add(v)
+        adj[v].add(u)
     g = ColoredGraph()
     g.adj = adj
     g.black.update(adj)

@@ -8,7 +8,9 @@ those edges, and any vertex left with no edge is dropped.
 
 Each instance is built once: the triangulation records its edges as
 sorted integer keys u * n + v (u < v), thinning samples positions in that
-list, and one loop over the kept keys builds the adjacency.
+list, and one loop over the kept keys builds the adjacency.  That loop
+indexes a list of the ids and a list of the neighbour sets, so each id is
+one int object: the dict key, which every set holds.
 """
 
 from __future__ import annotations
@@ -107,14 +109,15 @@ def _kept(keys: list[int], m: int, seed: int):
 
 def _build(keys, n: int, order) -> ColoredGraph:
     """The all-black graph of the edges keyed u * n + v, on the vertices
-    of `order` that have an edge, in that order, with ``_next_id`` n."""
-    adj = {v: set() for v in order}
+    of `order` that have an edge, in that order, with ``_next_id`` n.
+    Each id is one int object, the dict key that every set holds."""
+    ids = list(range(n))
+    sets = [set() for _ in ids]
     for key in keys:
         u, v = divmod(key, n)
-        adj[u].add(v)
-        adj[v].add(u)
-    for v in [v for v, nv in adj.items() if not nv]:
-        del adj[v]
+        sets[u].add(ids[v])
+        sets[v].add(ids[u])
+    adj = {ids[v]: sets[v] for v in order if sets[v]}
     g = ColoredGraph()
     g.adj = adj
     g.black = set(adj)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from domkernel.alber import alber_rule2, partition
 from domkernel.bench import CSV_COLUMNS
-from domkernel.edgelist import load_graph
+from domkernel.edgelist import _read_text, _refuse, load_graph
 from domkernel.engine import ApproachConfig, kernelize
 from domkernel.exact import DEFAULT_VERTEX_LIMIT, exact_dom
 from domkernel.graph import ColoredGraph, Instance, Touched, is_1_scattered
@@ -96,6 +96,15 @@ def hub_cycle(hubs: int, paths: int) -> ColoredGraph:
         for _ in range(paths):
             edges += [(h, nxt), (nxt, nxt + 1), (nxt + 1, (h + 1) % hubs)]
             nxt += 2
+    return ColoredGraph.from_edges(edges)
+
+
+def both_cover_graph(shared: int) -> ColoredGraph:
+    """v=0 and w=1 with `shared` common black neighbors and nothing else."""
+    edges = []
+    for x in range(2, 2 + shared):
+        edges.append((0, x))
+        edges.append((1, x))
     return ColoredGraph.from_edges(edges)
 
 
@@ -703,6 +712,48 @@ def golden_generate_instance(spec: GroupSpec, index: int, master_seed: int) -> C
     thin_seed = _mix(master_seed, spec.vertices, spec.edges, index, 1)
     g = golden_random_maximal_planar(spec.vertices, build_seed)
     return golden_thin_to_edges(g, spec.edges, thin_seed)
+
+
+# -- the edge-list loader as it was before it interned ids and parsed the
+# plain form in bulk -----------------------------------------------------
+
+
+def golden_load_graph(path) -> ColoredGraph:
+    """Build the all-black graph from an edge list, checking each line."""
+    adj: dict[int, set[int]] = {}
+    for line_no, raw in enumerate(_read_text(path).splitlines(), start=1):
+        parts = raw.split()
+        if not parts or parts[0][0] == "#":
+            continue
+        try:
+            a, b = parts
+            u, v = int(a), int(b)
+        except ValueError:
+            _refuse(path, line_no, raw, 2)
+        # int() gives a negative only after a '-'
+        if u == v or "-" in raw and (u < 0 or v < 0):
+            _refuse(path, line_no, raw, 2)
+        if u in adj:
+            adj[u].add(v)
+        else:
+            adj[u] = {v}
+        if v in adj:
+            adj[v].add(u)
+        else:
+            adj[v] = {u}
+    g = ColoredGraph()
+    g.adj = adj
+    g.black.update(adj)
+    g._next_id = max(adj, default=-1) + 1
+    return g
+
+
+def assert_interned(g: ColoredGraph) -> None:
+    """Every member of every adjacency set is its own key object."""
+    key = {v: v for v in g.adj}
+    for v, nv in g.adj.items():
+        for u in nv:
+            assert u is key[u], f"neighbour {u} of {v} is a copy of its key"
 
 
 # -- random instances --------------------------------------------------

@@ -23,6 +23,7 @@ from helpers import (
     apply_alber_pair_first_naive,
     apply_alber_single_first_naive,
     bfs_distances,
+    both_cover_graph,
     bw_small_shaped,
     colored,
     colored_graphs,
@@ -42,15 +43,6 @@ def h_graph():
     """v=0 and w=1 joined through a bridge 2, with private pendants 3, 4.
     Neither endpoint alone covers the black part of the shared shell."""
     return ColoredGraph.from_edges([(0, 2), (1, 2), (0, 3), (1, 4)])
-
-
-def both_cover_graph(shared: int) -> ColoredGraph:
-    """v=0 and w=1 with `shared` common black neighbors and nothing else."""
-    edges = []
-    for x in range(2, 2 + shared):
-        edges.append((0, x))
-        edges.append((1, x))
-    return ColoredGraph.from_edges(edges)
 
 
 class TestPartitionSingle:

@@ -1,18 +1,29 @@
 """Edge-list and white-sidecar parsing, writing, and error positions."""
 
+import random
+from collections import Counter
+
 import pytest
 
 from domkernel.edgelist import (
     EdgeListError,
+    _plain_ends,
     load_graph,
     read_white_list,
     write_edge_list,
     write_white_list,
 )
-from domkernel.graph import ColoredGraph
+from domkernel.engine import ApproachConfig, kernelize
+from domkernel.graph import ColoredGraph, Instance
 from domkernel.plangen import canonical_groups, generate_instance
 
-from helpers import path_graph, star_graph
+from helpers import (
+    assert_interned,
+    both_cover_graph,
+    golden_load_graph,
+    path_graph,
+    star_graph,
+)
 
 
 class TestReadEdgeList:
@@ -164,3 +175,159 @@ class TestWriteEdgeList:
         p = tmp_path / "g.edges"
         write_edge_list(p, g)
         assert sorted(load_graph(p).adj) == [0, 1]
+
+
+# -- the loader against the per-line loader it replaced ------------------
+
+ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+# Each form writes one data line u v in a way the plain form does not
+# allow (or, for "leading-zeros", does), and reads as the edge u v.
+FORMS = {
+    "tab": lambda u, v: f"{u}\t{v}",
+    "plus-sign": lambda u, v: f"+{u} {v}",
+    "underscore": lambda u, v: f"{u}_0 {v}" if u else f"0_0 {v}",
+    "arabic-indic": lambda u, v: f"{u} {v}".translate(ARABIC_INDIC),
+    "trailing-spaces": lambda u, v: f"{u} {v}  ",
+    "leading-space": lambda u, v: f" {u} {v}",
+    "two-spaces": lambda u, v: f"{u}  {v}",
+    "leading-zeros": lambda u, v: f"00{u} {v}",
+    "minus-zero": lambda u, v: f"{u} -0" if v == 0 else f"{u} {v}",
+}
+# Lines that are no edge but that the loaders skip.
+SKIPPED = {
+    "comment-after-data": "# note",
+    "blank": "",
+    "spaces-only": "   ",
+    "indented-comment": "  # note 1 2",
+}
+# Lines that the loaders refuse.
+REFUSED = {
+    "one-token": lambda u, v: f"{u}",
+    "three-tokens": lambda u, v: f"{u} {v} {u}",
+    "non-integer": lambda u, v: f"{u} x{v}",
+    "fraction": lambda u, v: f"{u}.5 {v}",
+    "negative": lambda u, v: f"-{u + 1} {v}",
+    "self-loop": lambda u, v: f"{u} {u}",
+    "self-loop-by-value": lambda u, v: f"{u} 0{u}",
+}
+
+
+def edge_list_texts(seed: int, count: int):
+    """Yield (text, forms): edge lists of small and large ids, about a
+    third in the plain form, the rest carrying one to three of FORMS,
+    SKIPPED lines, CRLF endings, a comment line that a vertical tab
+    splits, or no final newline; about a quarter also with one REFUSED
+    line.  forms names what each carries."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        ids = range(rng.choice([6, 40, 300, 5000]))
+        edges = [rng.sample(ids, 2) for _ in range(rng.randrange(0, 30))]
+        lines = [f"{u} {v}" for u, v in edges]
+        forms = set()
+        kinds = [] if rng.random() < 0.35 else rng.choices(
+            ["form", "skipped", "crlf", "vt", "no-newline"], k=rng.randint(1, 3))
+        for kind in sorted(kinds):  # every "form" before any insertion
+            if kind == "form" and lines:
+                name = rng.choice(sorted(FORMS))
+                i = rng.randrange(len(edges))
+                lines[i] = FORMS[name](*edges[i])
+                forms.add(name)
+            elif kind == "skipped":
+                name = rng.choice(sorted(SKIPPED))
+                lines.insert(rng.randrange(len(lines) + 1), SKIPPED[name])
+                forms.add(name)
+            elif kind != "form":
+                forms.add(kind)
+        if rng.random() < 0.25:
+            name = rng.choice(sorted(REFUSED))
+            lines.insert(rng.randrange(len(lines) + 1),
+                         REFUSED[name](*rng.sample(ids, 2)))
+            forms.add(name)
+        header = [f"# {len(ids)} {len(edges)}"] if rng.random() < 0.8 else []
+        if "vt" in forms:
+            header.append(f"# split\x0b{rng.choice(ids)} {len(ids)}")
+        end = "\r\n" if "crlf" in forms else "\n"
+        text = "".join(line + end for line in header + lines)
+        if "no-newline" in forms:
+            text = text.rstrip("\r\n")
+        yield text, forms
+
+
+def loaded_or_refused(loader, path):
+    try:
+        g = loader(path)
+    except EdgeListError as exc:
+        return "refused", exc.line_no, str(exc)
+    return list(g.adj), g.adj, g.black, g._next_id
+
+
+def test_load_graph_matches_the_per_line_loader(tmp_path):
+    p = tmp_path / "g.edges"
+    seen = Counter()
+    for text, forms in edge_list_texts(26, 1500):
+        p.write_bytes(text.encode())
+        got = loaded_or_refused(load_graph, p)
+        assert got == loaded_or_refused(golden_load_graph, p), (text, forms)
+        refused = got[0] == "refused"
+        if not refused:
+            assert_interned(load_graph(p))
+        route = "bulk" if _plain_ends(p.read_text()) is not None else "checked"
+        seen.update([route, "refused" if refused else "loaded"])
+        seen.update(f"{route}:{form}" for form in forms)
+    assert seen["bulk"] >= 300 and seen["checked"] >= 300 and seen["refused"] >= 300
+    names = [*FORMS, *SKIPPED, *REFUSED, "crlf", "vt", "no-newline"]
+    assert all(seen[f"checked:{name}"] for name in names if name != "leading-zeros")
+    # read_text turns CRLF into '\n', and leading zeros are plain.
+    assert seen["bulk:crlf"] and seen["bulk:leading-zeros"]
+    # A self-loop in plain text leaves the bulk route to be located.
+    assert not seen["bulk:self-loop"] and not seen["bulk:self-loop-by-value"]
+
+
+# Texts one step from the plain form, each read alike by both loaders.
+NEAR_PLAIN = {
+    "one-token-line-and-no-final-newline": "1 \n2 3\n4",
+    "no-final-newline": "1 2\n3 4",
+    "vertical-tab-in-a-comment": "# 2 1\x0b5 6\n1 2\n",
+    "form-feed-in-a-comment": "# 2 1\x0c5 5\n1 2\n",
+    "line-separator-in-a-comment": "# 2 1\u20285 6\n1 2\n",
+    "comment-without-newline": "# 0 0",
+    "blank-line": "1 2\n\n",
+    "space-line": " \n",
+    "digits-after-the-last-newline": "1 2\n3",
+    "self-loop": "1000 2000\n2000 2000\n",
+    "self-loop-by-value": "1000 2000\n2000 02000\n",
+    "empty": "",
+}
+
+
+@pytest.mark.parametrize("case", NEAR_PLAIN)
+def test_near_plain_text_matches_the_per_line_loader(tmp_path, case):
+    p = tmp_path / "g.edges"
+    p.write_text(NEAR_PLAIN[case])
+    assert loaded_or_refused(load_graph, p) == loaded_or_refused(golden_load_graph, p)
+
+
+def test_a_self_loop_in_plain_text_is_refused_at_its_line(tmp_path):
+    p = tmp_path / "g.edges"
+    p.write_text("# 3 2\n1000 2000\n2000 2000\n")
+    with pytest.raises(EdgeListError, match="self-loop at 2000") as exc:
+        load_graph(p)
+    assert exc.value.line_no == 3
+
+
+@pytest.mark.parametrize("graph", ["canonical", "empty", "gadget-kernel"])
+def test_write_edge_list_writes_the_plain_form(tmp_path, graph):
+    if graph == "canonical":
+        g = generate_instance(canonical_groups(1)[3], 0, 0)
+    elif graph == "empty":
+        g = ColoredGraph()
+    else:
+        inst = Instance.from_graph(both_cover_graph(9))
+        kernelize(inst, ApproachConfig.from_name("off.both"))
+        assert inst.stats["alber_pair_gadget"] == 1
+        g = inst.graph
+    p = tmp_path / "g.edges"
+    write_edge_list(p, g)
+    assert _plain_ends(p.read_text()) is not None
+    assert load_graph(p).edges() == g.edges()

@@ -1,6 +1,6 @@
 """The scale ladder script prints one JSON line per (rung, configuration)
 run, its tier numbers taken at the names `engine` looks up, and the
-rung's generation time."""
+rung's generation and load times."""
 
 import importlib.util
 import io
@@ -37,6 +37,7 @@ def test_a_small_rung_prints_one_line_per_run():
                            ApproachConfig.from_name(line["config"]))
         assert line["vertices"] == 2002
         assert line["generate_s"] >= 0
+        assert line["load_s"] >= 0
         assert line["pair_firings"] == report.rule_applications["alber_pair"]
         # attempts counts one per tier call plus tier 1's firings.
         calls = sum(t["calls"] for t in line["tiers"].values())
