@@ -308,14 +308,6 @@ def test_near_plain_text_matches_the_per_line_loader(tmp_path, case):
     assert loaded_or_refused(load_graph, p) == loaded_or_refused(golden_load_graph, p)
 
 
-def test_a_self_loop_in_plain_text_is_refused_at_its_line(tmp_path):
-    p = tmp_path / "g.edges"
-    p.write_text("# 3 2\n1000 2000\n2000 2000\n")
-    with pytest.raises(EdgeListError, match="self-loop at 2000") as exc:
-        load_graph(p)
-    assert exc.value.line_no == 3
-
-
 @pytest.mark.parametrize("graph", ["canonical", "empty", "gadget-kernel"])
 def test_write_edge_list_writes_the_plain_form(tmp_path, graph):
     if graph == "canonical":
