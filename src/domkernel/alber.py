@@ -53,7 +53,9 @@ def partition(g: ColoredGraph, *centers: int) -> tuple[set, set, set]:
     if len(set(centers)) != len(centers):
         raise ValueError("partition needs distinct centers")
     adj = g.adj
-    ball = g.closed_neighborhood_of_set(centers)
+    ball = g.ball(centers, 1)
+    if not ball.issuperset(centers):
+        raise KeyError(f"centers {centers} are not all vertices")
     shell = ball.difference(centers)
     n1 = {u for u in shell if not adj[u] <= ball}
     n2 = {u for u in shell - n1 if not adj[u].isdisjoint(n1)}

@@ -99,17 +99,10 @@ class ColoredGraph:
                     out.append((u, v))
         return out
 
-    def closed_neighborhood_of_set(self, vs) -> set[int]:
-        """N[U] = union of N[u] over u in U."""
-        out: set[int] = set()
-        for v in vs:
-            out.update(self.adj[v])
-            out.add(v)
-        return out
-
     def ball(self, vs, radius: int) -> set[int]:
         """The vertices within distance `radius` of the members of vs that
-        are vertices of the graph."""
+        are vertices of the graph; radius 1 gives their closed
+        neighbourhood N[vs]."""
         adj = self.adj
         seen = {v for v in vs if v in adj}
         frontier = seen

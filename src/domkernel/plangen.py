@@ -6,11 +6,14 @@ to the three corners), which keeps planarity by construction and always
 lands on exactly 3n - 6 edges.  Sparser instances keep a random subset of
 those edges, and any vertex left with no edge is dropped.
 
-Each instance is built once: the triangulation records its edges as
-sorted integer keys u * n + v (u < v), thinning samples positions in that
-list, and one loop over the kept keys builds the adjacency.  That loop
-indexes a list of the ids and a list of the neighbour sets, so each id is
-one int object: the dict key, which every set holds.
+`generate_instance` is the one way to build an instance (`generate_group`
+yields them in index order), and it builds each once: the triangulation
+records its edges as sorted integer keys u * n + v (u < v), thinning
+samples positions in that list, and one loop over the kept keys builds
+the adjacency.  That loop indexes a list of the ids and a list of the
+neighbour sets, so each id is one int object: the dict key, which every
+set holds.  An unthinned group, with 3n - 6 edges, gets the triangulation
+itself.
 """
 
 from __future__ import annotations
@@ -78,8 +81,6 @@ def _stacked_keys(n: int, seed: int) -> list[int]:
     """The edges of a random stacked triangulation on n >= 3 vertices as
     keys u * n + v (u < v), sorted, which is the order of the (u, v)
     pairs.  Each new vertex v takes one ``randrange(len(faces))`` draw."""
-    if n < 3:
-        raise ValueError("need at least 3 vertices")
     randrange = random.Random(seed).randrange
     keys = [1, 2, n + 2]  # the triangle 0-1, 0-2, 1-2
     faces = [(0, 1, 2), (0, 1, 2)]
@@ -98,18 +99,17 @@ def _kept(keys: list[int], m: int, seed: int):
     """The keys left, in order, after the positions drawn by one
     ``Random(seed).sample`` of len(keys) - m are removed.  sample picks
     positions from the population's length alone, so this removes what
-    sampling the keys themselves would."""
-    if m > len(keys):
-        raise ValueError(f"cannot keep {m} of {len(keys)} edges")
+    sampling the keys themselves would.  m is at most len(keys), which
+    GroupSpec's edge bound 3n - 6 ensures."""
     keep = bytearray(b"\x01") * len(keys)
     for i in random.Random(seed).sample(range(len(keys)), len(keys) - m):
         keep[i] = 0
     return compress(keys, keep)
 
 
-def _build(keys, n: int, order) -> ColoredGraph:
-    """The all-black graph of the edges keyed u * n + v, on the vertices
-    of `order` that have an edge, in that order, with ``_next_id`` n.
+def _build(keys, n: int) -> ColoredGraph:
+    """The all-black graph of the edges keyed u * n + v, on the ids of
+    range(n) that have an edge, in ascending order, with ``_next_id`` n.
     Each id is one int object, the dict key that every set holds."""
     ids = list(range(n))
     sets = [set() for _ in ids]
@@ -117,29 +117,12 @@ def _build(keys, n: int, order) -> ColoredGraph:
         u, v = divmod(key, n)
         sets[u].add(ids[v])
         sets[v].add(ids[u])
-    adj = {ids[v]: sets[v] for v in order if sets[v]}
+    adj = {v: nv for v, nv in zip(ids, sets) if nv}
     g = ColoredGraph()
     g.adj = adj
     g.black = set(adj)
     g._next_id = n
     return g
-
-
-def random_maximal_planar(n: int, seed: int) -> ColoredGraph:
-    """Random stacked triangulation on n >= 3 vertices, all black."""
-    return _build(_stacked_keys(n, seed), n, range(n))
-
-
-def thin_to_edges(g: ColoredGraph, m: int, seed: int) -> ColoredGraph:
-    """Copy of g with a random m-subset of its edges kept, in g's vertex
-    order and with g's colours.  Every vertex left with no edge is
-    dropped, those already isolated in g included.  g is untouched."""
-    n = max(g.adj, default=-1) + 1
-    keys = sorted([u * n + v for u, nu in g.adj.items() for v in nu if u < v])
-    out = _build(_kept(keys, m, seed), n, g.adj)
-    out.black = g.black.intersection(out.adj)
-    out._next_id = g._next_id
-    return out
 
 
 def generate_instance(spec: GroupSpec, index: int, master_seed: int) -> ColoredGraph:
@@ -149,7 +132,7 @@ def generate_instance(spec: GroupSpec, index: int, master_seed: int) -> ColoredG
     build_seed = _mix(master_seed, n, spec.edges, index, 0)
     thin_seed = _mix(master_seed, n, spec.edges, index, 1)
     keys = _kept(_stacked_keys(n, build_seed), spec.edges, thin_seed)
-    return _build(keys, n, range(n))
+    return _build(keys, n)
 
 
 def generate_group(spec: GroupSpec, master_seed: int):

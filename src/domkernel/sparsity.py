@@ -158,8 +158,8 @@ def group_and_reduce(
         members = groups[key]
         if len(members) < 3:
             continue
-        m = g.closed_neighborhood_of_set(members) - d
-        reach = g.closed_neighborhood_of_set(m)
+        m = g.ball(members, 1) - d
+        reach = g.ball(m, 1)
         cover = len(greedy_dominating_set(g, reach & g.black))
         excess = len(members) - cover - 1
         if excess <= 0:

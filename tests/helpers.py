@@ -18,13 +18,7 @@ from domkernel.edgelist import _read_text, _refuse, load_graph
 from domkernel.engine import ApproachConfig, kernelize
 from domkernel.exact import DEFAULT_VERTEX_LIMIT, exact_dom
 from domkernel.graph import ColoredGraph, Instance, Touched, is_1_scattered
-from domkernel.plangen import (
-    GroupSpec,
-    _mix,
-    generate_instance,
-    random_maximal_planar,
-    thin_to_edges,
-)
+from domkernel.plangen import GroupSpec, _mix, generate_instance
 from domkernel.simple_rules import STAT_NAMES, SimpleRule
 from domkernel.sparsity import HUB_THRESHOLD
 
@@ -389,10 +383,7 @@ def apply_alber_pair_first_naive(inst) -> bool:
     lexicographic; apply it at the first hit."""
     g = inst.graph
     for v in sorted(g.adj):
-        ball = {v}
-        for _ in range(3):
-            ball = g.closed_neighborhood_of_set(ball)
-        for w in sorted(ball):
+        for w in sorted(g.ball([v], 3)):
             if w > v and alber_rule2(inst, v, w):
                 return True
     return False
@@ -427,7 +418,7 @@ def golden_greedy_dominating_set(g: ColoredGraph, targets) -> set[int]:
         return out
     adj = g.adj
     heap = []
-    for v in g.closed_neighborhood_of_set(remaining):
+    for v in g.ball(remaining, 1):
         c = len(adj[v] & remaining) + (1 if v in remaining else 0)
         if c:
             heap.append((-c, v))
@@ -537,8 +528,8 @@ def golden_group_and_reduce(
         members = groups[key]
         if len(members) < 2:
             continue
-        m = g.closed_neighborhood_of_set(members) - d
-        reach = g.closed_neighborhood_of_set(m)
+        m = g.ball(members, 1) - d
+        reach = g.ball(m, 1)
         cover = len(golden_greedy_dominating_set(g, reach & g.black))
         excess = len(members) - cover - 1
         if excess <= 0:
@@ -779,10 +770,11 @@ def random_planar_colored(
     rng: random.Random, n: int, white_frac: float
 ) -> ColoredGraph:
     """Small random planar instance: triangulation, thinning, then a random
-    subset whitened.  Thinning may drop isolated vertices."""
-    g = random_maximal_planar(n, rng.randrange(1 << 32))
+    subset whitened, all by the golden generator, whose draws the safety
+    corpus was recorded with.  Thinning may drop isolated vertices."""
+    g = golden_random_maximal_planar(n, rng.randrange(1 << 32))
     m = rng.randint(max(0, n - 2), 3 * n - 6)
-    g = thin_to_edges(g, m, rng.randrange(1 << 32))
+    g = golden_thin_to_edges(g, m, rng.randrange(1 << 32))
     for v in sorted(g.adj):
         if rng.random() < white_frac:
             g.black.remove(v)

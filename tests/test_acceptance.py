@@ -52,6 +52,10 @@ CANONICAL_CSV_SHA256 = "18e4238b438d603df9b67ac13b3e7b928937ed0a9b847e1a4305283b
 # in manifest order, then manifest.json.
 GEN_SHA256 = "e3a23a7766c96008761a9c97e281827774804dade660604208dd4bedd1f43e84"
 
+# sha256 of criterion 1's corpus, mixed_instance_stream(42, 1000, 16): per
+# graph, the repr of its vertex order, edges, blacks and next fresh id.
+CORPUS_SHA256 = "d1d42bf053f1e78d06487496668b1a54f1d71be39062eb2cabb782fa7cbb63b8"
+
 
 def _verdict(capsys, num, label, ok, detail):
     line = f"criterion {num} [{label}] {'PASS' if ok else 'FAIL'}: {detail}"
@@ -135,6 +139,14 @@ def test_criterion_1_rule_safety(capsys):
         f"configurations, {len(bad)} violations, {elapsed:.1f}s of {budget:.0f}s"
         + (f"; first violations {bad[:3]}" if bad else ""),
     )
+
+
+def test_criterion_1_corpus_is_the_recorded_one():
+    """A generator edit cannot quietly re-seed the safety corpus."""
+    digest = hashlib.sha256()
+    for g in mixed_instance_stream(seed=42, count=1000, max_n=16):
+        digest.update(repr((list(g.adj), g.edges(), sorted(g.black), g._next_id)).encode())
+    assert digest.hexdigest() == CORPUS_SHA256
 
 
 def test_criterion_2_whitened_vertices_irrelevant(capsys):

@@ -392,9 +392,7 @@ def within_distance(g: ColoredGraph, centres, radius: int = 2) -> ColoredGraph:
     """The subgraph of g induced by the vertices within distance `radius`
     of the centres, colours kept.  It keeps g's next fresh id, so that a
     gadget planted on it gets the ids it would get on g."""
-    ball = set(centres)
-    for _ in range(radius):
-        ball = g.closed_neighborhood_of_set(ball)
+    ball = g.ball(centres, radius)
     near = ColoredGraph()
     near.adj = {u: g.adj[u] & ball for u in ball}
     near.black = g.black & ball

@@ -74,7 +74,6 @@ class TestColoredGraph:
     def test_neighborhood_queries(self):
         g = path_graph(4)
         assert g.adj[1] == {0, 2}
-        assert g.closed_neighborhood_of_set([0, 3]) == {0, 1, 2, 3}
         assert len(g.adj[1]) == 2 and len(g.adj[0]) == 1
 
     def test_color_queries(self):
@@ -147,6 +146,9 @@ class TestBall:
                 want = {u for u, d in dist.items() if d <= radius}
                 assert g.ball([v], radius) == want
                 assert g.ball([v, -1], radius) == want  # absent ones are skipped
+
+    def test_radius_one_is_the_closed_neighbourhood_of_the_set(self):
+        assert path_graph(4).ball([0, 3], 1) == {0, 1, 2, 3}
 
 
 class TestTouched:

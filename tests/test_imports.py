@@ -1,7 +1,8 @@
 """The package and the scripts import nothing outside the standard
 library; they and the tests import nothing they never use; the package
-root binds no name; every package name the benchmark uses exists; colour
-is written only through `ColoredGraph.black`."""
+root binds no name; every package name the benchmark uses exists; every
+package function and class is used outside the tests; colour is written
+only through `ColoredGraph.black`."""
 
 import ast
 import importlib
@@ -66,18 +67,24 @@ def test_every_import_is_used(path):
 COLOUR_API = {"set_color", "BLACK", "WHITE"}
 
 
+def names_used(node):
+    """The names node uses as a name, an attribute or an import; docstrings
+    and comments do not count."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            found.add(sub.name)
+    return found
+
+
 def colour_api_names(path):
     """The string colour API names path uses as a name, an attribute or
     an import."""
-    found = set()
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-        if isinstance(node, ast.Name):
-            found.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            found.add(node.attr)
-        elif isinstance(node, ast.alias):
-            found.add(node.name)
-    return found & COLOUR_API
+    return names_used(ast.parse(path.read_text(), filename=str(path))) & COLOUR_API
 
 
 COLOUR_EXEMPT = ("graph.py", "test_graph.py")
@@ -93,6 +100,25 @@ def test_colour_is_written_through_black(path):
     API; its one remaining caller is perfbench's bw-small set-up."""
     used = colour_api_names(path)
     assert not used, f"{path.name} uses {sorted(used)}"
+
+
+def test_every_package_definition_is_used_by_the_program():
+    """Every module-level function and class of the package is named in
+    src/, scripts/ or perfbench/ outside its own definition, so that no
+    second code path lives on for the tests alone."""
+    bodies = {path: ast.parse(path.read_text(), filename=str(path)).body
+              for path in SOURCES + SCRIPTS + BENCHMARK}
+    used = {(path, i): names_used(stmt)
+            for path, body in bodies.items() for i, stmt in enumerate(body)}
+    unused = [
+        f"{path.stem}.{stmt.name}"
+        for path in SOURCES
+        for i, stmt in enumerate(bodies[path])
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not any(stmt.name in names
+                    for where, names in used.items() if where != (path, i))
+    ]
+    assert not unused, f"only the tests use {unused}"
 
 
 def test_package_root_binds_no_name():

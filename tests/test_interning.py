@@ -7,12 +7,7 @@ import pytest
 from domkernel.edgelist import load_graph, write_edge_list
 from domkernel.engine import ApproachConfig, kernelize
 from domkernel.graph import ColoredGraph, Instance
-from domkernel.plangen import (
-    GroupSpec,
-    generate_instance,
-    random_maximal_planar,
-    thin_to_edges,
-)
+from domkernel.plangen import GroupSpec, generate_instance
 
 from helpers import assert_interned, both_cover_graph
 
@@ -27,17 +22,6 @@ def written(tmp_path, g: ColoredGraph, shift: int = 0):
     return p
 
 
-def reordered(g: ColoredGraph) -> ColoredGraph:
-    """g with its vertices in descending id order, one copy of each id per
-    set, so that no identity carries over."""
-    out = ColoredGraph()
-    out.adj = {int(str(v)): {int(str(u)) for u in g.adj[v]}
-               for v in sorted(g.adj, reverse=True)}
-    out.black = set(out.adj)
-    out._next_id = g._next_id
-    return out
-
-
 def loaded(tmp_path, text: str):
     p = tmp_path / "g.edges"
     p.write_text(text)
@@ -46,9 +30,9 @@ def loaded(tmp_path, text: str):
 
 BUILDS = {
     "generate_instance": lambda tmp_path: generate_instance(SPEC, 0, 0),
-    "random_maximal_planar": lambda tmp_path: random_maximal_planar(600, 1),
-    "thin_to_edges-descending-order": lambda tmp_path: thin_to_edges(
-        reordered(random_maximal_planar(600, 2)), 900, 3),
+    # an unthinned group, which keeps every vertex of its triangulation
+    "random_maximal_planar": lambda tmp_path: generate_instance(
+        GroupSpec(600, 1794), 0, 1),
     "load-canonical-file": lambda tmp_path: load_graph(
         written(tmp_path, generate_instance(SPEC, 0, 0))),
     # test_edgelist's signs-and-underscores case with its ids above 256

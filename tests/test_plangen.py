@@ -9,17 +9,9 @@ from domkernel.plangen import (
     canonical_groups,
     generate_group,
     generate_instance,
-    random_maximal_planar,
-    thin_to_edges,
 )
 
-from helpers import (
-    colored,
-    golden_generate_instance,
-    golden_random_maximal_planar,
-    golden_thin_to_edges,
-    star_graph,
-)
+from helpers import golden_generate_instance
 
 
 def assert_same_graph(got, want) -> None:
@@ -72,69 +64,41 @@ class TestGroupSpec:
         assert all(g.instances == 100 for g in canonical_groups(100))
 
 
+def triangulation(n: int, index: int = 0, seed: int = 0):
+    """An instance of the unthinned group on n vertices, which keeps all
+    3n - 6 edges of its stacked triangulation."""
+    return generate_instance(GroupSpec(n, 3 * n - 6), index, seed)
+
+
 class TestRandomMaximalPlanar:
     def test_three_vertices_is_the_triangle(self):
-        g = random_maximal_planar(3, seed=0)
+        g = triangulation(3)
         assert g.edges() == [(0, 1), (0, 2), (1, 2)]
-
-    def test_rejects_tiny_n(self):
-        with pytest.raises(ValueError):
-            random_maximal_planar(2, seed=0)
 
     @pytest.mark.parametrize("n", [3, 4, 7, 20, 61])
     def test_edge_count_identity(self, n):
-        g = random_maximal_planar(n, seed=n)
+        g = triangulation(n, seed=n)
         assert g.vertex_count == n
         assert g.edge_count == 3 * n - 6
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_planarity(self, seed):
-        assert is_planar(random_maximal_planar(40, seed))
+    @pytest.mark.parametrize("index", range(5))
+    def test_planarity(self, index):
+        assert is_planar(triangulation(40, index))
 
     def test_largest_group_size_is_planar(self):
-        g = random_maximal_planar(302, seed=9)
+        g = triangulation(302, seed=9)
         assert g.edge_count == 900
         assert is_planar(g)
 
     def test_deterministic_in_the_seed(self):
-        a = random_maximal_planar(30, seed=5)
-        b = random_maximal_planar(30, seed=5)
-        c = random_maximal_planar(30, seed=6)
+        a = triangulation(30, seed=5)
+        b = triangulation(30, seed=5)
+        c = triangulation(30, seed=6)
         assert a.edges() == b.edges()
         assert a.edges() != c.edges()
 
     def test_everything_black(self):
-        assert random_maximal_planar(12, seed=1).white_vertices() == set()
-
-
-class TestThinToEdges:
-    def test_identity_when_nothing_removed(self):
-        g = random_maximal_planar(10, seed=2)
-        out = thin_to_edges(g, g.edge_count, seed=3)
-        assert out.edges() == g.edges()
-
-    def test_exact_edge_count_and_subset(self):
-        g = random_maximal_planar(30, seed=4)
-        out = thin_to_edges(g, 40, seed=5)
-        assert out.edge_count == 40
-        assert set(out.edges()) <= set(g.edges())
-        assert is_planar(out)
-
-    def test_drops_stranded_vertices(self):
-        out = thin_to_edges(star_graph(4), 2, seed=0)
-        assert out.edge_count == 2
-        assert out.vertex_count == 3
-        assert all(len(out.adj[v]) > 0 for v in sorted(out.adj))
-
-    def test_rejects_growing(self):
-        with pytest.raises(ValueError):
-            thin_to_edges(star_graph(2), 5, seed=0)
-
-    def test_input_untouched(self):
-        g = random_maximal_planar(12, seed=6)
-        before = g.edges()
-        thin_to_edges(g, 10, seed=7)
-        assert g.edges() == before
+        assert triangulation(12, seed=1).white_vertices() == set()
 
 
 class TestGenerateInstance:
@@ -149,6 +113,12 @@ class TestGenerateInstance:
         assert g.edge_count == 900
         assert g.vertex_count <= 450
         assert all(len(g.adj[v]) > 0 for v in sorted(g.adj))
+
+    def test_a_thinned_instance_is_planar_with_the_exact_edge_count(self):
+        for index in range(3):
+            g = generate_instance(GroupSpec(30, 40), index, master_seed=4)
+            assert g.edge_count == 40
+            assert is_planar(g)
 
     def test_determinism_across_calls(self):
         spec = GroupSpec(100, 200)
@@ -210,22 +180,6 @@ class TestGoldenGenerator:
 
     @pytest.mark.parametrize("n", [3, 4, 5, 40])
     def test_triangulation(self, n):
-        assert_same_graph(random_maximal_planar(n, seed=n),
-                          golden_random_maximal_planar(n, seed=n))
-
-    def test_thinning_keeps_colours(self):
-        g = star_graph(4, white=[2])
-        for m in range(5):
-            assert_same_graph(thin_to_edges(g, m, seed=m),
-                              golden_thin_to_edges(g, m, seed=m))
-
-    def test_thinning_with_id_gaps_and_an_isolated_vertex(self):
-        g = colored([(9, 2), (2, 5), (5, 9), (5, 14), (14, 30)],
-                    white=[5], isolated=[7])
-        before = g.copy()
-        for m in range(6):
-            for seed in range(3):
-                out = thin_to_edges(g, m, seed)
-                assert_same_graph(out, golden_thin_to_edges(g, m, seed))
-                assert 7 not in out.adj
-        assert_same_graph(g, before)
+        spec = GroupSpec(n, 3 * n - 6)
+        assert_same_graph(generate_instance(spec, 0, n),
+                          golden_generate_instance(spec, 0, n))

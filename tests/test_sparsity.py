@@ -68,7 +68,7 @@ class TestGreedyDominatingSet:
             g = random_colored_graph(rng, rng.randint(1, 14), 0.3, 0.0)
             targets = {v for v in sorted(g.adj) if rng.random() < 0.6}
             out = greedy_dominating_set(g, targets)
-            assert targets <= g.closed_neighborhood_of_set(out)
+            assert targets <= g.ball(out, 1)
 
     def test_matches_the_naive_rescan(self):
         rng = random.Random(4)
