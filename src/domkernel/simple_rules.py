@@ -36,6 +36,12 @@ one vertex set:
                       N(x) <= N[u].  Only x's adjacency shrinks, so x is the
                       only witness that may newly fit in a ball; v was
                       white, so no white vertex's black neighbors change.
+                      Those u are found through one anchor a in N(x): a u
+                      other than a has a in N(x) <= N[u], so u is in N(a).
+                      Every such u thus lies in {a} | (N(x) & N(a)), and
+                      the driver tests only those, not every black of N(x),
+                      which would cost a hub x its whole degree.  An x
+                      left with no edge has no such u.
   BLACK_TO_WHITE      the white rules: v and each white neighbor of v.
                       v turns white and its neighbors lose a black neighbor,
                       which black rules only lose as a witness.
@@ -154,10 +160,13 @@ def apply_simple_exhaustively(
     every key that applies at the start; each firing queues, by the
     table in the module docstring, every key its mutation may have made
     applicable; a key that applied before the firing and was not taken is
-    still queued.  So the key taken and found valid is always the
-    lowest-numbered applicable rule at its largest vertex.  Stale black
-    keys, such as those of a whitened or removed vertex, are discarded on
-    pop by re-validation.
+    still queued.  (WHITE_SUBSUMED's BLACK_TO_WHITE keys come from one
+    anchor neighbor of each shrunken black x and the neighbors the two
+    share; the table's anchor argument shows that this queues exactly
+    the keys a scan of all of N(x) would.)  So the key taken and found
+    valid is always the lowest-numbered applicable rule at its largest
+    vertex.  Stale black keys, such as those of a whitened or removed
+    vertex, are discarded on pop by re-validation.
 
     When `trace` is a list, each firing appends its (rule, vertex,
     witness) to it, in firing order.
@@ -193,7 +202,7 @@ def apply_simple_exhaustively(
     for heap in heaps:
         heapq.heapify(heap)
     WW, NO_BLACK, SUBSUMED, TO_WHITE, ISOLATED, DEGREE1 = SimpleRule
-    fired = [0] * len(SimpleRule)
+    ww = no_black = subsumed = to_white = isolated = degree1 = 0
 
     while True:
         # The white phase.  After v's WW_EDGE turn every neighbor of v is
@@ -211,13 +220,13 @@ def apply_simple_exhaustively(
                     adj[w].remove(v)
                     if noting:
                         note(WW, v, w)
-                fired[WW] += len(partners)
+                ww += len(partners)
             (covered if av else lonely).append(v)
         for v in lonely:
             del adj[v]
             if noting:
                 note(NO_BLACK, v, v)
-        fired[NO_BLACK] += len(lonely)
+        no_black += len(lonely)
         for v in covered:
             av = adj[v]
             k = len(av)
@@ -227,7 +236,7 @@ def apply_simple_exhaustively(
             else:
                 continue
             del adj[v]
-            fired[SUBSUMED] += 1
+            subsumed += 1
             if noting:
                 note(SUBSUMED, v, u, av)
             for x in av:
@@ -237,12 +246,19 @@ def apply_simple_exhaustively(
                     if x not in isolated_q:
                         isolated_q.add(x)
                         heappush(isolated_h, -x)
-                elif len(ax) == 1 and x not in degree1_q:
+                    continue
+                if len(ax) == 1 and x not in degree1_q:
                     degree1_q.add(x)
                     heappush(degree1_h, -x)
-                for y in ax & black:
-                    if (y not in to_white_q and len(adj[y]) >= len(ax)
-                            and ax <= adj[y] | {y}):
+                # Every y in N(x) with N(x) <= N[y] is the anchor a or
+                # a neighbor of it (see the module docstring).
+                a = next(iter(ax))
+                candidates = ax & adj[a]
+                candidates.add(a)
+                degree = len(ax)
+                for y in candidates:  # N(x) - N(y) is at least {y}
+                    if (y in black and y not in to_white_q
+                            and len(adj[y]) >= degree and len(ax - adj[y]) == 1):
                         to_white_q.add(y)
                         heappush(to_white_h, -y)
 
@@ -262,7 +278,7 @@ def apply_simple_exhaustively(
                         break
         if witness is not None:
             black.remove(u)
-            fired[TO_WHITE] += 1
+            to_white += 1
             if noting:
                 note(TO_WHITE, u, witness)
             whites = au - black
@@ -273,7 +289,7 @@ def apply_simple_exhaustively(
             isolated_q.discard(v)
             if v in black and not adj[v]:
                 inst.take_into_solution(v)
-                fired[ISOLATED] += 1
+                isolated += 1
                 if noting:
                     note(ISOLATED, v, v)
         while degree1_h:
@@ -284,7 +300,7 @@ def apply_simple_exhaustively(
                 break
         if witness is None:
             break
-        fired[DEGREE1] += 1
+        degree1 += 1
         if noting:
             note(DEGREE1, v, witness, adj[witness])
         whitened = adj[witness] & black
@@ -294,7 +310,8 @@ def apply_simple_exhaustively(
             whites |= adj[y] - black
 
     touched.mark(READER)
-    for rule, n in enumerate(fired):
+    fired = (ww, no_black, subsumed, to_white, isolated, degree1)
+    for name, n in zip(STAT_NAMES, fired):
         if n:
-            inst.stats[STAT_NAMES[rule]] += n
+            inst.stats[name] += n
     return sum(fired)

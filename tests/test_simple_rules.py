@@ -276,6 +276,29 @@ class TestFiringSequence:
     def test_on_a_wheel_with_pendants(self):
         assert len(self._assert_same(wheel_with_pendants(40))) > 40
 
+    def test_on_an_unthinned_maximal_planar_instance(self):
+        # 3n - 6 edges, so no thinning: hubs up to degree 31, where
+        # BLACK_TO_WHITE's re-queue after WHITE_SUBSUMED takes its
+        # candidates through an anchor neighbor.
+        g = generate_instance(GroupSpec(150, 444), 0, master_seed=5)
+        assert max(len(nbrs) for nbrs in g.adj.values()) > 20
+        assert len(self._assert_same(g)) > 300
+
+    def test_a_hub_that_shrinks_requeues_a_popped_black(self):
+        """Black hub x = 4 is joined to the black y = 2, the white v = 3
+        and 20 whites z, each z also on y and on the black p = 5 (q = 6,
+        on y and p, keeps y out of N[x]).  y is popped while v still
+        keeps N(x) out of N[y], and fails.  Then s = 1 whitens (witness
+        r = 0), WW_EDGE cuts s-v and WHITE_SUBSUMED removes v.  Only the
+        re-queue at x, of degree 21 then, brings y back, to whiten with x
+        as witness; and y comes first in N(x)'s iteration order, so the
+        re-queue must test the anchor itself."""
+        zs = range(7, 27)
+        edges = [(0, 1), (1, 3), (3, 4), (2, 4), (2, 6), (5, 6)]
+        edges += [(z, c) for z in zs for c in (2, 4, 5)]
+        fired = self._assert_same(colored(edges, white=[3, *zs]))
+        assert (SimpleRule.BLACK_TO_WHITE, 2, 4) in fired
+
     def test_on_bw_small_shaped_instances(self):
         # The benchmark's bw-small inputs: where the rules interleave most,
         # so where a narrowed re-queue shows first.
@@ -293,6 +316,7 @@ class TestSeededRerun:
         rng = random.Random(23)
         corpus = list(mixed_instance_stream(seed=29, count=200, max_n=24))
         corpus += bw_small_shaped(seed=2, count=50)
+        corpus.append(generate_instance(GroupSpec(150, 444), 0, master_seed=5))
         fired = 0
         for g in corpus:
             # Two instances with one history, so that their sets iterate
