@@ -38,6 +38,7 @@ after a miss only the dirty ones.
 
 from __future__ import annotations
 
+from collections.abc import Set
 from heapq import heappop, heappush
 
 from .graph import ColoredGraph, Instance, Touched
@@ -53,9 +54,7 @@ def partition(g: ColoredGraph, *centers: int) -> tuple[set, set, set]:
     if len(set(centers)) != len(centers):
         raise ValueError("partition needs distinct centers")
     adj = g.adj
-    ball = g.ball(centers, 1)
-    if not ball.issuperset(centers):
-        raise KeyError(f"centers {centers} are not all vertices")
+    ball = set(centers).union(*map(adj.__getitem__, centers))
     shell = ball.difference(centers)
     n1 = {u for u in shell if not adj[u] <= ball}
     n2 = {u for u in shell - n1 if not adj[u].isdisjoint(n1)}
@@ -106,13 +105,13 @@ def alber_rule2(inst: Instance, v: int, w: int) -> bool:
     return True
 
 
-def pair_candidates(g: ColoredGraph, near: set | None = None) -> list:
-    """The pairs (v, w), v < w, lexicographic, that at least two distinct
-    blacks x count for: x in N(v) counts for w when N(x) lies inside
-    N[v] | N[w] and w is neither v nor x, and symmetrically.  Every black
-    of n3(v, w) counts for the pair, and the pair rule needs two, so it
-    can fire nowhere else.  With `near`, only the pairs with an endpoint
-    in near.
+def pair_candidates(g: ColoredGraph, near: Set[int]) -> list:
+    """The pairs (v, w), v < w, lexicographic, with an endpoint in the
+    vertex set `near` (``g.adj.keys()`` for every pair), that at least
+    two distinct blacks x count for: x in N(v) counts for w when N(x)
+    lies inside N[v] | N[w] and w is neither v nor x, and symmetrically.
+    Every black of n3(v, w) counts for the pair, and the pair rule needs
+    two, so it can fire nowhere else.
 
     With rest = N(x) - N[v], x counts for the w in the intersection of
     N[y] over y in rest; each is within distance 3 of v (v, x, y, w).
@@ -121,7 +120,7 @@ def pair_candidates(g: ColoredGraph, near: set | None = None) -> list:
     with an endpoint in near lies within distance 4 of near (x, v, and
     three steps to w), and only those blacks are read."""
     adj = g.adj
-    blacks = g.black if near is None else g.ball(near, 4) & g.black
+    blacks = g.ball(near, 4) & g.black
     balls = {}
     first = {}  # pair -> the first black counted for it
     out = set()
@@ -144,9 +143,7 @@ def pair_candidates(g: ColoredGraph, near: set | None = None) -> list:
                     pair = (v, w) if v < w else (w, v)
                     if first.setdefault(pair, x) != x:
                         out.add(pair)
-    if near is not None:
-        out = {p for p in out if p[0] in near or p[1] in near}
-    return sorted(out)
+    return sorted(p for p in out if p[0] in near or p[1] in near)
 
 
 def apply_alber_single_first(inst: Instance, touched: Touched | None = None) -> bool:
@@ -158,7 +155,9 @@ def apply_alber_single_first(inst: Instance, touched: Touched | None = None) -> 
     After a call that missed, only the centres within distance 2 of a
     change can fire (see the module docstring), and their black
     neighbors lie within distance 3 of it: the pass reads only those
-    blacks.  Any other centre it tries still fails.
+    blacks, which `Touched.near` gives.  Any other centre it tries still
+    fails.  At the first call `near` is every vertex, and after a hit
+    the pass reads every black.
 
     A black x in n3(v) is dominated only from within N[v] minus n1, and
     every dominator there has its closed neighborhood inside N[v], so
@@ -169,9 +168,8 @@ def apply_alber_single_first(inst: Instance, touched: Touched | None = None) -> 
     if touched is None:
         touched = Touched()
     near = touched.near(g, SINGLE, 3)
-    missed = near is not None and not touched.scans.get(SINGLE)
     best = None
-    for x in near & black if missed else black:
+    for x in black if touched.scans.get(SINGLE) else near & black:
         ax = adj[x]
         for v in ax:
             if best is not None and v >= best:
@@ -198,12 +196,14 @@ def apply_alber_pair_first(inst: Instance, touched: Touched | None = None) -> bo
     the first hit of a scan over every pair at distance <= 3.
 
     The untried candidates wait in a heap of (v, w, stamp) that lasts
-    the run.  Each later call queues the candidates with an endpoint
-    within distance 2 of a vertex changed since its last call, stamped
-    with the log's length, and so marks their older entries stale.  An
-    entry that is stale or has lost an endpoint is dropped unread.  When
-    `Touched.near` returns every vertex, the call starts over, as the
-    first one does.
+    the run.  Each call queues the candidates with an endpoint in
+    `Touched.near`: every vertex at the first call, and after it those
+    within distance 2 of a vertex changed since the last call.  They and
+    every vertex of `near` are stamped with the log's length, which marks
+    every older entry with an endpoint in `near` stale.  An entry that is
+    stale or has lost an endpoint is dropped unread.  So where `near`
+    holds every vertex, only the entries this call queued are tried, as
+    a scan from the start would try them.
     """
     g = inst.graph
     adj = g.adj
@@ -211,15 +211,6 @@ def apply_alber_pair_first(inst: Instance, touched: Touched | None = None) -> bo
         touched = Touched()
     near = touched.near(g, PAIR, 2)
     stamp = len(touched.log)  # larger at every call that sees a change
-    if near is None:
-        queue, requeued = touched.scans[PAIR] = [], {}
-        candidates = pair_candidates(g)
-        for k, (v, w) in enumerate(candidates):
-            if _fires(inst, v, w, touched.log):
-                # Sorted, so already a heap.
-                queue += [(a, b, stamp) for a, b in candidates[k + 1:]]
-                return True
-        return False
     queue, requeued = touched.scans.setdefault(PAIR, ([], {}))
     for v in near:
         requeued[v] = stamp

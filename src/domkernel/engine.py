@@ -157,11 +157,12 @@ def kernelize(
     shell and the gadget's two new vertices; tier 4 the vertices it
     whitens.  Tier 1 then re-seeds only N[changes] (see `simple_rules`),
     the Alber tiers resume their scans (see `alber`), and tier 4 scans
-    everything.  A tier that has not looked scans everything, as does a
-    tier called without the log.  A continued run's first call, to the
-    tier the prefix lacks, scans everything; after it, every tier that
-    has not looked counts as having looked at the run's start, since the
-    kernel was the fixed point of the prefix's tiers.
+    everything.  A tier that has not looked gets every vertex from
+    `Touched.near` and scans everything, as does a tier called without
+    the log.  A continued run's first call, to the tier the prefix
+    lacks, scans everything; after it, every tier that has not looked
+    counts as having looked at the run's start, since the kernel was the
+    fixed point of the prefix's tiers.
     """
     tiers = config.tiers
     g = inst.graph

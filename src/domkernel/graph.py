@@ -10,6 +10,7 @@ expectations can refer to ids across mutations.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Set
 from dataclasses import dataclass, field
 
 # The string colour API's one remaining caller is perfbench's bw-small
@@ -174,11 +175,11 @@ class Touched:
     run, removed ones included: one log that every tier appends to, and
     that each tier reading it consumes from where it last looked.
 
-    A reader that has not looked yet gets None, which stands for every
-    vertex; so a tier handed a fresh object scans the whole graph, and
-    that is what a tier called without one does.  After
-    ``looked_at_start``, it instead reads the whole log.  ``scans`` keeps
-    each reader's own resume state between its calls.
+    A reader that has not looked yet gets every vertex; so a tier handed
+    a fresh object scans the whole graph, and that is what a tier called
+    without one does.  After ``looked_at_start``, it instead reads the
+    whole log.  ``scans`` keeps each reader's own resume state between
+    its calls.
     """
 
     __slots__ = ("log", "scans", "_marks", "_unlooked")
@@ -189,17 +190,16 @@ class Touched:
         self._marks: dict = {}
         self._unlooked: int | None = None  # the mark of a reader yet to look
 
-    def near(self, g: ColoredGraph, reader: str, radius: int) -> set[int] | None:
+    def near(self, g: ColoredGraph, reader: str, radius: int) -> Set[int]:
         """The vertices of g within distance `radius` of those changed
-        since reader last looked; None, for every vertex, on reader's
-        first look or when that is every vertex.  Either way, reader has
-        now looked."""
+        since reader last looked; on reader's first look, every vertex,
+        as the live view ``g.adj.keys()``.  Either way, reader has now
+        looked."""
         start = self._marks.get(reader, self._unlooked)
         end = self._marks[reader] = len(self.log)
         if start is None:
-            return None
-        near = g.ball(self.log[start:end], radius)
-        return None if len(near) == len(g.adj) else near
+            return g.adj.keys()
+        return g.ball(self.log[start:end], radius)
 
     def mark(self, reader: str) -> None:
         """Count everything logged so far as seen by reader."""
@@ -212,8 +212,8 @@ class Touched:
 
     def watched(self, writer: str) -> bool:
         """Whether a reader other than writer has looked.  Until one has,
-        every reader's next look returns None, so writer's changes need
-        no log."""
+        every reader's next look returns every vertex, so writer's changes
+        need no log."""
         return self._unlooked is not None or len(self._marks) > (writer in self._marks)
 
 

@@ -102,6 +102,7 @@ deterministic, and optimum preservation never depends on order.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Set
 from enum import IntEnum
 
 from .graph import ColoredGraph, Instance, Touched
@@ -127,22 +128,19 @@ READER = "simple"
 # -- incremental fixed point ------------------------------------------
 
 
-def initial_keys(g: ColoredGraph, near: set | None = None) -> tuple:
+def initial_keys(g: ColoredGraph, near: Set[int]) -> tuple:
     """The vertices the worklist starts from, as (whites, blacks,
-    isolated, degree1): every white of `near` (all vertices when None),
-    queued under the three white rules; every black of it, under
-    BLACK_TO_WHITE; and those blacks with no neighbor or one, under
-    ISOLATED_BLACK or DEGREE1_BLACK.  Those two rules cannot apply at a
-    black of degree 2 or more, so every applicable key of `near` is among
-    these."""
+    isolated, degree1): every white of the vertex set `near` (pass
+    ``g.adj.keys()`` for every vertex), queued under the three white
+    rules; every black of it, under BLACK_TO_WHITE; and those blacks with
+    no neighbor or one, under ISOLATED_BLACK or DEGREE1_BLACK.  Those two
+    rules cannot apply at a black of degree 2 or more, so every
+    applicable key of `near` is among these."""
     adj, black = g.adj, g.black
-    if near is None:
-        whites, blacks = adj.keys() - black, set(black)
-    else:
-        whites, blacks = near - black, near & black
+    blacks = near & black
     low = {v for v in blacks if len(adj[v]) < 2}
     isolated = {v for v in low if not adj[v]}
-    return whites, blacks, isolated, low - isolated
+    return near - black, blacks, isolated, low - isolated
 
 
 def apply_simple_exhaustively(
@@ -173,7 +171,8 @@ def apply_simple_exhaustively(
 
     With `touched`, the run's log of changed vertices, the seed is N[T]
     for the vertices T changed since this tier last ran (see the module
-    docstring), or every vertex when `Touched.near` says so.
+    docstring); on this tier's first look at it, and without it, the seed
+    is every vertex.
     """
     g = inst.graph
     adj, black = g.adj, g.black

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from domkernel.alber import (
+    PAIR,
     alber_rule2,
     apply_alber_pair_first,
     apply_alber_single_first,
@@ -328,7 +329,7 @@ class TestCandidates:
     def test_every_firing_pair_is_a_candidate(self):
         fired = 0
         for g in alber_inputs():
-            candidates = set(pair_candidates(g))
+            candidates = set(pair_candidates(g, g.adj.keys()))
             inst = Instance.from_graph(g.copy())
             for v in sorted(g.adj):
                 near = bfs_distances(g, v)
@@ -354,7 +355,7 @@ class TestCandidates:
                     shell = (adj[v] | adj[w]) - {v, w}
                     if sum(adj[x] <= ball for x in shell & black) >= 2:
                         pairs.append((v, w))
-            assert pair_candidates(g) == pairs
+            assert pair_candidates(g, g.adj.keys()) == pairs
 
     def test_candidates_near_a_set_are_the_full_ones_touching_it(self):
         # The pairs with an endpoint in near, from the blacks within
@@ -366,7 +367,7 @@ class TestCandidates:
                               white=[0, 2, 3, 4]))
         touching = 0
         for g in graphs:
-            full = pair_candidates(g)
+            full = pair_candidates(g, g.adj.keys())
             vs = sorted(g.adj)
             nears = [{v} for v in vs] + [set(rng.sample(vs, min(len(vs), 5)))]
             for near in nears:
@@ -382,7 +383,7 @@ class TestCandidates:
         # (0, 4), at distance 3, gets two blacks, and the rule fires there.
         g = colored([(0, 1), (0, 2), (2, 3), (3, 4), (4, 5)], white=[0, 2, 3, 4])
         assert bfs_distances(g, 0)[4] == 3
-        assert pair_candidates(g) == [(0, 4)]
+        assert pair_candidates(g, g.adj.keys()) == [(0, 4)]
         inst = Instance.from_graph(g)
         assert alber_rule2(inst, 0, 4)
         assert inst.solution == {0, 4}
@@ -453,7 +454,7 @@ class TestReadRadius:
     def test_pair_candidates_read_within_distance_2(self):
         candidates = disagree_at_1 = 0
         for g in radius_inputs():
-            full = set(pair_candidates(g))
+            full = set(pair_candidates(g, g.adj.keys()))
             for v in sorted(g.adj):
                 dist = bfs_distances(g, v)
                 for w in sorted(dist):
@@ -461,12 +462,73 @@ class TestReadRadius:
                         continue
                     want = (v, w) in full
                     near = within_distance(g, [v, w])
-                    assert ((v, w) in pair_candidates(near)) == want, (v, w)
+                    assert ((v, w) in pair_candidates(near, near.adj.keys())) == want, (v, w)
                     near = within_distance(g, [v, w], 1)
-                    disagree_at_1 += ((v, w) in pair_candidates(near)) != want
+                    disagree_at_1 += ((v, w) in pair_candidates(near, near.adj.keys())) != want
                     candidates += want
         assert candidates >= 1000
         assert disagree_at_1 == 7461
+
+
+def changed_beyond(g: ColoredGraph, centres, rng: random.Random) -> ColoredGraph:
+    """A copy of g changed only beyond distance 1 of the centres: about
+    half of those vertices recoloured, about a third of the edges among
+    them removed, and up to half as many edges among them added as there
+    are such vertices.  The adjacency and colour of N[centres] stay."""
+    h = g.copy()
+    far = sorted(h.adj.keys() - h.ball(centres, 1))
+    h.black ^= {u for u in far if rng.random() < 0.5}
+    far_set = set(far)
+    for u in far:
+        for w in sorted(h.adj[u] & far_set):
+            if u < w and rng.random() < 1 / 3:
+                h.remove_edge(u, w)
+    for _ in range(len(far) // 2):
+        u, w = rng.choice(far), rng.choice(far)
+        if u != w:
+            h.add_edge(u, w)
+    return h
+
+
+class TestChangesBeyondRadius1:
+    """Each Alber rule, and whether a pair is a candidate, reads only the
+    adjacency and colour of N[centres]: changing the graph beyond it,
+    with N[centres] kept, moves neither.  Some of the changes recolour a
+    vertex at distance 2, which the radius 2 of `TestReadRadius` keeps."""
+
+    def test_the_single_rule(self):
+        rng = random.Random(41)
+        fired = at_2 = 0
+        for g in radius_inputs():
+            for v in sorted(g.adj):
+                h = changed_beyond(g, [v], rng)
+                got = outcome(alber_rule1, h, v)
+                assert outcome(alber_rule1, g.copy(), v) == got, v
+                fired += got[0]
+                at_2 += not (g.black ^ h.black).isdisjoint(g.ball([v], 2))
+        assert fired >= 10 and at_2 >= 1000
+
+    def test_the_pair_rule_and_candidates(self):
+        rng = random.Random(43)
+        fired = gadgets = candidates = at_2 = 0
+        for g in radius_inputs():
+            full = set(pair_candidates(g, g.adj.keys()))
+            for v in sorted(g.adj):
+                dist = bfs_distances(g, v)
+                for w in sorted(dist):
+                    if w <= v or dist[w] > 3:
+                        continue
+                    h = changed_beyond(g, [v, w], rng)
+                    want = (v, w) in full
+                    assert ((v, w) in pair_candidates(h, {v, w})) == want, (v, w)
+                    got = outcome(alber_rule2, h, v, w)
+                    assert outcome(alber_rule2, g.copy(), v, w) == got, (v, w)
+                    fired += got[0]
+                    gadgets += max(got[2], default=-1) >= g._next_id
+                    candidates += want
+                    at_2 += not (g.black ^ h.black).isdisjoint(g.ball([v, w], 2))
+        assert fired >= 10 and gadgets >= 1
+        assert candidates >= 1000 and at_2 >= 1000
 
 
 class TestResume:
@@ -486,11 +548,18 @@ class TestResume:
         corpus += [SINGLE_FIRES, both_cover_graph(9)]
         corpus += list(mixed_instance_stream(19, 200, 20))
         corpus += bw_small_shaped(1, 30)
-        hits = resumed = 0
+        hits = resumed = everywhere = 0
         for g in corpus:
             inst = Instance.from_graph(g.copy())
             touched = Touched()
+            looked = 0  # the log's length when the scan last looked
             for step in range(8):
+                # A dirty ball of every vertex while the pair queue still
+                # holds entries from an earlier call, all of them stale now.
+                dirty = inst.graph.ball(touched.log[looked:], 2)
+                queue = touched.scans.get(PAIR, ([], {}))[0]
+                everywhere += len(dirty) == len(inst.graph.adj) and bool(queue)
+                looked = len(touched.log)
                 before = inst.copy()
                 hit = scan(inst, touched=touched)
                 assert hit == golden(before), step
@@ -499,3 +568,4 @@ class TestResume:
                 resumed += hit and step > 0
                 perturb(inst.graph, rng, touched.log)
         assert resumed >= 100
+        assert everywhere >= (20 if scan is apply_alber_pair_first else 0)

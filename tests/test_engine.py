@@ -269,8 +269,8 @@ class TestKernelizeAfter:
     def test_only_the_first_call_of_a_continuation_scans_everything(self):
         # The first call goes to the tier the prefix lacks; after it, the
         # prefix's tiers read the log from the run's start.  A reader that
-        # has not looked probes that: it gets None, for every vertex, only
-        # at the first call, or where the log holds every vertex.
+        # has not looked probes that: it gets every vertex only at the
+        # first call, or where the log holds every vertex.
         probes = []
 
         def probing(name):
@@ -278,7 +278,8 @@ class TestKernelizeAfter:
 
             def call(inst, touched):
                 near = touched.near(inst.graph, f"probe {len(probes)}", 0)
-                probes.append((near is None, inst.graph.adj.keys() <= set(touched.log)))
+                probes.append((near == inst.graph.adj.keys(),
+                               inst.graph.adj.keys() <= set(touched.log)))
                 return tier(inst, touched=touched)
             return call
 

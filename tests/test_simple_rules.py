@@ -254,6 +254,16 @@ def naive_firing_sequence(g):
     return fired
 
 
+def hub_gadget(zs: int, label) -> ColoredGraph:
+    """The hub gadget of `TestFiringSequence` with `zs` whites z, vertex i
+    relabelled label[i]: r = 0, s = 1, y = 2, v = 3, x = 4, p = 5, q = 6
+    and the z's from 7 on."""
+    edges = [(0, 1), (1, 3), (3, 4), (2, 4), (2, 6), (5, 6)]
+    edges += [(z, c) for z in range(7, zs + 7) for c in (2, 4, 5)]
+    return colored([(label[a], label[b]) for a, b in edges],
+                   white=[label[w] for w in (3, *range(7, zs + 7))])
+
+
 class TestFiringSequence:
     """The driver fires the same rules at the same vertices with the same
     witnesses, in the same order, as the naive loop: a stronger oracle
@@ -293,11 +303,22 @@ class TestFiringSequence:
         re-queue at x, of degree 21 then, brings y back, to whiten with x
         as witness; and y comes first in N(x)'s iteration order, so the
         re-queue must test the anchor itself."""
-        zs = range(7, 27)
-        edges = [(0, 1), (1, 3), (3, 4), (2, 4), (2, 6), (5, 6)]
-        edges += [(z, c) for z in zs for c in (2, 4, 5)]
-        fired = self._assert_same(colored(edges, white=[3, *zs]))
+        fired = self._assert_same(hub_gadget(20, range(27)))
         assert (SimpleRule.BLACK_TO_WHITE, 2, 4) in fired
+
+    def test_relabelled_hubs_requeue_a_popped_black(self):
+        """The hub gadget with 9 to 40 z's and the ids from y up
+        shuffled: so x has degree 10 to 41 when it shrinks, and which
+        neighbour of x comes first, the anchor, changes: in a few of
+        them it is y itself, in the rest a z next to y.  r = 0 and s = 1
+        stay the smallest, so y is still popped before s whitens and
+        fails, and only the re-queue at x brings it back."""
+        for seed in range(20):
+            rng = random.Random(seed)
+            for zs in range(9, 41):
+                label = [0, 1, *rng.sample(range(2, zs + 7), zs + 5)]
+                fired = self._assert_same(hub_gadget(zs, label))
+                assert (SimpleRule.BLACK_TO_WHITE, label[2], label[4]) in fired
 
     def test_on_bw_small_shaped_instances(self):
         # The benchmark's bw-small inputs: where the rules interleave most,
@@ -440,7 +461,7 @@ def applicable_keys(g):
 
 
 def assert_seed_holds_every_applicable_key(g):
-    seed = flat_keys(initial_keys(g))
+    seed = flat_keys(initial_keys(g, g.adj.keys()))
     assert len(seed) == len(set(seed))
     missed = applicable_keys(g) - set(seed)
     assert not missed, missed
@@ -469,7 +490,7 @@ class TestInitialKeys:
         # leaf 4, and an isolated black 9.
         g = star_graph(4, white=[4])
         g.add_vertex(9)
-        assert sorted(flat_keys(initial_keys(g))) == sorted(
+        assert sorted(flat_keys(initial_keys(g, g.adj.keys()))) == sorted(
             [(SimpleRule.BLACK_TO_WHITE, v) for v in (0, 1, 2, 3, 9)]
             + [(SimpleRule.DEGREE1_BLACK, v) for v in (1, 2, 3)]
             + [(SimpleRule.ISOLATED_BLACK, 9)]
