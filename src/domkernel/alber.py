@@ -9,30 +9,30 @@ whitened.
 The single rule needs no partition: a black x lies in n3(v) exactly when
 x is a neighbor of v and N(y) lies inside N[v] for every y in N[x] - {v}
 (y = x keeps x out of n1, the other y keep x out of n2).  So its scan is
-one pass over the blacks, and what it reads lies within distance 2 of v.
-The pair rule partitions at each pair that has two blacks x with N(x)
-inside the joint closed neighborhood; those pairs are generated from the
-blacks' neighborhoods, and the rule returns False, changing nothing, at
-every other pair.
+one pass over the blacks, and its test at a black x, for every v in
+N(x), reads the adjacency of N[x] and the colour of x.  The pair rule
+partitions at each pair that has two blacks x with N(x) inside the
+joint closed neighborhood; those pairs are generated from the blacks'
+neighborhoods, and the rule returns False, changing nothing, at every
+other pair.  The rule and that candidacy at (v, w) read the adjacency
+and colour of N[v] | N[w].
 
 Within one kernelize run both scans resume where their last call
-stopped, reading the run's `Touched` log of changed vertices.  Whether
-the single rule fires at v, whether (v, w) is a candidate, and whether
-the pair rule fires there, depend on nothing beyond the subgraph induced
-within distance 2 of the centres (tests/test_alber.py::TestReadRadius).
-That subgraph stays the same while no vertex within distance 2 of the
-centres changes its adjacency or colour.  So after changes T only the
-centres, and the pairs with an endpoint, within distance 2 of T can
-change status: that is both tiers' dirty radius.
+stopped, reading the run's `Touched` log of changed vertices.  Each
+key's test reads only its closed neighbourhood, the black x's or the
+pair's (tests/test_alber.py::TestChangesBeyondRadius1), and the log
+holds every vertex whose adjacency or colour changed.  So after changes
+T only the blacks, and the pairs with an endpoint, in N[T] can change
+outcome: `Touched.near` gives that set.
 
-A call that hit found every centre or pair before its hit to fail, and
+A call that hit found every key or pair before its hit to fail, and
 tried none after it; a call that missed found them all to fail.  So the
 next call must try, in the same order, the dirty ones before the last
 hit and every one from the hit on; every other one before the hit still
 fails, and the first that fires is the first hit of the full scan.  The
 pair scan keeps its untried candidates in a heap, to which it adds the
 dirty candidates.  The single scan, whose hits are rare, keeps only
-whether its last call hit: after a hit it tries every centre again,
+whether its last call hit: after a hit it tries every black again,
 after a miss only the dirty ones.
 """
 
@@ -152,12 +152,11 @@ def apply_alber_single_first(inst: Instance, touched: Touched | None = None) -> 
     best centre so far.  That is the first hit of the rule tried at every
     vertex, ascending.
 
-    After a call that missed, only the centres within distance 2 of a
-    change can fire (see the module docstring), and their black
-    neighbors lie within distance 3 of it: the pass reads only those
-    blacks, which `Touched.near` gives.  Any other centre it tries still
-    fails.  At the first call `near` is every vertex, and after a hit
-    the pass reads every black.
+    After a call that missed, a (v, x) can newly pass only where N[x]
+    changed (see the module docstring): the pass reads only the blacks
+    of `Touched.near`, and any other black still fails at every v.  At
+    the first call `near` is every vertex, and after a hit the pass
+    reads every black.
 
     A black x in n3(v) is dominated only from within N[v] minus n1, and
     every dominator there has its closed neighborhood inside N[v], so
@@ -167,7 +166,7 @@ def apply_alber_single_first(inst: Instance, touched: Touched | None = None) -> 
     adj, black = g.adj, g.black
     if touched is None:
         touched = Touched()
-    near = touched.near(g, SINGLE, 3)
+    near = touched.near(g, SINGLE)
     best = None
     for x in black if touched.scans.get(SINGLE) else near & black:
         ax = adj[x]
@@ -197,9 +196,9 @@ def apply_alber_pair_first(inst: Instance, touched: Touched | None = None) -> bo
 
     The untried candidates wait in a heap of (v, w, stamp) that lasts
     the run.  Each call queues the candidates with an endpoint in
-    `Touched.near`: every vertex at the first call, and after it those
-    within distance 2 of a vertex changed since the last call.  They and
-    every vertex of `near` are stamped with the log's length, which marks
+    `Touched.near`: every vertex at the first call, and after it N[T]
+    for the vertices T changed since the last call.  They and every
+    vertex of `near` are stamped with the log's length, which marks
     every older entry with an endpoint in `near` stale.  An entry that is
     stale or has lost an endpoint is dropped unread.  So where `near`
     holds every vertex, only the entries this call queued are tried, as
@@ -209,7 +208,7 @@ def apply_alber_pair_first(inst: Instance, touched: Touched | None = None) -> bo
     adj = g.adj
     if touched is None:
         touched = Touched()
-    near = touched.near(g, PAIR, 2)
+    near = touched.near(g, PAIR)
     stamp = len(touched.log)  # larger at every call that sees a change
     queue, requeued = touched.scans.setdefault(PAIR, ([], {}))
     for v in near:
@@ -219,19 +218,10 @@ def apply_alber_pair_first(inst: Instance, touched: Touched | None = None) -> bo
     while queue:
         v, w, queued = heappop(queue)
         if (v in adj and w in adj and requeued.get(v, -1) <= queued
-                and requeued.get(w, -1) <= queued and _fires(inst, v, w, touched.log)):
-            return True
+                and requeued.get(w, -1) <= queued):
+            av, aw = adj[v], adj[w]  # kept after a take removes v or w
+            if alber_rule2(inst, v, w):
+                # v, w and their neighborhoods hold every vertex it changed.
+                touched.log += (v, w, *av, *aw)
+                return True
     return False
-
-
-def _fires(inst: Instance, v: int, w: int, log: list) -> bool:
-    """Apply the pair rule at (v, w); when it fires, log v, w and their
-    neighborhoods, which hold every vertex it changed."""
-    adj = inst.graph.adj
-    av, aw = adj[v], adj[w]  # kept after a take removes v or w
-    if not alber_rule2(inst, v, w):
-        return False
-    log += (v, w)
-    log += av
-    log += aw
-    return True

@@ -23,7 +23,9 @@ import multiprocessing
 from dataclasses import dataclass
 from pathlib import Path
 
-from .edgelist import load_graph, write_edge_list, write_white_list
+from .edgelist import (
+    DataError, load_graph, read_text, write_edge_list, write_white_list,
+)
 from .engine import ALL_CONFIGS, ApproachConfig, kernelize
 from .graph import Instance
 
@@ -42,18 +44,6 @@ CSV_COLUMNS = (
     "fully_solved",
     "attempts",
 ) + FRACTIONS
-
-
-class BenchRunError(RuntimeError):
-    """A dataset file failed to process; the whole run aborts.  The args
-    are (path, message), so that it pickles back from a pool worker."""
-
-    def __init__(self, path: str, message: str) -> None:
-        super().__init__(path, message)
-        self.path = path
-
-    def __str__(self) -> str:
-        return f"{self.path}: {self.args[1]}"
 
 
 @dataclass(frozen=True)
@@ -100,18 +90,16 @@ def write_dataset(root, groups, metadata) -> Path:
 def read_manifest(path):
     """Load the dataset manifest; file paths resolve relative to it.  A
     manifest of the wrong shape, one with an empty 'path' or 'white'
-    string, or one that lists a path twice, raises BenchRunError naming
+    string, or one that lists a path twice, raises DataError naming
     the file."""
     path = Path(path)
     try:
-        data = json.loads(path.read_text())
-    except UnicodeDecodeError as exc:
-        raise BenchRunError(str(path), f"undecodable text: {exc}") from None
+        data = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
-        raise BenchRunError(str(path), f"malformed JSON: {exc}") from None
+        raise DataError(path, None, f"malformed JSON: {exc}") from None
     files = data.get("files") if isinstance(data, dict) else None
     if not isinstance(files, list):
-        raise BenchRunError(str(path), "expected an object with a 'files' list")
+        raise DataError(path, None, "expected an object with a 'files' list")
     base = path.parent
     entries = []
     for i, item in enumerate(files):
@@ -121,15 +109,13 @@ def read_manifest(path):
             and isinstance(item.get("path"), str)
             and isinstance(item.get("white"), (str, type(None)))
         ):
-            raise BenchRunError(
-                str(path),
+            raise DataError(
+                path, None,
                 f"files[{i}] needs string 'group' and 'path' and a string"
                 " or null 'white'",
             )
         if item["path"] == "" or item.get("white") == "":
-            raise BenchRunError(
-                str(path), f"files[{i}] has an empty 'path' or 'white'"
-            )
+            raise DataError(path, None, f"files[{i}] has an empty 'path' or 'white'")
         entries.append(
             {
                 "group": item["group"],
@@ -139,7 +125,7 @@ def read_manifest(path):
             }
         )
     if len({e["path"] for e in entries}) != len(entries):
-        raise BenchRunError(str(path), "a 'path' is listed more than once")
+        raise DataError(path, None, "a 'path' is listed more than once")
     return entries
 
 
@@ -150,7 +136,7 @@ def _run_file(entry, plan, requested):
     ``off.none`` runs on the loaded instance; every other configuration
     continues from a copy of its prefix's kernel, which ``plan`` runs
     earlier, so no kernel is mutated after its own run.  Any exception
-    raises BenchRunError naming the file."""
+    raises DataError naming the file."""
     try:
         base = Instance.from_graph(load_graph(entry["path"], entry.get("white_path")))
         runs = {}  # config -> (instance it left, report)
@@ -162,7 +148,7 @@ def _run_file(entry, plan, requested):
                 inst = parent.copy()
             runs[config] = (inst, kernelize(inst, config, after))
     except Exception as exc:
-        raise BenchRunError(entry["path"], f"{type(exc).__name__}: {exc}") from exc
+        raise DataError(entry["path"], None, f"{type(exc).__name__}: {exc}") from exc
     rows = []
     for config in requested:
         full = runs[config][1].to_dict()
@@ -182,7 +168,7 @@ def run_bench(entries, configs=None, workers: int = 1) -> BenchResult:
     (see ``_run_file``); its rows equal a separate load and run per
     requested configuration.  Rows are dataset-major (all configurations of
     a file together, in the given order) regardless of worker count.  The
-    first failing file in manifest order raises BenchRunError: no later
+    first failing file in manifest order raises DataError: no later
     file starts in a serial run, and a pool's workers are terminated.
     """
     if configs is None:

@@ -13,8 +13,8 @@ import re
 import sys
 from pathlib import Path
 
-from .bench import BenchRunError, read_manifest, run_bench, write_csv, write_dataset
-from .edgelist import EdgeListError, load_graph, write_edge_list, write_white_list
+from .bench import read_manifest, run_bench, write_csv, write_dataset
+from .edgelist import DataError, load_graph, write_edge_list, write_white_list
 from .engine import ApproachConfig, kernelize
 from .exact import DEFAULT_VERTEX_LIMIT, OracleSizeError, exact_dom
 from .graph import Instance
@@ -194,7 +194,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (EdgeListError, BenchRunError) as exc:
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except OracleSizeError as exc:
@@ -203,9 +203,6 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
 
 
 if __name__ == "__main__":

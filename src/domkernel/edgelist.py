@@ -22,47 +22,53 @@ from typing import NoReturn
 from .graph import ColoredGraph
 
 
-class EdgeListError(ValueError):
-    """Malformed input file, with position information."""
+class DataError(ValueError):
+    """A refused input file: an edge list, a sidecar, a manifest, or a
+    dataset file that failed to process.  The args are (path, line_no,
+    message), line_no None where no one line is at fault, so that it
+    pickles back from a pool worker."""
 
     def __init__(self, path, line_no: int | None, message: str) -> None:
-        where = f"{path}:{line_no}" if line_no is not None else str(path)
-        super().__init__(f"{where}: {message}")
-        self.path = str(path)
-        self.line_no = line_no
+        super().__init__(str(path), line_no, message)
+        self.path, self.line_no = str(path), line_no
+
+    def __str__(self) -> str:
+        where = self.path if self.line_no is None else f"{self.path}:{self.line_no}"
+        return f"{where}: {self.args[2]}"
 
 
-def _read_text(path) -> str:
+def read_text(path) -> str:
+    """The text of the file at path; undecodable text raises DataError."""
     try:
         return Path(path).read_text()
     except UnicodeDecodeError as exc:
-        raise EdgeListError(path, None, f"undecodable text: {exc}") from None
+        raise DataError(path, None, f"undecodable text: {exc}") from None
 
 
 def _refuse(path, line_no: int, raw: str, arity: int) -> NoReturn:
-    """Raise the EdgeListError for a data line of `arity` (1 or 2) vertex
+    """Raise the DataError for a data line of `arity` (1 or 2) vertex
     ids that fails a check.  The checks, in order: the token count,
     integer ids, non-negative ids, and for an edge no self-loop.  Called
     only for a line that fails one of them."""
     parts = raw.split()
     if len(parts) != arity:
-        raise EdgeListError(
+        raise DataError(
             path, line_no, f"expected {arity} vertex id(s), got {len(parts)} tokens"
         )
     try:
         ids = [int(p) for p in parts]
     except ValueError:
-        raise EdgeListError(
+        raise DataError(
             path, line_no, f"non-integer vertex id in {raw.strip()!r}"
         ) from None
     if min(ids) < 0:
-        raise EdgeListError(path, line_no, "vertex ids must be non-negative")
-    raise EdgeListError(path, line_no, f"self-loop at {ids[0]} not allowed")
+        raise DataError(path, line_no, "vertex ids must be non-negative")
+    raise DataError(path, line_no, f"self-loop at {ids[0]} not allowed")
 
 
 def read_white_list(path) -> set[int]:
     whites = set()
-    for line_no, raw in enumerate(_read_text(path).splitlines(), start=1):
+    for line_no, raw in enumerate(read_text(path).splitlines(), start=1):
         parts = raw.split()
         if not parts or parts[0][0] == "#":
             continue
@@ -107,7 +113,7 @@ def _plain_ends(text: str) -> list[int] | None:
 def _checked_ends(path, text: str) -> list[int]:
     """The endpoints of any text's edges, as _plain_ends gives them; each
     line is checked, in order, and the first that fails raises its
-    EdgeListError."""
+    DataError."""
     ids: dict[int, int] = {}
     ends = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -138,7 +144,7 @@ def load_graph(path, white_path=None) -> ColoredGraph:
     one adjacency loop: duplicate and reversed edges collapse, vertices
     enter in order of first appearance, as ``ColoredGraph.from_edges``
     adds them, and the graph equals ``from_edges`` of the file's edges."""
-    text = _read_text(path)
+    text = read_text(path)
     ends = _plain_ends(text)
     if ends is None:
         ends = _checked_ends(path, text)
@@ -155,7 +161,7 @@ def load_graph(path, white_path=None) -> ColoredGraph:
         whites = read_white_list(white_path)
         missing = whites - adj.keys()
         if missing:
-            raise EdgeListError(
+            raise DataError(
                 white_path, None,
                 f"white vertex {min(missing)} does not occur in {path}",
             )

@@ -155,8 +155,8 @@ def kernelize(
     has looked; the single tier the centre it takes and its neighbours;
     the pair tier v, w and their neighbourhoods, which hold the whitened
     shell and the gadget's two new vertices; tier 4 the vertices it
-    whitens.  Tier 1 then re-seeds only N[changes] (see `simple_rules`),
-    the Alber tiers resume their scans (see `alber`), and tier 4 scans
+    whitens.  Tier 1 then re-seeds, and the Alber tiers resume their
+    scans at, only N[changes] (see `Touched`), and tier 4 scans
     everything.  A tier that has not looked gets every vertex from
     `Touched.near` and scans everything, as does a tier called without
     the log.  A continued run's first call, to the tier the prefix

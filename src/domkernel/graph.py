@@ -105,16 +105,16 @@ class ColoredGraph:
         are vertices of the graph; radius 1 gives their closed
         neighbourhood N[vs]."""
         adj = self.adj
-        seen = {v for v in vs if v in adj}
+        seen = adj.keys() & vs
         frontier = seen
-        for _ in range(radius):
+        for left in reversed(range(radius)):
             if len(seen) == len(adj):
                 break
-            reached = set()
-            for v in frontier:
-                reached |= adj[v]
-            frontier = reached - seen
-            seen |= frontier
+            if left:
+                frontier = set().union(*map(adj.__getitem__, frontier)) - seen
+                seen |= frontier
+            else:  # the last step needs no new frontier
+                seen.update(*map(adj.__getitem__, frontier))
         return seen
 
     def white_vertices(self) -> set[int]:
@@ -175,6 +175,15 @@ class Touched:
     run, removed ones included: one log that every tier appends to, and
     that each tier reading it consumes from where it last looked.
 
+    Every reader's test at a key reads only the adjacency and colour of
+    the key's closed neighbourhood: tier 1 at a vertex u reads N[u], the
+    single Alber scan at a black x reads N[x], and the pair rule and
+    pair candidacy at (v, w) read N[v] | N[w].  A key whose neighbourhood
+    kept its adjacency and colour keeps its outcome, and every vertex
+    whose adjacency or colour changed is in the log.  So a key can change
+    outcome only if it lies in N[what changed], which is what `near`
+    returns.
+
     A reader that has not looked yet gets every vertex; so a tier handed
     a fresh object scans the whole graph, and that is what a tier called
     without one does.  After ``looked_at_start``, it instead reads the
@@ -190,16 +199,15 @@ class Touched:
         self._marks: dict = {}
         self._unlooked: int | None = None  # the mark of a reader yet to look
 
-    def near(self, g: ColoredGraph, reader: str, radius: int) -> Set[int]:
-        """The vertices of g within distance `radius` of those changed
-        since reader last looked; on reader's first look, every vertex,
-        as the live view ``g.adj.keys()``.  Either way, reader has now
-        looked."""
+    def near(self, g: ColoredGraph, reader: str) -> Set[int]:
+        """N[T] in g, for the vertices T changed since reader last looked;
+        on reader's first look, every vertex, as the live view
+        ``g.adj.keys()``.  Either way, reader has now looked."""
         start = self._marks.get(reader, self._unlooked)
         end = self._marks[reader] = len(self.log)
         if start is None:
             return g.adj.keys()
-        return g.ball(self.log[start:end], radius)
+        return g.ball(self.log[start:end], 1)
 
     def mark(self, reader: str) -> None:
         """Count everything logged so far as seen by reader."""

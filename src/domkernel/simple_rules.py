@@ -178,7 +178,7 @@ def apply_simple_exhaustively(
     adj, black = g.adj, g.black
     if touched is None:
         touched = Touched()
-    near = touched.near(g, READER, 1)
+    near = touched.near(g, READER)
     log = touched.log if touched.watched(READER) else None
     noting = trace is not None or log is not None
     if noting:

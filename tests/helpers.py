@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from domkernel.alber import alber_rule2, partition
 from domkernel.bench import CSV_COLUMNS
-from domkernel.edgelist import _read_text, _refuse, load_graph
+from domkernel.edgelist import _refuse, load_graph, read_text
 from domkernel.engine import ApproachConfig, kernelize
 from domkernel.exact import DEFAULT_VERTEX_LIMIT, exact_dom
 from domkernel.graph import ColoredGraph, Instance, Touched, is_1_scattered
@@ -712,7 +712,7 @@ def golden_generate_instance(spec: GroupSpec, index: int, master_seed: int) -> C
 def golden_load_graph(path) -> ColoredGraph:
     """Build the all-black graph from an edge list, checking each line."""
     adj: dict[int, set[int]] = {}
-    for line_no, raw in enumerate(_read_text(path).splitlines(), start=1):
+    for line_no, raw in enumerate(read_text(path).splitlines(), start=1):
         parts = raw.split()
         if not parts or parts[0][0] == "#":
             continue

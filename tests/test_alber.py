@@ -425,8 +425,8 @@ class TestReadRadius:
     """Each Alber rule, and whether a pair is a candidate, reads nothing
     beyond distance 2 of the centres: each does the same on g as on the
     subgraph induced within distance 2.  At distance 1 they disagree on
-    many of these cases.  The resumed scans re-try what lies within
-    distance 2 of a changed vertex, as nothing else can change status."""
+    many of these cases, and `TestChangesBeyondRadius1` narrows what they
+    read to the adjacency and colour of N[centres]."""
 
     def test_single_rule_reads_within_distance_2(self):
         fired = 0
@@ -494,7 +494,9 @@ class TestChangesBeyondRadius1:
     """Each Alber rule, and whether a pair is a candidate, reads only the
     adjacency and colour of N[centres]: changing the graph beyond it,
     with N[centres] kept, moves neither.  Some of the changes recolour a
-    vertex at distance 2, which the radius 2 of `TestReadRadius` keeps."""
+    vertex at distance 2, which the radius 2 of `TestReadRadius` keeps.
+    The single scan is keyed by the black x instead, and its test at
+    (v, x) reads only N[x]: that is why every tier's dirty radius is 1."""
 
     def test_the_single_rule(self):
         rng = random.Random(41)
@@ -507,6 +509,22 @@ class TestChangesBeyondRadius1:
                 fired += got[0]
                 at_2 += not (g.black ^ h.black).isdisjoint(g.ball([v], 2))
         assert fired >= 10 and at_2 >= 1000
+
+    def test_the_single_scan_at_each_black(self):
+        # The scan tests, at a black x and each v in N(x), whether x is in
+        # n3(v).  Changing the graph beyond N[x], with N[x] kept, must
+        # move no such outcome.
+        rng = random.Random(47)
+        passed = at_2 = 0
+        for g in radius_inputs():
+            for x in sorted(g.black):
+                h = changed_beyond(g, [x], rng)
+                for v in sorted(g.adj[x]):
+                    want = x in partition(g, v)[2]
+                    assert (x in h.black and x in partition(h, v)[2]) == want, (v, x)
+                    passed += want
+                at_2 += not (g.black ^ h.black).isdisjoint(g.ball([x], 2))
+        assert passed >= 500 and at_2 >= 1500
 
     def test_the_pair_rule_and_candidates(self):
         rng = random.Random(43)
@@ -556,7 +574,7 @@ class TestResume:
             for step in range(8):
                 # A dirty ball of every vertex while the pair queue still
                 # holds entries from an earlier call, all of them stale now.
-                dirty = inst.graph.ball(touched.log[looked:], 2)
+                dirty = inst.graph.ball(touched.log[looked:], 1)
                 queue = touched.scans.get(PAIR, ([], {}))[0]
                 everywhere += len(dirty) == len(inst.graph.adj) and bool(queue)
                 looked = len(touched.log)

@@ -9,7 +9,6 @@ import pytest
 import domkernel.bench as bench
 import domkernel.engine as engine
 from domkernel.bench import (
-    BenchRunError,
     CSV_COLUMNS,
     aggregate_means,
     read_manifest,
@@ -18,7 +17,7 @@ from domkernel.bench import (
     write_csv,
     write_dataset,
 )
-from domkernel.edgelist import load_graph
+from domkernel.edgelist import DataError, load_graph
 from domkernel.engine import ALL_CONFIGS
 from domkernel.plangen import GroupSpec, generate_group
 
@@ -99,7 +98,7 @@ class TestReadManifest:
                 {"files": [{"group": "g", "path": "g/a.edges", "white": None}, item]}
             )
         )
-        with pytest.raises(BenchRunError) as exc:
+        with pytest.raises(DataError) as exc:
             read_manifest(manifest)
         assert exc.value.path == str(manifest)
         assert "files[1]" in str(exc.value)
@@ -235,7 +234,7 @@ class TestRunBench:
     def test_missing_file_aborts_naming_it(self, tmp_path):
         entries = tiny_dataset(tmp_path)
         entries.insert(1, missing_entry(tmp_path))
-        with pytest.raises(BenchRunError) as exc:
+        with pytest.raises(DataError) as exc:
             run_bench(entries, CONFIGS)
         assert "gone.edges" in str(exc.value)
 
@@ -243,7 +242,7 @@ class TestRunBench:
         entries = [missing_entry(tmp_path)] + tiny_dataset(tmp_path)
         loads = counting(monkeypatch, "load_graph")
         calls = counting(monkeypatch, "kernelize")
-        with pytest.raises(BenchRunError) as exc:
+        with pytest.raises(DataError) as exc:
             run_bench(entries, CONFIGS, workers=1)
         assert exc.value.path == entries[0]["path"]
         assert len(loads) == 1
@@ -253,11 +252,11 @@ class TestRunBench:
         entries = tiny_dataset(tmp_path)
         entries.insert(1, missing_entry(tmp_path, "gone1.edges"))
         entries.insert(4, missing_entry(tmp_path, "gone4.edges"))
-        with pytest.raises(BenchRunError) as exc:
+        with pytest.raises(DataError) as exc:
             run_bench(entries, CONFIGS, workers=2)
         assert exc.value.path == entries[1]["path"]
         again = pickle.loads(pickle.dumps(exc.value))
-        assert type(again) is BenchRunError
+        assert type(again) is DataError
         assert (again.path, str(again)) == (exc.value.path, str(exc.value))
 
     @pytest.mark.parametrize("files", [4, 0])
@@ -281,7 +280,7 @@ class TestRunBench:
                 "white_path": None,
             }
         ]
-        with pytest.raises(BenchRunError) as exc:
+        with pytest.raises(DataError) as exc:
             run_bench(entries, ["off.none"])
         assert "bad.edges" in str(exc.value)
 

@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from domkernel.edgelist import (
-    EdgeListError,
+    DataError,
     _plain_ends,
     load_graph,
     read_white_list,
@@ -48,12 +48,12 @@ class TestReadEdgeList:
     def test_self_loop_rejected(self, tmp_path):
         p = tmp_path / "g.edges"
         p.write_text("0 1\n2 2\n")
-        with pytest.raises(EdgeListError, match="self-loop at 2 not allowed") as exc:
+        with pytest.raises(DataError, match="self-loop at 2 not allowed") as exc:
             load_graph(p)
         assert exc.value.line_no == 2
 
     def test_error_is_a_value_error(self):
-        assert issubclass(EdgeListError, ValueError)
+        assert issubclass(DataError, ValueError)
 
 
 class TestWhiteList:
@@ -87,7 +87,7 @@ def test_malformed_line_is_refused_with_its_position(tmp_path, reader, case):
     edges, whites, line_no, what = MALFORMED[case]
     p = tmp_path / "ids.txt"
     p.write_text(edges if reader is load_graph else whites)
-    with pytest.raises(EdgeListError, match=what) as exc:
+    with pytest.raises(DataError, match=what) as exc:
         reader(p)
     assert exc.value.line_no == line_no
     assert f"{p}:{line_no}: " in str(exc.value)
@@ -150,7 +150,7 @@ class TestLoadGraph:
         w = tmp_path / "g.white"
         write_edge_list(e, path_graph(3))
         w.write_text("9\n1\n7\n")
-        with pytest.raises(EdgeListError) as exc:
+        with pytest.raises(DataError) as exc:
             load_graph(e, w)
         assert f"white vertex 7 does not occur in {e}" in str(exc.value)
 
@@ -257,7 +257,7 @@ def edge_list_texts(seed: int, count: int):
 def loaded_or_refused(loader, path):
     try:
         g = loader(path)
-    except EdgeListError as exc:
+    except DataError as exc:
         return "refused", exc.line_no, str(exc)
     return list(g.adj), g.adj, g.black, g._next_id
 

@@ -269,16 +269,16 @@ class TestKernelizeAfter:
     def test_only_the_first_call_of_a_continuation_scans_everything(self):
         # The first call goes to the tier the prefix lacks; after it, the
         # prefix's tiers read the log from the run's start.  A reader that
-        # has not looked probes that: it gets every vertex only at the
-        # first call, or where the log holds every vertex.
+        # has not looked probes that: it gets the live view of every
+        # vertex, not a set near the log, only at the first call.
         probes = []
 
         def probing(name):
             tier = getattr(engine, name)
 
             def call(inst, touched):
-                near = touched.near(inst.graph, f"probe {len(probes)}", 0)
-                probes.append((near == inst.graph.adj.keys(),
+                near = touched.near(inst.graph, f"probe {len(probes)}")
+                probes.append((type(near) is not set,
                                inst.graph.adj.keys() <= set(touched.log)))
                 return tier(inst, touched=touched)
             return call

@@ -155,26 +155,25 @@ class TestTouched:
     def test_each_reader_reads_from_where_it_last_looked(self):
         g = path_graph(12)
         touched = Touched()
-        assert touched.near(g, "a", 0) == g.adj.keys()  # on a first look
+        assert touched.near(g, "a") == g.adj.keys()  # on a first look
         touched.log += [3, 1, 3]
-        assert touched.near(g, "b", 0) == g.adj.keys()
-        assert touched.near(g, "a", 0) == {1, 3}
+        assert touched.near(g, "b") == g.adj.keys()
+        assert touched.near(g, "a") == {0, 1, 2, 3, 4}
         touched.log.append(4)
-        assert touched.near(g, "a", 1) == {3, 4, 5}
-        assert touched.near(g, "b", 0) == {4}
-        touched.log.append(5)
+        assert touched.near(g, "a") == {3, 4, 5}
+        touched.log.append(8)
         touched.mark("a")
-        assert touched.near(g, "a", 2) == set()
-        assert touched.near(g, "b", 2) == {3, 4, 5, 6, 7}
+        assert touched.near(g, "a") == set()
+        assert touched.near(g, "b") == {3, 4, 5, 7, 8, 9}
 
     def test_a_ball_of_every_vertex_comes_back_as_the_ball(self):
         g = path_graph(12)
         touched = Touched()
         touched.mark("a")
         touched.log += [0, 11, 99]  # 99 is no vertex
-        assert touched.near(g, "a", 2) == {0, 1, 2, 9, 10, 11}
-        touched.log += [0, 11]
-        assert touched.near(g, "a", 5) == set(range(12))
+        assert touched.near(g, "a") == {0, 1, 10, 11}
+        touched.log += [1, 4, 7, 10]
+        assert touched.near(g, "a") == set(range(12))
 
     def test_a_writer_is_watched_once_another_reader_has_looked(self):
         touched = Touched()
@@ -188,15 +187,15 @@ class TestTouched:
     def test_after_looked_at_start_a_new_reader_reads_the_whole_log(self):
         g = path_graph(12)
         touched = Touched()
-        assert touched.near(g, "a", 0) == g.adj.keys()
+        assert touched.near(g, "a") == g.adj.keys()
         touched.log += [3, 7]
         touched.looked_at_start()
         assert touched.watched("a") and touched.watched("b")
-        assert touched.near(g, "b", 1) == {2, 3, 4, 6, 7, 8}
-        assert touched.near(g, "a", 0) == {3, 7}
+        assert touched.near(g, "b") == {2, 3, 4, 6, 7, 8}
+        assert touched.near(g, "a") == {2, 3, 4, 6, 7, 8}
         touched.log.append(9)
-        assert touched.near(g, "c", 0) == {3, 7, 9}
-        assert touched.near(g, "b", 0) == {9}
+        assert touched.near(g, "c") == {2, 3, 4, 6, 7, 8, 9, 10}
+        assert touched.near(g, "b") == {8, 9, 10}
 
 
 class TestInstance:
