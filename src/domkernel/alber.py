@@ -39,7 +39,7 @@ after a miss only the dirty ones.
 from __future__ import annotations
 
 from collections.abc import Set
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 
 from .graph import ColoredGraph, Instance, Touched
 
@@ -200,9 +200,13 @@ def apply_alber_pair_first(inst: Instance, touched: Touched | None = None) -> bo
     for the vertices T changed since the last call.  They and every
     vertex of `near` are stamped with the log's length, which marks
     every older entry with an endpoint in `near` stale.  An entry that is
-    stale or has lost an endpoint is dropped unread.  So where `near`
-    holds every vertex, only the entries this call queued are tried, as
-    a scan from the start would try them.
+    stale or has lost an endpoint is dropped unread, and stays so.  So
+    where `near` holds every vertex, only the entries this call queued
+    are tried, as a scan from the start would try them.  Once the heap
+    holds more than twice the entries it kept at its last rebuild, so
+    that the stale ones may outnumber the live ones, a call rebuilds it
+    from the live ones: a heap pops in its entries' order, however it
+    was built.
     """
     g = inst.graph
     adj = g.adj
@@ -210,15 +214,24 @@ def apply_alber_pair_first(inst: Instance, touched: Touched | None = None) -> bo
         touched = Touched()
     near = touched.near(g, PAIR)
     stamp = len(touched.log)  # larger at every call that sees a change
-    queue, requeued = touched.scans.setdefault(PAIR, ([], {}))
+    queue, requeued, kept = touched.scans.get(PAIR, ([], {}, 0))
     for v in near:
         requeued[v] = stamp
+
+    def live(v, w, queued):
+        return (v in adj and w in adj and requeued.get(v, -1) <= queued
+                and requeued.get(w, -1) <= queued)
+
+    if len(queue) > 2 * kept:  # stale entries may outnumber live ones
+        queue = [entry for entry in queue if live(*entry)]
+        heapify(queue)
+        kept = len(queue)
+    touched.scans[PAIR] = queue, requeued, kept
     for v, w in pair_candidates(g, near):
         heappush(queue, (v, w, stamp))
     while queue:
         v, w, queued = heappop(queue)
-        if (v in adj and w in adj and requeued.get(v, -1) <= queued
-                and requeued.get(w, -1) <= queued):
+        if live(v, w, queued):
             av, aw = adj[v], adj[w]  # kept after a take removes v or w
             if alber_rule2(inst, v, w):
                 # v, w and their neighborhoods hold every vertex it changed.

@@ -12,10 +12,11 @@ lowest-numbered rule that matches anywhere, at its largest matching vertex
 (rule 1 removes the edge at the largest white vertex with a white neighbor,
 toward its largest white neighbor).  The production fixed-point driver
 reproduces exactly that sequence of steps from one queue of vertices
-per rule, taking from the lowest non-empty one.  It keeps one invariant:
-every applicable (rule, vertex) key is queued.  After a firing it queues
-only the keys that the firing may have made applicable, which is what
-makes large sparse instances affordable.
+per rule, taking from the lowest non-empty one; BLACK_TO_WHITE's seed,
+every black a run starts from, waits in a sorted list beside its queue.
+It keeps one invariant: every applicable (rule, vertex) key is queued.
+After a firing it queues only the keys that the firing may have made
+applicable, which is what makes large sparse instances affordable.
 
 Those keys follow from what each rule's condition reads.  Tier 1 only
 deletes edges and vertices and whitens blacks, so a condition can newly
@@ -57,17 +58,26 @@ comes: the seed and every black firing queue one set under all three,
 and a black key is only taken once they are empty; WHITE_NO_BLACK and
 WHITE_SUBSUMED queue no white rule, and WW_EDGE only its own vertex,
 which is then the largest key left.  The driver keeps no white queue: it
-sorts that set once and sweeps it once per white rule, largest first,
-which takes the same keys in the same order.  WW_EDGE's sweep removes
-every white-white edge of v at once, largest partner first: that is
-what re-checking the rule at v until it fails would do, firing by firing
-and witness by witness.  It relies on the set holding only whites, which
+sweeps that set once per white rule.  WW_EDGE's sweep removes every
+white-white edge of v at once: that is what re-checking the rule at v
+until it fails would do.  It relies on the set holding only whites, which
 holds because tier 1 never blackens a vertex.  After the WW_EDGE sweep
 every vertex of the set has only black neighbors, and keeps them: the
 other two sweeps remove whites only.  So WHITE_NO_BLACK fires exactly at
 the swept vertices left with no edge, and WHITE_SUBSUMED at v needs a
 neighbor u with N(v) <= N[u].  WHITE_NO_BLACK and WHITE_SUBSUMED remove
 v, so they fire at most once per vertex.
+
+Sweeping largest vertex and partner first takes the queues' keys in
+their order, firing by firing and witness by witness.  Only the trace
+needs that, so only a traced run sorts: any order ends in one state.
+WW_EDGE removes every white-white edge of the set, one `remove` at a
+time, so each set keeps its layout and so its iteration order.  A
+vertex is lonely or covered from its own sweep on: WHITE_SUBSUMED at v
+reads N(v), all black, and N(u) of a black u, which loses only whites,
+and its `len(adj[u]) >= k` filter holds wherever the rule does.  Its
+BLACK_TO_WHITE test at y, N(x) <= N[y], turns true only where N(x)
+shrinks and then stays true, so any order queues the same keys.
 
 Each rule is stated once in this module: by its branch of the driver,
 which tests the rule's condition inline and applies its mutation.  The
@@ -150,21 +160,24 @@ def apply_simple_exhaustively(
 
     Behaviorally identical to the naive loop.  Starting from the seed of
     `initial_keys`, it alternates two phases.  The white phase sweeps the
-    white set, as the module docstring says.  The black phase pops from
-    the lowest non-empty of three heaps of negated vertex ids, each with
-    the set of ids queued in it, until a firing yields whites for the
-    next white phase; the run ends when the black heaps run dry.  Both
-    keep one invariant: every applicable key is queued.  The seed holds
-    every key that applies at the start; each firing queues, by the
-    table in the module docstring, every key its mutation may have made
-    applicable; a key that applied before the firing and was not taken is
-    still queued.  (WHITE_SUBSUMED's BLACK_TO_WHITE keys come from one
-    anchor neighbor of each shrunken black x and the neighbors the two
-    share; the table's anchor argument shows that this queues exactly
-    the keys a scan of all of N(x) would.)  So the key taken and found
-    valid is always the lowest-numbered applicable rule at its largest
-    vertex.  Stale black keys, such as those of a whitened or removed
-    vertex, are discarded on pop by re-validation.
+    white set, as the module docstring says, sorted only for `trace`.  The
+    black phase takes from the lowest non-empty of three queues, each a
+    heap of negated vertex ids and the set of ids queued in it, until a
+    firing yields whites for the next white phase; the run ends when the
+    queues run dry.  BLACK_TO_WHITE's seed waits apart, in one ascending
+    list: a take pops the larger of its last key and the heap's head, so
+    keys come in the heap's order, each queued once.  Both keep one
+    invariant: every applicable key is queued.  The seed holds every key
+    that applies at the start; each firing queues, by the table in the
+    module docstring, every key its mutation may have made applicable; a
+    key that applied before the firing and was not taken is still queued.
+    (WHITE_SUBSUMED's BLACK_TO_WHITE keys come from one anchor neighbor of
+    each shrunken black x and the neighbors the two share; the table's
+    anchor argument shows that this queues exactly the keys a scan of all
+    of N(x) would.)  So the key taken and found valid is always the
+    lowest-numbered applicable rule at its largest vertex.  Stale black
+    keys, such as those of a whitened or removed vertex, are discarded on
+    pop by re-validation.
 
     When `trace` is a list, each firing appends its (rule, vertex,
     witness) to it, in firing order.
@@ -180,7 +193,8 @@ def apply_simple_exhaustively(
         touched = Touched()
     near = touched.near(g, READER)
     log = touched.log if touched.watched(READER) else None
-    noting = trace is not None or log is not None
+    traced = trace is not None
+    noting = traced or log is not None
     if noting:
         def note(rule, v, witness, also=()):
             """Record one firing: in the trace, and the vertices it
@@ -192,11 +206,9 @@ def apply_simple_exhaustively(
                 log.append(witness)
                 log.extend(also)
 
-    whites, *black_keys = initial_keys(g, near)
-    to_white_q, isolated_q, degree1_q = black_keys
-    to_white_h, isolated_h, degree1_h = heaps = [
-        [-v for v in queued] for queued in black_keys
-    ]
+    whites, to_white_q, isolated_q, degree1_q = initial_keys(g, near)
+    seed, to_white_h = sorted(to_white_q), []
+    isolated_h, degree1_h = heaps = [[-v for v in q] for q in (isolated_q, degree1_q)]
     heappop, heappush = heapq.heappop, heapq.heappush
     for heap in heaps:
         heapq.heapify(heap)
@@ -208,13 +220,12 @@ def apply_simple_exhaustively(
         # black, and stays so: so WHITE_NO_BLACK applies at v exactly
         # when v is left with no edge, and the black neighbors that
         # WHITE_SUBSUMED must cover are all of N(v).
-        order = sorted(whites, reverse=True)
         lonely, covered = [], []
-        for v in order:
+        for v in sorted(whites, reverse=True) if traced else whites:
             av = adj[v]
             if not av <= black:
                 partners = av - black
-                for w in sorted(partners, reverse=True):
+                for w in sorted(partners, reverse=True) if traced else partners:
                     av.remove(w)
                     adj[w].remove(v)
                     if noting:
@@ -230,7 +241,7 @@ def apply_simple_exhaustively(
             av = adj[v]
             k = len(av)
             for u in av:  # N(v) - N(u) is at least {u}
-                if len(adj[u]) >= k and len(av - adj[u]) == 1:
+                if len(au := adj[u]) >= k and len(av - au) == 1:
                     break
             else:
                 continue
@@ -251,13 +262,14 @@ def apply_simple_exhaustively(
                     heappush(degree1_h, -x)
                 # Every y in N(x) with N(x) <= N[y] is the anchor a or
                 # a neighbor of it (see the module docstring).
-                a = next(iter(ax))
+                for a in ax:
+                    break
                 candidates = ax & adj[a]
                 candidates.add(a)
                 degree = len(ax)
                 for y in candidates:  # N(x) - N(y) is at least {y}
                     if (y in black and y not in to_white_q
-                            and len(adj[y]) >= degree and len(ax - adj[y]) == 1):
+                            and len(ay := adj[y]) >= degree and len(ax - ay) == 1):
                         to_white_q.add(y)
                         heappush(to_white_h, -y)
 
@@ -265,14 +277,17 @@ def apply_simple_exhaustively(
         # that has a black neighbor x with N(x) <= N[u]; then every
         # isolated black; then one DEGREE1_BLACK.
         witness = None
-        while to_white_h and witness is None:
-            u = -heappop(to_white_h)
+        while (seed or to_white_h) and witness is None:
+            if to_white_h and (not seed or -to_white_h[0] > seed[-1]):
+                u = -heappop(to_white_h)
+            else:
+                u = seed.pop()
             to_white_q.discard(u)
             if u in black:
                 au = adj[u]
                 degree = len(au)
                 for x in au & black:  # N(x) - N(u) is at least {u}
-                    if len(adj[x]) <= degree and len(adj[x] - au) == 1:
+                    if len(ax := adj[x]) <= degree and len(ax - au) == 1:
                         witness = x
                         break
         if witness is not None:

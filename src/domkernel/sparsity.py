@@ -40,7 +40,7 @@ def greedy_dominating_set(g: ColoredGraph, targets) -> set[int]:
     if not remaining:
         return out
     adj = g.adj
-    reach = g.ball(remaining, 1)
+    reach = remaining.union(*map(adj.__getitem__, remaining))
     heap = [(-len(adj[v] & remaining) - (v in remaining), v) for v in reach]
     heapq.heapify(heap)
     while remaining:

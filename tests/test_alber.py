@@ -549,6 +549,18 @@ class TestChangesBeyondRadius1:
         assert candidates >= 1000 and at_2 >= 1000
 
 
+def resume_corpus():
+    """Kernels, gadgets and mixed instances, each fed to a scan that
+    resumes across perturbed steps."""
+    corpus = [off_none_kernel(generate_instance(spec, i, 0))
+              for spec in canonical_groups()[:3] for i in range(3)]
+    corpus += [hub_cycle(h, p) for h, p in ((3, 4), (3, 6), (4, 4))]
+    corpus += [SINGLE_FIRES, both_cover_graph(9)]
+    corpus += list(mixed_instance_stream(19, 200, 20))
+    corpus += bw_small_shaped(1, 30)
+    return corpus
+
+
 class TestResume:
     """Given the run's `Touched` log, each scan resumes its last one and
     re-tries only what lies near the logged changes.  After any changes,
@@ -560,14 +572,8 @@ class TestResume:
     ], ids=["single", "pair"])
     def test_resumed_scans_hit_where_the_full_scans_hit(self, scan, golden):
         rng = random.Random(17)
-        corpus = [off_none_kernel(generate_instance(spec, i, 0))
-                  for spec in canonical_groups()[:3] for i in range(3)]
-        corpus += [hub_cycle(h, p) for h, p in ((3, 4), (3, 6), (4, 4))]
-        corpus += [SINGLE_FIRES, both_cover_graph(9)]
-        corpus += list(mixed_instance_stream(19, 200, 20))
-        corpus += bw_small_shaped(1, 30)
         hits = resumed = everywhere = 0
-        for g in corpus:
+        for g in resume_corpus():
             inst = Instance.from_graph(g.copy())
             touched = Touched()
             looked = 0  # the log's length when the scan last looked
@@ -587,3 +593,26 @@ class TestResume:
                 perturb(inst.graph, rng, touched.log)
         assert resumed >= 100
         assert everywhere >= (20 if scan is apply_alber_pair_first else 0)
+
+    def test_the_pair_queue_holds_more_live_entries_than_stale(self):
+        # An entry a pop would drop unread (stale, or with an endpoint
+        # gone) stays so; once such entries may outnumber the live ones,
+        # the heap is rebuilt without them.  Counted after every call.
+        rng = random.Random(17)
+        live = stale = 0
+        for g in resume_corpus():
+            inst = Instance.from_graph(g.copy())
+            touched = Touched()
+            for _ in range(8):
+                apply_alber_pair_first(inst, touched=touched)
+                queue, requeued = touched.scans[PAIR][:2]
+                adj = inst.graph.adj
+                for v, w, queued in queue:
+                    fresh = (v in adj and w in adj
+                             and requeued.get(v, -1) <= queued
+                             and requeued.get(w, -1) <= queued)
+                    live += fresh
+                    stale += not fresh
+                perturb(inst.graph, rng, touched.log)
+        assert live >= 10_000
+        assert stale <= live

@@ -1,6 +1,6 @@
 """The scale ladder script prints one JSON line per (rung, configuration)
-run, its tier numbers taken at the names `engine` looks up, and the
-rung's generation and load times."""
+run, its tier numbers taken at the names `engine` looks up, each tier's
+first call apart, and the rung's generation and load times."""
 
 import importlib.util
 import io
@@ -44,7 +44,13 @@ def test_a_small_rung_prints_one_line_per_run():
         tier1_firings = sum(report.rule_applications[k] for k in STAT_NAMES)
         assert calls == report.attempts - tier1_firings
         assert sum(t["cpu_s"] for t in line["tiers"].values()) <= line["cpu_s"] + 1e-3
+        for t in line["tiers"].values():
+            assert 0 <= t["first_cpu_s"] <= t["cpu_s"]
     assert set(lines[0]["tiers"]) == {"apply_simple_exhaustively"}
+    # off.none calls tier 1 once; on.both calls it again after each hit.
+    none, both = (line["tiers"]["apply_simple_exhaustively"] for line in lines)
+    assert none["calls"] == 1 and none["first_cpu_s"] == none["cpu_s"]
+    assert both["calls"] > 1
     assert set(lines[1]["tiers"]) == set(ladder.TIERS)
     assert lines[1]["pair_firings"] > 0
     # The engine's own tiers are back in place.

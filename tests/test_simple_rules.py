@@ -1,10 +1,8 @@
 """The six local rules: stated behavior on small graphs, oracle safety,
 potential decrease, and naive/incremental fixed-point equivalence."""
 
-import heapq
 import random
 from collections import Counter
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -327,6 +325,50 @@ class TestFiringSequence:
             self._assert_same(g)
 
 
+def logged_run(g, trace):
+    """Tier 1 on a copy of g with `trace`, under a `Touched` log that
+    another tier has looked at, so that it logs what it changes.  The
+    graph comes back in iteration order, which later firings' witnesses
+    follow."""
+    inst = Instance.from_graph(g.copy())
+    touched = Touched()
+    touched.mark("higher tier")
+    count = apply_simple_exhaustively(inst, trace, touched)
+    g = inst.graph
+    adj = [(v, list(nv)) for v, nv in g.adj.items()]
+    return count, adj, list(g.black), inst.solution, inst.stats, Counter(touched.log)
+
+
+class TestTracedAndUntraced:
+    """Only a traced run sorts the white sweeps and WW_EDGE's partners,
+    since the white phase's outcome does not depend on their order (see
+    the module docstring).  So an untraced run must end in the same
+    graph, its sets iterating alike, the same solution and counts, and
+    have logged the same vertices as many times: the log's length
+    stamps the pair tier's queue."""
+
+    def _assert_same(self, g):
+        assert logged_run(g, None) == logged_run(g, [])
+
+    def test_on_mixed_instances(self):
+        for g in mixed_instance_stream(seed=61, count=300, max_n=24):
+            self._assert_same(g)
+
+    def test_on_bw_small_shaped_instances(self):
+        for g in bw_small_shaped(seed=4, count=100):
+            self._assert_same(g)
+
+    def test_on_the_canonical_instance(self):
+        self._assert_same(generate_instance(GroupSpec(2002, 6000), 0, 0))
+
+    def test_on_hub_gadgets(self):
+        rng = random.Random(7)
+        for zs in range(9, 41, 4):
+            self._assert_same(hub_gadget(zs, range(zs + 7)))
+            label = [0, 1, *rng.sample(range(2, zs + 7), zs + 5)]
+            self._assert_same(hub_gadget(zs, label))
+
+
 class TestSeededRerun:
     """Given the run's `Touched` log, tier 1 seeds a re-run with N[T] for
     the vertices T changed since it last reached its fixed point: only
@@ -427,18 +469,18 @@ class TestColorTable:
         assert_off_color_rules_do_not_fire(g)
 
     def test_no_pop_finds_a_white(self, monkeypatch):
-        """No black heap pops a vertex that is still there but white.
-        Every key is black when pushed, each heap holds a vertex at most
-        once, and a white phase follows every whitening before the next
-        pop.  Only two rules whiten:
+        """No take from a black queue finds a vertex that is still there
+        but white.  Every key is black when queued, each queue holds a
+        vertex at most once, and a white phase follows every whitening
+        before the next take.  Only two rules whiten:
 
-        - BLACK_TO_WHITE whitens the key u it popped, whose one entry in
-          its heap is gone.  If u is queued under DEGREE1_BLACK, its one
+        - BLACK_TO_WHITE whitens the key u it took, whose one entry in
+          its queue is gone.  If u is queued under DEGREE1_BLACK, its one
           neighbor x is black with N(x) = {u}; the next white phase
           sweeps u, and WHITE_SUBSUMED removes it, covered by x.  A black
           queued under ISOLATED_BLACK has no neighbor to be whitened by.
         - DEGREE1_BLACK fires only once the BLACK_TO_WHITE and
-          ISOLATED_BLACK heaps are empty.  A black y it whitens that is
+          ISOLATED_BLACK queues are empty.  A black y it whitens that is
           queued under DEGREE1_BLACK had the taken support as its one
           neighbor, so y is left isolated, swept as a neighbor of the
           support, and removed by WHITE_NO_BLACK.
@@ -499,34 +541,44 @@ class TestInitialKeys:
 
 
 def tier1_work(monkeypatch, g):
-    """Firings, heap pushes and keys examined of one run on g.  The keys
-    are the heap pops ("pops"), of which "off_color" pop a vertex that is
-    still there but white, and the entries of the lists the driver sorts
-    ("swept"): the white sweeps' vertices and WW_EDGE's partners."""
+    """Firings, pushes and keys taken in one untraced run on g.  The keys
+    taken are the black keys ("pops", from the seed or a heap), of which
+    "off_color" take a vertex that is still there but white, and the
+    white phases' entries ("swept"): the white sweeps' vertices and
+    WW_EDGE's partners.
+
+    The hook watches the driver's own sets.  Every push adds its key to
+    the rule's queued set, and every take discards it from there; every
+    swept vertex v is tested once as ``adj[v] <= black``, which Python
+    hands to the reflected ``__ge__`` of ``black``'s subclass here; and
+    each WW_EDGE partner is one WW_EDGE firing."""
     work = Counter()
-    black = g.black
 
-    def counting_push(heap, item):
-        work["pushes"] += 1
-        heapq.heappush(heap, item)
+    class Queued(set):
+        def add(self, v):
+            work["pushes"] += 1
+            super().add(v)
 
-    def counting_pop(heap):
-        item = heapq.heappop(heap)
-        work["pops"] += 1
-        work["off_color"] += -item in g.adj and -item not in black
-        return item
+        def discard(self, v):
+            work["pops"] += 1
+            work["off_color"] += v in g.adj and v not in g.black
+            super().discard(v)
 
-    def counting_sorted(*args, **kwargs):
-        out = sorted(*args, **kwargs)
-        work["swept"] += len(out)
-        return out
+    class Black(set):
+        def __ge__(self, other):
+            work["swept"] += 1
+            return super().__ge__(other)
 
+    def queued_keys(*args):
+        whites, *queued = initial_keys(*args)
+        return whites, *map(Queued, queued)
+
+    g.black = Black(g.black)
+    inst = Instance.from_graph(g)
     with monkeypatch.context() as m:
-        m.setattr(simple_rules, "heapq", SimpleNamespace(
-            heapify=heapq.heapify, heappop=counting_pop, heappush=counting_push))
-        m.setattr(simple_rules, "sorted", counting_sorted, raising=False)
-        inst = Instance.from_graph(g)
+        m.setattr(simple_rules, "initial_keys", queued_keys)
         work["firings"] = apply_simple_exhaustively(inst)
+    work["swept"] += inst.stats["ww_edge"]
     work["left"] = inst.graph.vertex_count
     return work
 
