@@ -1,8 +1,8 @@
 """Irrelevant-dominatee reduction built on greedy domination and scattering.
 
-The driver keeps a working dominator pool D' (greedy at first, grown by hub
-escalation), extracts a 1-scattered family F of blacks outside the pool,
-groups F by how the pool sees each member, and whitens group members that a
+The driver takes a greedy dominator pool D', extracts a 1-scattered family
+F of blacks outside the pool after deleting a few hubs, groups F by how the
+pool and the deleted hubs see each member, and whitens group members that a
 counting argument shows some optimal solution never needs as dominatees.
 
 Only groups of at least 3 members can whiten: a member is black and lies
@@ -15,14 +15,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import Counter
 from itertools import chain
 
 from .graph import ColoredGraph, Instance, Touched, is_1_scattered
-
-# Escalation stops once no vertex outside D' has more than this many D'
-# neighbors.
-HUB_THRESHOLD = 7
 
 
 def greedy_dominating_set(g: ColoredGraph, targets) -> set[int]:
@@ -175,14 +170,11 @@ def group_and_reduce(
 
 
 def sparsity_reduce(inst: Instance, touched: Touched | None = None) -> int:
-    """One full escalation run; returns how many blacks were whitened.
+    """One pass; returns how many blacks were whitened.
 
-    Starts from a greedy dominating pool of the current blacks.  Each pass
-    scatters the blacks outside the pool, whitens irrelevant dominatees
-    group by group, then checks for a hub: the vertex outside D' with the
-    most D' neighbors, ties to the smallest id, counted in one pass over
-    the pool's adjacency.  While that count exceeds HUB_THRESHOLD the hub
-    joins D' and the pass repeats; pool growth bounds the loop.
+    Takes a greedy dominating pool D' of the current blacks, scatters the
+    blacks outside it, and whitens irrelevant dominatees group by group
+    against D' plus the hubs the scatter deleted.
 
     Every call scans the whole graph; with `touched` it logs the
     vertices it whitened.
@@ -190,23 +182,9 @@ def sparsity_reduce(inst: Instance, touched: Touched | None = None) -> int:
     g = inst.graph
     if not g.black:
         return 0
-    adj = g.adj
-    log = None if touched is None else touched.log
     d_prime = greedy_dominating_set(g, g.black)
-    total = 0
-    while True:
-        inst.stats["sparsity_passes"] += 1
-        scattered, deleted = uqw_scatter(g, g.black - d_prime, d_prime)
-        inst.stats["sparsity_scatter_calls"] += 1
-        total += group_and_reduce(inst, frozenset(d_prime | deleted), scattered, log)
-
-        if len(d_prime) <= HUB_THRESHOLD:  # no vertex has more D' neighbors
-            break
-        counts = Counter(chain.from_iterable(map(adj.__getitem__, d_prime)))
-        for p in d_prime:
-            counts.pop(p, None)
-        most = max(counts.values(), default=0)
-        if most <= HUB_THRESHOLD:
-            break
-        d_prime.add(min(v for v, c in counts.items() if c == most))
-    return total
+    scattered, deleted = uqw_scatter(g, g.black - d_prime, d_prime)
+    inst.stats["sparsity_passes"] += 1
+    inst.stats["sparsity_scatter_calls"] += 1
+    log = None if touched is None else touched.log
+    return group_and_reduce(inst, frozenset(d_prime | deleted), scattered, log)

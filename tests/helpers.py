@@ -20,7 +20,6 @@ from domkernel.exact import DEFAULT_VERTEX_LIMIT, exact_dom
 from domkernel.graph import ColoredGraph, Instance, Touched, is_1_scattered
 from domkernel.plangen import GroupSpec, _mix, generate_instance
 from domkernel.simple_rules import STAT_NAMES, SimpleRule
-from domkernel.sparsity import HUB_THRESHOLD
 
 
 # -- builders ----------------------------------------------------------
@@ -399,8 +398,8 @@ def off_none_kernel(g: ColoredGraph) -> ColoredGraph:
 # -- golden model of tier 4 --------------------------------------------
 #
 # The sparsity stage as it was before it skipped the groups that cannot
-# whiten: every group of two or more members is covered, the two-step key
-# is built for every member, and hubs are counted vertex by vertex.
+# whiten: every group of two or more members is covered, and the two-step
+# key is built for every member.
 
 
 def golden_greedy_dominating_set(g: ColoredGraph, targets) -> set[int]:
@@ -545,13 +544,11 @@ def golden_group_and_reduce(
 
 
 def golden_sparsity_reduce(inst: Instance, touched: Touched | None = None) -> int:
-    """One full escalation run; returns how many blacks were whitened.
+    """One pass; returns how many blacks were whitened.
 
-    Starts from a greedy dominating pool of the current blacks.  Each pass
-    scatters the blacks outside the pool, whitens irrelevant dominatees
-    group by group, then checks for a hub: the vertex outside D' with the
-    most D' neighbors.  While that count exceeds HUB_THRESHOLD the hub
-    joins D' and the pass repeats; pool growth bounds the loop.
+    Takes a greedy dominating pool D' of the current blacks, scatters the
+    blacks outside it, and whitens irrelevant dominatees group by group
+    against D' plus the hubs the scatter deleted.
 
     Every call scans the whole graph; with `touched` it logs the
     vertices it whitened.
@@ -559,25 +556,14 @@ def golden_sparsity_reduce(inst: Instance, touched: Touched | None = None) -> in
     g = inst.graph
     if not g.black:
         return 0
-    log = None if touched is None else touched.log
     d_prime = golden_greedy_dominating_set(g, g.black)
-    total = 0
-    while True:
-        inst.stats["sparsity_passes"] += 1
-        scattered, deleted = golden_uqw_scatter(g, g.black - d_prime, d_prime)
-        inst.stats["sparsity_scatter_calls"] += 1
-        total += golden_group_and_reduce(
-            inst, frozenset(d_prime | deleted), scattered, log
-        )
-
-        count, hub = min(
-            ((-len(g.adj[v] & d_prime), v) for v in g.adj.keys() - d_prime),
-            default=(0, None),
-        )
-        if -count <= HUB_THRESHOLD:
-            break
-        d_prime.add(hub)
-    return total
+    inst.stats["sparsity_passes"] += 1
+    scattered, deleted = golden_uqw_scatter(g, g.black - d_prime, d_prime)
+    inst.stats["sparsity_scatter_calls"] += 1
+    log = None if touched is None else touched.log
+    return golden_group_and_reduce(
+        inst, frozenset(d_prime | deleted), scattered, log
+    )
 
 
 # -- changes between tier calls -----------------------------------------
@@ -794,6 +780,27 @@ def mixed_instance_stream(seed: int, count: int, max_n: int = 16):
         else:
             n = rng.randint(4, max_n)
             yield random_planar_colored(rng, n, white_frac)
+
+
+def hub_skewed_stream(seed: int, count: int):
+    """Deterministic stream of sparse random graphs with hubs: 20 to 48
+    vertices joined with probability 2.5/n, a fifth of them white, plus
+    one to three fresh hubs, each joined to 9 to 20 of those vertices and
+    white with probability one half.  At most 51 vertices, within the
+    exact oracle's limit.  The hubs exceed the scatter's degree cutoff,
+    so its hub deletion runs, and on about one member in a hundred it
+    changes the kernel."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(20, 48)
+        g = random_colored_graph(rng, n, 2.5 / n, 0.2)
+        for _ in range(rng.randint(1, 3)):
+            hub = g.add_vertex()
+            for v in rng.sample(range(n), rng.randint(9, 20)):
+                g.add_edge(hub, v)
+            if rng.random() < 0.5:
+                g.black.remove(hub)
+        yield g
 
 
 def bw_small_shaped(seed: int, count: int):

@@ -237,8 +237,9 @@ def firing_sequence(g):
     return fired
 
 
-def naive_firing_sequence(g):
-    """The same sequence for the naive loop, recorded at its `fire` calls."""
+def naive_firings(inst):
+    """The naive loop's sequence on inst, in place, recorded at its
+    `fire` calls."""
     fired = []
 
     def recording_fire(inst, rule, v, witness):
@@ -248,8 +249,13 @@ def naive_firing_sequence(g):
     real_fire = helpers.fire
     with pytest.MonkeyPatch.context() as m:
         m.setattr(helpers, "fire", recording_fire)
-        assert apply_simple_exhaustively_naive(Instance.from_graph(g.copy())) == len(fired)
+        assert apply_simple_exhaustively_naive(inst) == len(fired)
     return fired
+
+
+def naive_firing_sequence(g):
+    """The same sequence for the naive loop on a copy of g."""
+    return naive_firings(Instance.from_graph(g.copy()))
 
 
 def hub_gadget(zs: int, label) -> ColoredGraph:
@@ -369,44 +375,59 @@ class TestTracedAndUntraced:
             self._assert_same(hub_gadget(zs, label))
 
 
+def seeded_reruns(rerun_twin):
+    """Run tier 1 on each instance of a corpus, and on a twin with the
+    same history, so that their sets iterate alike and WHITE_SUBSUMED
+    picks the same witnesses.  Then six times change both alike and
+    re-run: the instance seeded with N[T] from the run's `Touched` log,
+    the twin by `rerun_twin`, which returns its firings.  Both must fire
+    alike and end alike; yields the firings of each re-run."""
+    rng = random.Random(23)
+    corpus = list(mixed_instance_stream(seed=29, count=200, max_n=24))
+    corpus += bw_small_shaped(seed=2, count=50)
+    corpus.append(generate_instance(GroupSpec(150, 444), 0, master_seed=5))
+    for g in corpus:
+        inst = Instance.from_graph(g.copy())
+        twin = Instance.from_graph(g.copy())
+        touched = Touched()
+        apply_simple_exhaustively(inst, touched=touched)
+        apply_simple_exhaustively(twin)
+        touched.mark("higher tier")
+        for _ in range(6):
+            state = rng.getstate()
+            perturb(inst.graph, rng, touched.log)
+            rng.setstate(state)
+            perturb(twin.graph, rng, [])
+            near = []
+            before = inst.graph.copy()
+            start = len(touched.log)
+            assert apply_simple_exhaustively(inst, near, touched) == len(near)
+            # It logs every vertex it changes once another tier reads.
+            assert changed_vertices(before, inst.graph) <= set(touched.log[start:])
+            assert near == rerun_twin(twin)
+            assert (inst.graph.adj, inst.graph.black, inst.solution) == (
+                twin.graph.adj, twin.graph.black, twin.solution)
+            yield len(near)
+
+
 class TestSeededRerun:
     """Given the run's `Touched` log, tier 1 seeds a re-run with N[T] for
     the vertices T changed since it last reached its fixed point: only
     there can a rule have become applicable.  That must fire as a seed
-    with every vertex does."""
+    with every vertex does, and as the naive loop does."""
 
     def test_seeding_near_the_changes_fires_as_the_full_seed(self):
-        rng = random.Random(23)
-        corpus = list(mixed_instance_stream(seed=29, count=200, max_n=24))
-        corpus += bw_small_shaped(seed=2, count=50)
-        corpus.append(generate_instance(GroupSpec(150, 444), 0, master_seed=5))
-        fired = 0
-        for g in corpus:
-            # Two instances with one history, so that their sets iterate
-            # alike and WHITE_SUBSUMED picks the same witnesses.
-            inst = Instance.from_graph(g.copy())
-            full = Instance.from_graph(g.copy())
-            touched = Touched()
-            apply_simple_exhaustively(inst, touched=touched)
-            apply_simple_exhaustively(full)
-            touched.mark("higher tier")
-            for _ in range(6):
-                state = rng.getstate()
-                perturb(inst.graph, rng, touched.log)
-                rng.setstate(state)
-                perturb(full.graph, rng, [])
-                near, everywhere = [], []
-                before = inst.graph.copy()
-                start = len(touched.log)
-                count = apply_simple_exhaustively(inst, near, touched)
-                # It logs every vertex it changes once another tier reads.
-                assert changed_vertices(before, inst.graph) <= set(touched.log[start:])
-                assert count == apply_simple_exhaustively(full, everywhere)
-                assert near == everywhere
-                assert (inst.graph.adj, inst.graph.black, inst.solution) == (
-                    full.graph.adj, full.graph.black, full.solution)
-                fired += count
-        assert fired >= 1000
+        def full_seed(twin):
+            everywhere = []
+            assert apply_simple_exhaustively(twin, everywhere) == len(everywhere)
+            return everywhere
+
+        assert sum(seeded_reruns(full_seed)) >= 1000
+
+    def test_seeding_near_the_changes_fires_as_the_naive_loop(self):
+        # A re-run is where the seed's blacks and the re-queued ones
+        # interleave; a first call takes every re-queued black first.
+        assert sum(seeded_reruns(naive_firings)) >= 1000
 
 
 def assert_predicates_match_the_rule_statements(g):

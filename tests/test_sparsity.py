@@ -1,12 +1,13 @@
-"""Greedy domination, the scatter heuristic, group-keyed whitening, and
-the escalation driver."""
+"""Greedy domination, the scatter heuristic and its hub deletion,
+group-keyed whitening, and the one-pass driver."""
 
+import hashlib
 import random
 
 import pytest
 
 import domkernel.sparsity as sparsity_mod
-from domkernel.engine import ApproachConfig, kernelize
+from domkernel.engine import ALL_CONFIGS, ApproachConfig, kernelize
 from domkernel.exact import exact_dom
 from domkernel.graph import ColoredGraph, Instance, Touched, is_1_scattered
 from domkernel.plangen import canonical_groups, generate_instance
@@ -17,6 +18,7 @@ from domkernel.sparsity import (
     uqw_scatter,
 )
 
+import helpers
 from helpers import (
     apex_stars,
     bw_small_shaped,
@@ -24,6 +26,7 @@ from helpers import (
     dominates,
     golden_sparsity_reduce,
     hub_cycle,
+    hub_skewed_stream,
     mixed_instance_stream,
     path_graph,
     random_colored_graph,
@@ -294,41 +297,16 @@ class TestSparsityReduce:
         assert verify_rule_safety(before, inst)
         assert exact_dom(g).size == 4
 
-    def test_hub_escalation_adds_a_second_pass(self):
-        # Nine dominators with ten private leaves each, plus one vertex
-        # joined to all nine dominators: after the first pass that vertex
-        # has nine pool neighbors, beyond the threshold of seven, so it
-        # joins the pool and a second pass runs.
-        inst = Instance.from_graph(hub_graph(9))
-        whitened = sparsity_reduce(inst)
-        assert inst.stats["sparsity_passes"] == 2
-        assert inst.stats["sparsity_scatter_calls"] == 2
-        assert whitened == 72
-
-    def test_hub_threshold_boundary(self):
-        # Seven pool neighbors sit at the threshold and stop escalation;
-        # eight exceed it.
-        for dominators, passes in ((7, 1), (8, 2)):
+    def test_hub_graph_whitens_in_one_pass(self):
+        # d dominators with ten private leaves each, plus one vertex
+        # joined to all d: each dominator's leaves form one group whose
+        # reach the dominator covers, so 10 - 1 - 1 = 8 leaves whiten per
+        # dominator, all in the one pass.
+        for dominators, whitened in ((7, 56), (8, 64), (9, 72), (12, 96)):
             inst = Instance.from_graph(hub_graph(dominators))
-            sparsity_reduce(inst)
-            assert inst.stats["sparsity_passes"] == passes
-
-    def test_tied_hubs_join_smaller_id_first(self, monkeypatch):
-        # Two vertices outside the pool, each joined to all nine
-        # dominators, tie at nine pool neighbors; the smaller id joins the
-        # pool first, whatever order the graph lists them in.
-        edges = [(d, 9 + 10 * d + i) for d in range(9) for i in range(10)]
-        edges += [(d, hub) for hub in (2000, 1000) for d in range(9)]
-        pools = []
-
-        def recording(g, candidates, removed=frozenset()):
-            pools.append(set(removed))
-            return uqw_scatter(g, candidates, removed)
-
-        monkeypatch.setattr(sparsity_mod, "uqw_scatter", recording)
-        sparsity_reduce(Instance.from_graph(ColoredGraph.from_edges(edges)))
-        assert pools[0] == set(range(9))
-        assert [b - a for a, b in zip(pools, pools[1:])] == [{1000}, {2000}]
+            assert sparsity_reduce(inst) == whitened
+            assert inst.stats["sparsity_passes"] == 1
+            assert inst.stats["sparsity_scatter_calls"] == 1
 
     def test_never_mutates_anything_but_colors(self):
         for g in mixed_instance_stream(seed=92, count=40, max_n=14):
@@ -362,9 +340,10 @@ class TestSparsityReduce:
 def tier4_corpus():
     """Inputs for the golden tier-4 check.  The random families rarely
     whiten, so the hand-built families supply most of the whitening
-    calls and hub_graph the escalations; the canonical kernels are what
-    tier 4 meets in the benchmark."""
+    calls and the hub-skewed graphs most of the scatter's hub deletions;
+    the canonical kernels are what tier 4 meets in the benchmark."""
     yield from mixed_instance_stream(seed=24, count=300, max_n=30)
+    yield from hub_skewed_stream(seed=5, count=200)
     yield from bw_small_shaped(seed=3, count=100)
     for hubs in range(3, 9):
         for paths in range(1, 9):
@@ -384,10 +363,19 @@ def tier4_corpus():
 
 
 class TestGoldenTier4:
-    def test_matches_the_golden_model(self):
+    def test_matches_the_golden_model(self, monkeypatch):
         # Same return value, black set, stats and whitening log as the
         # stage that covers every group of two or more members.
-        whitening = escalations = 0
+        deletions = []
+        golden_scatter = helpers.golden_uqw_scatter
+
+        def recording(g, candidates, removed=frozenset()):
+            scattered, deleted = golden_scatter(g, candidates, removed)
+            deletions.append(len(deleted))
+            return scattered, deleted
+
+        monkeypatch.setattr(helpers, "golden_uqw_scatter", recording)
+        whitening = 0
         for g in tier4_corpus():
             runs = []
             for reduce in (golden_sparsity_reduce, sparsity_reduce):
@@ -397,6 +385,28 @@ class TestGoldenTier4:
                              inst.stats, touched.log))
             assert runs[1] == runs[0]
             whitening += runs[0][0] > 0
-            escalations += runs[0][2]["sparsity_passes"] > 1
         assert whitening >= 25
-        assert escalations >= 1
+        # Golden calls whose scatter deleted at least one hub.
+        assert sum(n > 0 for n in deletions) >= 70
+
+
+class TestHubDeletion:
+    def test_hub_skewed_kernels_keep_the_optimum(self):
+        """The scatter's hub deletion changes the kernels of 9 of these
+        1,000 members, under `on.none` and `on.one` and in 5 of them
+        also under `on.both`.  Every configuration's kernel must keep
+        |solution| + OPT(kernel) = OPT(input), and the digest pins the
+        `on.none` kernels: a scatter that deletes no hub changes it."""
+        digest = hashlib.sha256()
+        for g in hub_skewed_stream(seed=5, count=1000):
+            optimum = exact_dom(g).size
+            for config in ALL_CONFIGS:
+                inst = Instance.from_graph(g.copy())
+                kernelize(inst, config)
+                k = inst.graph
+                assert len(inst.solution) + exact_dom(k).size == optimum
+                if config.name == "on.none":
+                    digest.update(repr((sorted(k.edges()), sorted(k.black),
+                                        sorted(inst.solution))).encode())
+        assert digest.hexdigest() == (
+            "3d71030600e10e7ec717a996ffddde809217884a4b730e79cef12ccfe6de4c68")
