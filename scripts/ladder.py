@@ -7,14 +7,17 @@ For instance 0 at seed 0 of each rung, 16016x48000, 32032x96000,
 32, 64), runs off.none and on.both once each, from the generated graph,
 and prints one JSON line per run: the rung, the configuration, the
 vertices, the CPU seconds of the kernelize call and per input vertex,
-the pair-rule firings, each tier's calls, CPU seconds and CPU seconds
-of its first call apart (tier 1's first call, seeded with every vertex,
-is most of tier 1's time), the CPU seconds that `generate_instance`
-took to build the rung's graph, and the CPU seconds that `load_graph`
-took to read it back from the file that `write_edge_list` writes to a
-temporary directory.  The tier numbers come from wrappers assigned, for
-the run, to the tier names that `domkernel.engine` looks up.  All times
-are `time.process_time`.
+the pair-rule firings, each tier's calls, CPU seconds and CPU seconds of
+its first call apart (tier 1's first call, seeded with every vertex, is
+most of tier 1's time), the CPU seconds that `generate_instance` took to
+build the rung's graph, the CPU seconds of the `write_edge_list` call
+that writes it to a file in a temporary directory (`write_s`), the
+cyclic collector's collections per generation, young to old, during the
+generation and the write together (`generate_gc`, from `gc.get_stats()`;
+the counts depend on the Python version), and the CPU seconds that
+`load_graph` took to read the file back.  The tier numbers come from
+wrappers assigned, for the run, to the tier names that
+`domkernel.engine` looks up.  All times are `time.process_time`.
 
     PYTHONPATH=src python3 scripts/ladder.py
 
@@ -22,6 +25,7 @@ takes no options and about 10 s.  One run per rung is a pointer, not a
 claim: CPU speed on a shared host varies from run to run.
 """
 
+import gc
 import json
 import sys
 import tempfile
@@ -87,20 +91,31 @@ def measure(spec: GroupSpec, g, config_name: str) -> dict:
     }
 
 
+def collections() -> list:
+    """The cyclic collector's collections so far, per generation."""
+    return [stats["collections"] for stats in gc.get_stats()]
+
+
 def main(rungs=RUNGS, out=sys.stdout) -> int:
     for spec in rungs:
+        before = collections()
         start = time.process_time()
         g = generate_instance(spec, 0, 0)
         generate_s = round(time.process_time() - start, 4)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / f"{spec.name}.edges"
+            start = time.process_time()
             write_edge_list(path, g)
+            write_s = round(time.process_time() - start, 4)
+            generate_gc = [n - m for n, m in zip(collections(), before)]
             start = time.process_time()
             load_graph(path)
             load_s = round(time.process_time() - start, 4)
         for config_name in CONFIGS:
             line = measure(spec, g.copy(), config_name)
             line["generate_s"] = generate_s
+            line["write_s"] = write_s
+            line["generate_gc"] = generate_gc
             line["load_s"] = load_s
             out.write(json.dumps(line) + "\n")
             out.flush()

@@ -170,9 +170,18 @@ def load_graph(path, white_path=None) -> ColoredGraph:
 
 
 def write_edge_list(path, g: ColoredGraph) -> None:
-    edges = g.edges()
-    lines = [f"# {g.vertex_count} {len(edges)}"]
-    lines += [f"{u} {v}" for u, v in edges]
+    """Write g in the plain form: a '# n m' header, then one line "u v"
+    per edge with u < v, vertex by vertex in id order and each vertex's
+    larger neighbours sorted, the order of ``g.edges()``.  The lines are
+    formatted straight from the adjacency, with no (u, v) tuple per
+    edge.  A vertex without an edge counts in n but has no line."""
+    adj = g.adj
+    lines = [""]  # the header, once the edges are counted
+    for u in sorted(adj):
+        for v in sorted(adj[u]):
+            if v > u:
+                lines.append(f"{u} {v}")
+    lines[0] = f"# {len(adj)} {len(lines) - 1}"
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -14,6 +14,13 @@ the adjacency.  That loop indexes a list of the ids and a list of the
 neighbour sets, so each id is one int object: the dict key, which every
 set holds.  An unthinned group, with 3n - 6 edges, gets the triangulation
 itself.
+
+The triangulation keeps its faces in three flat int lists, one per
+corner, so there is no tuple per face: besides the neighbour sets, the
+objects the cyclic collector tracks are a handful of lists per instance,
+not one per vertex.  Each vertex's face is drawn with ``getrandbits`` in
+the rejection loop that ``randrange`` runs, so the draws, and with them
+the bytes of every instance, are those of ``randrange``.
 """
 
 from __future__ import annotations
@@ -80,17 +87,29 @@ def _mix(*parts: int) -> int:
 def _stacked_keys(n: int, seed: int) -> list[int]:
     """The edges of a random stacked triangulation on n >= 3 vertices as
     keys u * n + v (u < v), sorted, which is the order of the (u, v)
-    pairs.  Each new vertex v takes one ``randrange(len(faces))`` draw."""
-    randrange = random.Random(seed).randrange
+    pairs.
+
+    Before vertex v is added there are 2v - 4 faces, and face i has the
+    corners fa[i], fb[i] and fc[i], so there is no tuple per face.  v's
+    face is one draw of ``randrange(2v - 4)`` as the standard library
+    makes it: getrandbits of the count's bit length, drawn again while
+    it is not below the count."""
+    getrandbits = random.Random(seed).getrandbits
     keys = [1, 2, n + 2]  # the triangle 0-1, 0-2, 1-2
-    faces = [(0, 1, 2), (0, 1, 2)]
+    fa, fb, fc = [0, 0], [1, 1], [2, 2]
     for v in range(3, n):
-        i = randrange(len(faces))
-        a, b, c = faces[i]
+        count = 2 * v - 4
+        bits = count.bit_length()
+        i = getrandbits(bits)
+        while i >= count:
+            i = getrandbits(bits)
+        a, b, c = fa[i], fb[i], fc[i]
         keys += (a * n + v, b * n + v, c * n + v)
-        faces[i] = (a, b, v)
-        faces.append((a, c, v))
-        faces.append((b, c, v))
+        # face i becomes (a, b, v); (a, c, v) and (b, c, v) are new
+        fc[i] = v
+        fa += (a, b)
+        fb += (c, c)
+        fc += (v, v)
     keys.sort()
     return keys
 

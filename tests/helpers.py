@@ -9,6 +9,7 @@ import heapq
 import itertools
 import math
 import random
+from pathlib import Path
 
 from hypothesis import strategies as st
 
@@ -731,6 +732,18 @@ def assert_interned(g: ColoredGraph) -> None:
     for v, nv in g.adj.items():
         for u in nv:
             assert u is key[u], f"neighbour {u} of {v} is a copy of its key"
+
+
+# -- the edge-list writer as it was before it formatted lines straight
+# from the adjacency ----------------------------------------------------
+
+
+def golden_write_edge_list(path, g: ColoredGraph) -> None:
+    """Write g's '# n m' header and one line per pair of g.edges()."""
+    edges = g.edges()
+    lines = [f"# {g.vertex_count} {len(edges)}"]
+    lines += [f"{u} {v}" for u, v in edges]
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 # -- random instances --------------------------------------------------

@@ -20,7 +20,10 @@ from domkernel.plangen import canonical_groups, generate_instance
 from helpers import (
     assert_interned,
     both_cover_graph,
+    colored,
     golden_load_graph,
+    golden_write_edge_list,
+    mixed_instance_stream,
     path_graph,
     star_graph,
 )
@@ -308,18 +311,42 @@ def test_near_plain_text_matches_the_per_line_loader(tmp_path, case):
     assert loaded_or_refused(load_graph, p) == loaded_or_refused(golden_load_graph, p)
 
 
+def gadget_kernel() -> ColoredGraph:
+    """The off.both kernel of both_cover_graph(9): the pair rule's gadget
+    gives it vertices with fresh ids."""
+    inst = Instance.from_graph(both_cover_graph(9))
+    kernelize(inst, ApproachConfig.from_name("off.both"))
+    assert inst.stats["alber_pair_gadget"] == 1
+    return inst.graph
+
+
+# Per case: the graphs written, each by both writers.
+WRITTEN = {
+    "canonical": lambda: [generate_instance(canonical_groups(1)[3], 0, 0)],
+    "empty": lambda: [ColoredGraph()],
+    "gadget-kernel": lambda: [gadget_kernel()],
+    # The header counts the isolated vertex 9, which has no line.
+    "id-gaps-and-isolated": lambda: [
+        colored([(40, 7), (7, 1000), (3, 40), (1000, 3), (12, 5)], isolated=[9])],
+    "mixed-stream": lambda: list(mixed_instance_stream(33, 200, 24)),
+}
+
+
 @pytest.mark.parametrize("graph", ["canonical", "empty", "gadget-kernel"])
 def test_write_edge_list_writes_the_plain_form(tmp_path, graph):
-    if graph == "canonical":
-        g = generate_instance(canonical_groups(1)[3], 0, 0)
-    elif graph == "empty":
-        g = ColoredGraph()
-    else:
-        inst = Instance.from_graph(both_cover_graph(9))
-        kernelize(inst, ApproachConfig.from_name("off.both"))
-        assert inst.stats["alber_pair_gadget"] == 1
-        g = inst.graph
+    (g,) = WRITTEN[graph]()
     p = tmp_path / "g.edges"
     write_edge_list(p, g)
     assert _plain_ends(p.read_text()) is not None
     assert load_graph(p).edges() == g.edges()
+
+
+@pytest.mark.parametrize("graph", WRITTEN)
+def test_write_edge_list_matches_the_edges_writer(tmp_path, graph):
+    """The writer that formats from the adjacency writes the bytes of the
+    one that listed g.edges()."""
+    p, ref = tmp_path / "g.edges", tmp_path / "ref.edges"
+    for g in WRITTEN[graph]():
+        write_edge_list(p, g)
+        golden_write_edge_list(ref, g)
+        assert p.read_bytes() == ref.read_bytes()

@@ -1,7 +1,9 @@
 """The scale ladder script prints one JSON line per (rung, configuration)
 run, its tier numbers taken at the names `engine` looks up, each tier's
-first call apart, and the rung's generation and load times."""
+first call apart, the rung's generation, write and load times, and the
+collections during generation and write."""
 
+import gc
 import importlib.util
 import io
 import json
@@ -38,6 +40,10 @@ def test_a_small_rung_prints_one_line_per_run():
         assert line["vertices"] == 2002
         assert line["generate_s"] >= 0
         assert line["load_s"] >= 0
+        assert line["write_s"] >= 0
+        # Counts differ across Python versions, so only their form is checked.
+        assert len(line["generate_gc"]) == len(gc.get_stats())
+        assert all(type(n) is int and n >= 0 for n in line["generate_gc"])
         assert line["pair_firings"] == report.rule_applications["alber_pair"]
         # attempts counts one per tier call plus tier 1's firings.
         calls = sum(t["calls"] for t in line["tiers"].values())

@@ -178,8 +178,13 @@ class TestGoldenGenerator:
         assert_same_graph(generate_instance(spec, 0, 0),
                           golden_generate_instance(spec, 0, 0))
 
-    @pytest.mark.parametrize("n", [3, 4, 5, 40])
-    def test_triangulation(self, n):
+    # n = 1030 draws from every face count 2 to 2,054, so each bit length
+    # of the face draw's rejection loop, up to 2^11, is reached.
+    @pytest.mark.parametrize(
+        "n, seed",
+        [*(pytest.param(n, n, id=str(n)) for n in (3, 4, 5, 40)),
+         *(pytest.param(1030, seed, id=f"1030-seed{seed}") for seed in range(5))])
+    def test_triangulation(self, n, seed):
         spec = GroupSpec(n, 3 * n - 6)
-        assert_same_graph(generate_instance(spec, 0, n),
-                          golden_generate_instance(spec, 0, n))
+        assert_same_graph(generate_instance(spec, 0, seed),
+                          golden_generate_instance(spec, 0, seed))
