@@ -146,7 +146,7 @@ def pair_candidates(g: ColoredGraph, near: Set[int]) -> list:
     return sorted(p for p in out if p[0] in near or p[1] in near)
 
 
-def apply_alber_single_first(inst: Instance, touched: Touched | None = None) -> bool:
+def apply_alber_single_first(inst: Instance, touched: Touched) -> bool:
     """Take the smallest centre v with a black in its n3 shell, if any:
     one pass over the blacks x, each tried at its neighbors v below the
     best centre so far.  That is the first hit of the rule tried at every
@@ -164,8 +164,6 @@ def apply_alber_single_first(inst: Instance, touched: Touched | None = None) -> 
     """
     g = inst.graph
     adj, black = g.adj, g.black
-    if touched is None:
-        touched = Touched()
     near = touched.near(g, SINGLE)
     best = None
     for x in black if touched.scans.get(SINGLE) else near & black:
@@ -189,7 +187,7 @@ def apply_alber_single_first(inst: Instance, touched: Touched | None = None) -> 
     return True
 
 
-def apply_alber_pair_first(inst: Instance, touched: Touched | None = None) -> bool:
+def apply_alber_pair_first(inst: Instance, touched: Touched) -> bool:
     """Apply the pair rule at the first pair, lexicographic, where it
     fires among `pair_candidates`, the only pairs where it can; that is
     the first hit of a scan over every pair at distance <= 3.
@@ -210,8 +208,6 @@ def apply_alber_pair_first(inst: Instance, touched: Touched | None = None) -> bo
     """
     g = inst.graph
     adj = g.adj
-    if touched is None:
-        touched = Touched()
     near = touched.near(g, PAIR)
     stamp = len(touched.log)  # larger at every call that sees a change
     queue, requeued, kept = touched.scans.get(PAIR, ([], {}, 0))

@@ -158,11 +158,10 @@ def kernelize(
     whitens.  Tier 1 then re-seeds, and the Alber tiers resume their
     scans at, only N[changes] (see `Touched`), and tier 4 scans
     everything.  A tier that has not looked gets every vertex from
-    `Touched.near` and scans everything, as does a tier called without
-    the log.  A continued run's first call, to the tier the prefix
-    lacks, scans everything; after it, every tier that has not looked
-    counts as having looked at the run's start, since the kernel was the
-    fixed point of the prefix's tiers.
+    `Touched.near` and scans everything.  A continued run's first call,
+    to the tier the prefix lacks, scans everything; after it, every tier
+    that has not looked counts as having looked at the run's start, since
+    the kernel was the fixed point of the prefix's tiers.
     """
     tiers = config.tiers
     g = inst.graph

@@ -185,10 +185,9 @@ class Touched:
     returns.
 
     A reader that has not looked yet gets every vertex; so a tier handed
-    a fresh object scans the whole graph, and that is what a tier called
-    without one does.  After ``looked_at_start``, it instead reads the
-    whole log.  ``scans`` keeps each reader's own resume state between
-    its calls.
+    a fresh object scans the whole graph.  After ``looked_at_start``, it
+    instead reads the whole log.  ``scans`` keeps each reader's own
+    resume state between its calls.
     """
 
     __slots__ = ("log", "scans", "_marks", "_unlooked")
@@ -225,7 +224,7 @@ class Touched:
         return self._unlooked is not None or len(self._marks) > (writer in self._marks)
 
 
-def is_1_scattered(g: ColoredGraph, vs, removed=frozenset()) -> bool:
+def is_1_scattered(g: ColoredGraph, vs, removed) -> bool:
     """True iff the closed neighborhoods of the given vertices are pairwise
     disjoint (equivalently, all pairwise distances are at least 3) in g
     with the vertex set `removed` deleted.  A removed member fails."""

@@ -96,6 +96,10 @@ exactly what a seed of every vertex would.  Once a higher tier has
 looked at the log, tier 1 logs what each firing changes; until then
 every tier scans in full at its next call, and nothing is logged.
 
+ISOLATED_BLACK's queue is a plain set, taken in one descending pass:
+its take touches no other vertex, so no take queues another isolated
+key, and the pass takes them in a heap's order.
+
 The driver counts firings per rule and adds them to ``inst.stats`` when
 it returns.  Given a list as ``trace``, it appends each firing's (rule,
 vertex, witness) to it, which is how the tests compare its firing
@@ -154,17 +158,18 @@ def initial_keys(g: ColoredGraph, near: Set[int]) -> tuple:
 
 
 def apply_simple_exhaustively(
-    inst: Instance, trace: list | None = None, touched: Touched | None = None
+    inst: Instance, trace: list | None = None, *, touched: Touched
 ) -> int:
     """Apply the six rules to a fixed point; returns the application count.
 
     Behaviorally identical to the naive loop.  Starting from the seed of
     `initial_keys`, it alternates two phases.  The white phase sweeps the
     white set, as the module docstring says, sorted only for `trace`.  The
-    black phase takes from the lowest non-empty of three queues, each a
-    heap of negated vertex ids and the set of ids queued in it, until a
+    black phase takes from the lowest non-empty of three queues until a
     firing yields whites for the next white phase; the run ends when the
-    queues run dry.  BLACK_TO_WHITE's seed waits apart, in one ascending
+    queues run dry.  BLACK_TO_WHITE and DEGREE1_BLACK each keep a heap of
+    negated vertex ids and the set of ids queued in it; ISOLATED_BLACK
+    keeps only a set, emptied in one descending pass.  BLACK_TO_WHITE's seed waits apart, in one ascending
     list: a take pops the larger of its last key and the heap's head, so
     keys come in the heap's order, each queued once.  Both keep one
     invariant: every applicable key is queued.  The seed holds every key
@@ -182,15 +187,12 @@ def apply_simple_exhaustively(
     When `trace` is a list, each firing appends its (rule, vertex,
     witness) to it, in firing order.
 
-    With `touched`, the run's log of changed vertices, the seed is N[T]
-    for the vertices T changed since this tier last ran (see the module
-    docstring); on this tier's first look at it, and without it, the seed
-    is every vertex.
+    `touched` is the run's log of changed vertices: the seed is N[T] for
+    the vertices T changed since this tier last ran (see the module
+    docstring), and on this tier's first look at it every vertex.
     """
     g = inst.graph
     adj, black = g.adj, g.black
-    if touched is None:
-        touched = Touched()
     near = touched.near(g, READER)
     log = touched.log if touched.watched(READER) else None
     traced = trace is not None
@@ -208,10 +210,9 @@ def apply_simple_exhaustively(
 
     whites, to_white_q, isolated_q, degree1_q = initial_keys(g, near)
     seed, to_white_h = sorted(to_white_q), []
-    isolated_h, degree1_h = heaps = [[-v for v in q] for q in (isolated_q, degree1_q)]
+    degree1_h = [-v for v in degree1_q]
+    heapq.heapify(degree1_h)
     heappop, heappush = heapq.heappop, heapq.heappush
-    for heap in heaps:
-        heapq.heapify(heap)
     WW, NO_BLACK, SUBSUMED, TO_WHITE, ISOLATED, DEGREE1 = SimpleRule
     ww = no_black = subsumed = to_white = isolated = degree1 = 0
 
@@ -252,10 +253,8 @@ def apply_simple_exhaustively(
             for x in av:
                 ax = adj[x]
                 ax.remove(v)
-                if not ax:
-                    if x not in isolated_q:
-                        isolated_q.add(x)
-                        heappush(isolated_h, -x)
+                if not ax:  # x had an edge until now, so was not queued
+                    isolated_q.add(x)
                     continue
                 if len(ax) == 1 and x not in degree1_q:
                     degree1_q.add(x)
@@ -298,8 +297,7 @@ def apply_simple_exhaustively(
             whites = au - black
             whites.add(u)
             continue
-        while isolated_h:
-            v = -heappop(isolated_h)
+        for v in sorted(isolated_q, reverse=True):
             isolated_q.discard(v)
             if v in black and not adj[v]:
                 inst.take_into_solution(v)

@@ -52,9 +52,7 @@ def greedy_dominating_set(g: ColoredGraph, targets) -> set[int]:
     return out
 
 
-def uqw_scatter(
-    g: ColoredGraph, candidates, removed=frozenset()
-) -> tuple[frozenset, frozenset]:
+def uqw_scatter(g: ColoredGraph, candidates, removed) -> tuple[frozenset, frozenset]:
     """Pull a 1-scattered subset out of the candidates in g with `removed`
     masked out: its vertices, their edges and candidates among them are
     ignored, as if deleted from g.
@@ -102,12 +100,10 @@ def uqw_scatter(
     return frozenset(scattered), frozenset(deleted)
 
 
-def group_and_reduce(
-    inst: Instance, d: frozenset, scattered, log: list | None = None
-) -> int:
+def group_and_reduce(inst: Instance, d: frozenset, scattered, log: list) -> int:
     """Whiten irrelevant dominatees inside a 1-scattered family, against the
     pool d: D' plus the hubs the scatter call deleted; returns how many,
-    and appends them to `log` when given.
+    and appends them to `log`.
 
     Members are grouped by the pair (direct pool contact, two-step contact
     with black pool members).  For a group B the counting argument: the
@@ -161,23 +157,22 @@ def group_and_reduce(
             continue
         whiten = sorted(members, reverse=True)[:excess]
         g.black.difference_update(whiten)
-        if log is not None:
-            log += whiten
+        log += whiten
         whitened += excess
     if whitened:
         inst.stats["sparsity_whitened"] += whitened
     return whitened
 
 
-def sparsity_reduce(inst: Instance, touched: Touched | None = None) -> int:
+def sparsity_reduce(inst: Instance, touched: Touched) -> int:
     """One pass; returns how many blacks were whitened.
 
     Takes a greedy dominating pool D' of the current blacks, scatters the
     blacks outside it, and whitens irrelevant dominatees group by group
     against D' plus the hubs the scatter deleted.
 
-    Every call scans the whole graph; with `touched` it logs the
-    vertices it whitened.
+    Every call scans the whole graph, and logs the vertices it whitened
+    in `touched`.
     """
     g = inst.graph
     if not g.black:
@@ -186,5 +181,4 @@ def sparsity_reduce(inst: Instance, touched: Touched | None = None) -> int:
     scattered, deleted = uqw_scatter(g, g.black - d_prime, d_prime)
     inst.stats["sparsity_passes"] += 1
     inst.stats["sparsity_scatter_calls"] += 1
-    log = None if touched is None else touched.log
-    return group_and_reduce(inst, frozenset(d_prime | deleted), scattered, log)
+    return group_and_reduce(inst, frozenset(d_prime | deleted), scattered, touched.log)

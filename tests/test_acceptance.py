@@ -31,7 +31,7 @@ from domkernel.bench import (
 from domkernel.cli import main
 from domkernel.engine import ALL_CONFIGS, ATTEMPT_LIMIT, ApproachConfig, kernelize
 from domkernel.exact import exact_dom
-from domkernel.graph import Instance, is_1_scattered
+from domkernel.graph import Instance, Touched, is_1_scattered
 from domkernel.plangen import GroupSpec, canonical_groups, generate_group, generate_instance
 from domkernel.sparsity import sparsity_reduce
 
@@ -79,7 +79,7 @@ def bench_run(tmp_path_factory):
     audit = {"calls": 0, "violations": 0}
     real = sparsity_mod.uqw_scatter
 
-    def audited(g, candidates, removed=frozenset()):
+    def audited(g, candidates, removed):
         scattered, deleted = real(g, candidates, removed)
         audit["calls"] += 1
         if not is_1_scattered(g, scattered, removed | deleted):
@@ -102,11 +102,11 @@ def _one_step(inst):
     """A single rule application, cheapest family first."""
     if apply_one_simple_rule(inst) is not None:
         return True
-    if apply_alber_single_first(inst):
+    if apply_alber_single_first(inst, Touched()):
         return True
-    if apply_alber_pair_first(inst):
+    if apply_alber_pair_first(inst, Touched()):
         return True
-    return sparsity_reduce(inst) > 0
+    return sparsity_reduce(inst, Touched()) > 0
 
 
 def test_criterion_1_rule_safety(capsys):
@@ -158,7 +158,7 @@ def test_criterion_2_whitened_vertices_irrelevant(capsys):
     checked = bad = 0
     for g in graphs:
         inst = Instance.from_graph(g.copy())
-        if sparsity_reduce(inst) == 0:
+        if sparsity_reduce(inst, Touched()) == 0:
             continue
         base = exact_dom(g).size
         whitened = g.black - inst.graph.black

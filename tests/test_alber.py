@@ -138,7 +138,7 @@ class TestAlberRule1:
         checked = 0
         for g in graphs:
             inst = Instance.from_graph(g)
-            apply_simple_exhaustively(inst)
+            apply_simple_exhaustively(inst, touched=Touched())
             for v in inst.graph.black:
                 _, _, n3 = partition(inst.graph, v)
                 assert n3.isdisjoint(inst.graph.black), v
@@ -221,16 +221,16 @@ class TestScanners:
     def test_single_scan_prefers_smaller_vertex(self):
         g = ColoredGraph.from_edges([(0, 2), (0, 3), (1, 4), (1, 5)])
         inst = Instance.from_graph(g)
-        assert apply_alber_single_first(inst)
+        assert apply_alber_single_first(inst, Touched())
         assert inst.solution == {0}
 
     def test_single_scan_exhausted(self):
         inst = Instance.from_graph(path_graph(2, white=[0, 1]))
-        assert not apply_alber_single_first(inst)
+        assert not apply_alber_single_first(inst, Touched())
 
     def test_pair_scan_finds_the_h_graph(self):
         inst = Instance.from_graph(h_graph())
-        assert apply_alber_pair_first(inst)
+        assert apply_alber_pair_first(inst, Touched())
         assert inst.solution == {0, 1}
 
     def test_pair_scan_only_reaches_distance_three(self):
@@ -243,7 +243,7 @@ class TestScanners:
                     (v, w) for w in vs if w > v and dist.get(w, 99) <= 3
                 )
             inst = Instance.from_graph(g.copy())
-            fired = apply_alber_pair_first(inst)
+            fired = apply_alber_pair_first(inst, Touched())
             could = any(
                 alber_rule2(Instance.from_graph(g.copy()), v, w)
                 for v, w in pairs
@@ -257,7 +257,7 @@ class TestOracleSafety:
         for g in mixed_instance_stream(seed=77, count=200, max_n=12):
             inst = Instance.from_graph(g)
             before = inst.copy()
-            if apply_alber_single_first(inst):
+            if apply_alber_single_first(inst, Touched()):
                 fired += 1
                 assert verify_rule_safety(before, inst)
         assert fired > 50
@@ -267,7 +267,7 @@ class TestOracleSafety:
         for g in mixed_instance_stream(seed=78, count=200, max_n=12):
             inst = Instance.from_graph(g)
             before = inst.copy()
-            if apply_alber_pair_first(inst):
+            if apply_alber_pair_first(inst, Touched()):
                 fired += 1
                 assert verify_rule_safety(before, inst)
         assert fired > 50
@@ -276,11 +276,11 @@ class TestOracleSafety:
         for g in mixed_instance_stream(seed=79, count=120, max_n=12):
             inst = Instance.from_graph(g)
             potential = phi(inst)
-            if apply_alber_single_first(inst):
+            if apply_alber_single_first(inst, Touched()):
                 assert phi(inst) < potential
             inst = Instance.from_graph(g.copy())
             potential = phi(inst)
-            if apply_alber_pair_first(inst):
+            if apply_alber_pair_first(inst, Touched()):
                 assert phi(inst) < potential
 
 
@@ -318,7 +318,7 @@ class TestCandidates:
             fast = Instance.from_graph(g.copy())
             slow = Instance.from_graph(g.copy())
             while True:  # to the rule's own fixed point, firing by firing
-                hit = scan(fast)
+                hit = scan(fast, Touched())
                 assert hit == golden(slow)
                 assert same_instance(fast, slow)
                 if not hit:

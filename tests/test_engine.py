@@ -2,6 +2,7 @@
 
 import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -17,7 +18,7 @@ from domkernel.engine import (
     kernelize,
 )
 from domkernel.exact import exact_dom
-from domkernel.graph import ColoredGraph, Instance
+from domkernel.graph import ColoredGraph, Instance, Touched
 from domkernel.plangen import GroupSpec, canonical_groups, generate_instance
 from domkernel.simple_rules import SimpleRule, apply_simple_exhaustively
 from domkernel.sparsity import sparsity_reduce
@@ -32,6 +33,7 @@ from helpers import (
     changed_vertices,
     colored,
     hub_cycle,
+    hub_skewed_stream,
     mixed_instance_stream,
     off_none_kernel,
     star_graph,
@@ -345,7 +347,7 @@ class TestKernelizeAfter:
 
 
 # The tiers as their own modules define them, kept from before any test
-# wraps engine's attributes.  Called without run state, each call scans
+# wraps engine's attributes.  Called with a fresh log, each call scans
 # the whole graph.
 STATELESS = {
     "apply_simple_exhaustively": apply_simple_exhaustively,
@@ -353,10 +355,11 @@ STATELESS = {
     "apply_alber_pair_first": apply_alber_pair_first,
     "sparsity_reduce": sparsity_reduce,
 }
+# The naive scans keep no state, so they take the log and ignore it.
 NAIVE = dict(
     STATELESS,
-    apply_alber_single_first=apply_alber_single_first_naive,
-    apply_alber_pair_first=apply_alber_pair_first_naive,
+    apply_alber_single_first=lambda inst, touched: apply_alber_single_first_naive(inst),
+    apply_alber_pair_first=lambda inst, touched: apply_alber_pair_first_naive(inst),
 )
 
 
@@ -371,9 +374,9 @@ def golden_run(g: ColoredGraph, config, tiers: dict):
     i = 0
     while i < len(names):
         if i == 0:
-            reduced = apply_simple_exhaustively(inst, trace)
+            reduced = apply_simple_exhaustively(inst, trace, touched=Touched())
         else:
-            reduced = tiers[names[i]](inst)
+            reduced = tiers[names[i]](inst, touched=Touched())
         calls.append((names[i], reduced))
         i = 0 if i and reduced else i + 1
     return inst, calls, trace
@@ -408,14 +411,14 @@ def same_state(a: Instance, b: Instance) -> bool:
         b.graph.adj, b.graph.black, b.solution, b.stats)
 
 
-def assert_engine_matches_full_scans(g: ColoredGraph, tiers: dict) -> int:
+def assert_engine_matches_full_scans(g: ColoredGraph, tiers: dict) -> Counter:
     """Under every configuration, kernelize from the input, and continuing
     its prefix's run as bench chains them, makes the calls, the tier-1
     firings and the kernel of the full-scan loop.  Returns how many of
-    the loop's calls above tier 1 reduced."""
+    the loop's calls above tier 1 reduced, by tier."""
     golden = {c: golden_run(g, c, tiers) for c in ALL_CONFIGS}
     chained = {}
-    hits = 0
+    hits = Counter()
     for config in ALL_CONFIGS:
         want, want_calls, want_trace = golden[config]
         inst = Instance.from_graph(g.copy())
@@ -435,7 +438,16 @@ def assert_engine_matches_full_scans(g: ColoredGraph, tiers: dict) -> int:
         assert trace == want_trace[len(skip_trace):], config.name
         assert same_state(inst, want), config.name
         chained[config] = (inst, report)
-        hits += sum(bool(r) for n, r in want_calls[1:] if n != "apply_simple_exhaustively")
+        hits.update(n for n, r in want_calls[1:] if r and n != "apply_simple_exhaustively")
+    return hits
+
+
+def reducing_calls(corpus, tiers: dict) -> Counter:
+    """`assert_engine_matches_full_scans` over a corpus: the full-scan
+    loop's reducing calls above tier 1, by tier."""
+    hits = Counter()
+    for g in corpus:
+        hits += assert_engine_matches_full_scans(g, tiers)
     return hits
 
 
@@ -485,13 +497,15 @@ class TestGoldenEngine:
         corpus += [hub_cycle(h, p) for h, p in ((3, 4), (3, 6), (3, 12), (4, 4), (5, 5))]
         corpus += [SINGLE_FIRES]
         corpus += bw_small_shaped(0, 200)
-        hits = sum(assert_engine_matches_full_scans(g, NAIVE) for g in corpus)
-        assert hits >= 100
+        assert reducing_calls(corpus, NAIVE).total() >= 100
+        # The hub-skewed graphs are where the loop's tier 4 whitens.
+        skewed = reducing_calls(hub_skewed_stream(5, 200), NAIVE)
+        assert skewed["sparsity_reduce"] >= 9
 
     def test_on_a_ladder_rung_against_the_stateless_tiers(self):
         g = generate_instance(GroupSpec(8008, 24000, 1), 0, 0)
         hits = assert_engine_matches_full_scans(g, STATELESS)
-        assert hits >= 28
+        assert hits.total() >= 28
 
 
 class TestKernelReport:

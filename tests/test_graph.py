@@ -251,15 +251,15 @@ class TestInstance:
 class TestScatteredCheck:
     def test_path_endpoints(self):
         g = path_graph(6)
-        assert is_1_scattered(g, [0, 3])
-        assert is_1_scattered(g, [0, 5])
-        assert not is_1_scattered(g, [0, 2])
-        assert not is_1_scattered(g, [0, 1])
+        assert is_1_scattered(g, [0, 3], frozenset())
+        assert is_1_scattered(g, [0, 5], frozenset())
+        assert not is_1_scattered(g, [0, 2], frozenset())
+        assert not is_1_scattered(g, [0, 1], frozenset())
 
     def test_empty_and_singleton(self):
         g = path_graph(3)
-        assert is_1_scattered(g, [])
-        assert is_1_scattered(g, [1])
+        assert is_1_scattered(g, [], frozenset())
+        assert is_1_scattered(g, [1], frozenset())
 
     def test_removed_vertices_are_deleted_first(self):
         g = path_graph(5)
@@ -277,7 +277,7 @@ class TestScatteredCheck:
             for i, u in enumerate(vs)
             for v in vs[i + 1 :]
         )
-        assert is_1_scattered(g, vs) == by_distance
+        assert is_1_scattered(g, vs, frozenset()) == by_distance
 
 
 class TestColorRemovalGadget:

@@ -2,10 +2,12 @@
 library; they and the tests import nothing they never use; the package
 root binds no name; every package name the benchmark uses exists; every
 package function and class is used outside the tests; colour is written
-only through `ColoredGraph.black`."""
+only through `ColoredGraph.black`; the tier layer's run state has no
+defaults."""
 
 import ast
 import importlib
+import inspect
 import sys
 from pathlib import Path
 
@@ -185,3 +187,27 @@ def test_every_package_name_the_benchmark_uses_exists():
         if not resolves(module, names)
     )
     assert not missing, f"perfbench uses {missing}, which src/ does not define"
+
+
+RUN_STATE = ("touched", "removed", "log")
+
+
+def test_the_tier_layer_has_no_default_run_state():
+    """Every tier of every configuration, and the tier-4 steps below
+    `sparsity_reduce`, take the run's log (and the vertices masked out)
+    from their caller: a default would be a second, log-less path that
+    only the tests take."""
+    from domkernel.engine import ALL_CONFIGS
+    from domkernel.graph import is_1_scattered
+    from domkernel.sparsity import group_and_reduce, uqw_scatter
+
+    functions = {tier for config in ALL_CONFIGS for tier in config.tiers}
+    assert len(functions) == 4
+    functions |= {uqw_scatter, is_1_scattered, group_and_reduce}
+    defaults = sorted(
+        f"{function.__name__}({name})"
+        for function in functions
+        for name, parameter in inspect.signature(function).parameters.items()
+        if name in RUN_STATE and parameter.default is not parameter.empty
+    )
+    assert not defaults, f"{defaults} have defaults"

@@ -172,26 +172,26 @@ class TestExhaustive:
         # Center whitened (ball containment), then forced back in through
         # a pendant leaf, then five lonely whites swept: 7 applications.
         inst = Instance.from_graph(star_graph(5))
-        count = apply_simple_exhaustively(inst)
+        count = apply_simple_exhaustively(inst, touched=Touched())
         assert inst.graph.vertex_count == 0
         assert inst.solution == {0}
         assert count == 7
 
     def test_empty_graph_zero_applications(self):
         inst = Instance.from_graph(ColoredGraph())
-        assert apply_simple_exhaustively(inst) == 0
+        assert apply_simple_exhaustively(inst, touched=Touched()) == 0
 
     def test_fixed_point_has_no_applicable_rule(self):
         for g in mixed_instance_stream(seed=101, count=30):
             inst = Instance.from_graph(g)
-            apply_simple_exhaustively(inst)
+            apply_simple_exhaustively(inst, touched=Touched())
             for rule in SimpleRule:
                 for v in sorted(inst.graph.adj):
                     assert PREDICATES[rule](inst.graph, v) is None
 
     def test_stats_track_every_application(self):
         inst = Instance.from_graph(star_graph(5))
-        count = apply_simple_exhaustively(inst)
+        count = apply_simple_exhaustively(inst, touched=Touched())
         assert sum(inst.stats.values()) == count
         assert inst.stats["black_to_white"] == 1
         assert inst.stats["degree1_black"] == 1
@@ -205,7 +205,7 @@ class TestGoldenEquivalence:
         naive = Instance.from_graph(g.copy())
         fast = Instance.from_graph(g.copy())
         n_count = apply_simple_exhaustively_naive(naive)
-        f_count = apply_simple_exhaustively(fast)
+        f_count = apply_simple_exhaustively(fast, touched=Touched())
         assert n_count == f_count
         assert naive.graph.adj == fast.graph.adj
         assert naive.graph.black == fast.graph.black
@@ -233,7 +233,8 @@ def firing_sequence(g):
     """The (rule, vertex, witness) sequence of the driver on a copy of g,
     as its `trace` records it."""
     fired = []
-    assert apply_simple_exhaustively(Instance.from_graph(g.copy()), fired) == len(fired)
+    inst = Instance.from_graph(g.copy())
+    assert apply_simple_exhaustively(inst, fired, touched=Touched()) == len(fired)
     return fired
 
 
@@ -339,7 +340,7 @@ def logged_run(g, trace):
     inst = Instance.from_graph(g.copy())
     touched = Touched()
     touched.mark("higher tier")
-    count = apply_simple_exhaustively(inst, trace, touched)
+    count = apply_simple_exhaustively(inst, trace, touched=touched)
     g = inst.graph
     adj = [(v, list(nv)) for v, nv in g.adj.items()]
     return count, adj, list(g.black), inst.solution, inst.stats, Counter(touched.log)
@@ -391,7 +392,7 @@ def seeded_reruns(rerun_twin):
         twin = Instance.from_graph(g.copy())
         touched = Touched()
         apply_simple_exhaustively(inst, touched=touched)
-        apply_simple_exhaustively(twin)
+        apply_simple_exhaustively(twin, touched=Touched())
         touched.mark("higher tier")
         for _ in range(6):
             state = rng.getstate()
@@ -401,7 +402,7 @@ def seeded_reruns(rerun_twin):
             near = []
             before = inst.graph.copy()
             start = len(touched.log)
-            assert apply_simple_exhaustively(inst, near, touched) == len(near)
+            assert apply_simple_exhaustively(inst, near, touched=touched) == len(near)
             # It logs every vertex it changes once another tier reads.
             assert changed_vertices(before, inst.graph) <= set(touched.log[start:])
             assert near == rerun_twin(twin)
@@ -419,7 +420,8 @@ class TestSeededRerun:
     def test_seeding_near_the_changes_fires_as_the_full_seed(self):
         def full_seed(twin):
             everywhere = []
-            assert apply_simple_exhaustively(twin, everywhere) == len(everywhere)
+            fired = apply_simple_exhaustively(twin, everywhere, touched=Touched())
+            assert fired == len(everywhere)
             return everywhere
 
         assert sum(seeded_reruns(full_seed)) >= 1000
@@ -598,7 +600,7 @@ def tier1_work(monkeypatch, g):
     inst = Instance.from_graph(g)
     with monkeypatch.context() as m:
         m.setattr(simple_rules, "initial_keys", queued_keys)
-        work["firings"] = apply_simple_exhaustively(inst)
+        work["firings"] = apply_simple_exhaustively(inst, touched=Touched())
     work["swept"] += inst.stats["ww_edge"]
     work["left"] = inst.graph.vertex_count
     return work
@@ -677,5 +679,5 @@ class TestRuleProperties:
         for g in mixed_instance_stream(seed=59, count=120, max_n=12):
             inst = Instance.from_graph(g)
             before = inst.copy()
-            apply_simple_exhaustively(inst)
+            apply_simple_exhaustively(inst, touched=Touched())
             assert verify_rule_safety(before, inst)

@@ -98,46 +98,46 @@ def hub_graph(dominators: int) -> ColoredGraph:
 
 class TestUqwScatter:
     def test_empty_inputs(self):
-        assert uqw_scatter(ColoredGraph(), set()) == (frozenset(), frozenset())
+        assert uqw_scatter(ColoredGraph(), set(), frozenset()) == (frozenset(), frozenset())
         g = path_graph(3)
-        assert uqw_scatter(g, set()) == (frozenset(), frozenset())
+        assert uqw_scatter(g, set(), frozenset()) == (frozenset(), frozenset())
         assert uqw_scatter(g, {0, 1, 2}, {0, 1, 2}) == (frozenset(), frozenset())
 
     def test_isolated_candidates_all_kept(self):
         g = colored([], isolated=range(5))
-        assert uqw_scatter(g, set(range(5))) == (frozenset(range(5)), frozenset())
+        assert uqw_scatter(g, set(range(5)), frozenset()) == (frozenset(range(5)), frozenset())
 
     def test_small_star_keeps_one_leaf(self):
         # Center degree 5 sits under the hub cutoff, so no deletion; the
         # first leaf blocks the rest through the center.
-        scattered, deleted = uqw_scatter(star_graph(5), {1, 2, 3, 4, 5})
+        scattered, deleted = uqw_scatter(star_graph(5), {1, 2, 3, 4, 5}, frozenset())
         assert deleted == frozenset()
         assert scattered == frozenset({1})
 
     def test_large_star_deletes_the_center(self):
-        scattered, deleted = uqw_scatter(star_graph(10), set(range(1, 11)))
+        scattered, deleted = uqw_scatter(star_graph(10), set(range(1, 11)), frozenset())
         assert deleted == frozenset({0})
         assert scattered == frozenset(range(1, 11))
 
     def test_five_path_scatters_the_ends(self):
-        scattered, deleted = uqw_scatter(path_graph(5), {0, 1, 2, 3, 4})
+        scattered, deleted = uqw_scatter(path_graph(5), {0, 1, 2, 3, 4}, frozenset())
         assert deleted == frozenset()
         assert scattered == frozenset({0, 4})
 
     def test_cutoff_knob_forces_deletion(self):
         # The hub cutoff is max(8, 4m/n): a star center of degree 8 sits at
         # it and stays, one of degree 9 exceeds it and is deleted.
-        scattered, deleted = uqw_scatter(star_graph(8), set(range(1, 9)))
+        scattered, deleted = uqw_scatter(star_graph(8), set(range(1, 9)), frozenset())
         assert deleted == frozenset()
         assert scattered == frozenset({1})
-        scattered, deleted = uqw_scatter(star_graph(9), set(range(1, 10)))
+        scattered, deleted = uqw_scatter(star_graph(9), set(range(1, 10)), frozenset())
         assert deleted == frozenset({0})
         assert scattered == frozenset(range(1, 10))
         # In K12 every degree is 11, above 8 but under 4m/n = 22.
         k12 = ColoredGraph.from_edges(
             [(u, v) for u in range(12) for v in range(u + 1, 12)]
         )
-        scattered, deleted = uqw_scatter(k12, set(range(12)))
+        scattered, deleted = uqw_scatter(k12, set(range(12)), frozenset())
         assert deleted == frozenset()
         assert scattered == frozenset({0})
 
@@ -152,7 +152,7 @@ class TestUqwScatter:
                 nxt += 1
         g = ColoredGraph.from_edges(edges)
         star2 = sorted(g.adj[2])[:4]
-        scattered, deleted = uqw_scatter(g, set(star2))
+        scattered, deleted = uqw_scatter(g, set(star2), frozenset())
         assert deleted == frozenset({0, 1})
         assert scattered == frozenset({star2[0]})
 
@@ -160,9 +160,9 @@ class TestUqwScatter:
         rng = random.Random(5)
         for g in mixed_instance_stream(seed=5, count=150, max_n=16):
             candidates = {v for v in sorted(g.adj) if rng.random() < 0.8}
-            scattered, deleted = uqw_scatter(g, candidates)
+            scattered, deleted = uqw_scatter(g, candidates, frozenset())
             assert scattered <= candidates - deleted
-            assert is_1_scattered(residual(g, deleted), scattered)
+            assert is_1_scattered(residual(g, deleted), scattered, frozenset())
 
     def test_mask_matches_the_residual_copy(self):
         # The mask must read g exactly as a copy with `removed` deleted
@@ -178,7 +178,7 @@ class TestUqwScatter:
             removed = {v for v in vs if rng.random() < 0.3}
             candidates = {v for v in vs if rng.random() < 0.8}
             masked = uqw_scatter(g, candidates, removed)
-            assert masked == uqw_scatter(residual(g, removed), candidates - removed)
+            assert masked == uqw_scatter(residual(g, removed), candidates - removed, frozenset())
             deletions += len(masked[1])
         assert deletions > 0
 
@@ -201,44 +201,44 @@ class TestGroupAndReduce:
         g = path_graph(3, white=[2])
         inst = Instance.from_graph(g)
         with pytest.raises(AssertionError):
-            group_and_reduce(inst, frozenset({1}), [2])
+            group_and_reduce(inst, frozenset({1}), [2], [])
 
     def test_rejects_unscattered_family(self):
         g = path_graph(3)
         inst = Instance.from_graph(g)
         with pytest.raises(AssertionError):
-            group_and_reduce(inst, frozenset(), [0, 1])
+            group_and_reduce(inst, frozenset(), [0, 1], [])
 
     def test_empty_family(self):
         inst = Instance.from_graph(path_graph(3))
-        assert group_and_reduce(inst, frozenset({1}), []) == 0
+        assert group_and_reduce(inst, frozenset({1}), [], []) == 0
 
     def test_group_at_the_counting_boundary_keeps_everything(self):
         # Two leaves against a one-vertex cover of their reach: the excess
         # max(0, 2 - 1 - 1) is zero.
         inst = Instance.from_graph(star_graph(2))
-        assert group_and_reduce(inst, frozenset({0}), [1, 2]) == 0
+        assert group_and_reduce(inst, frozenset({0}), [1, 2], []) == 0
         assert inst.graph.white_vertices() == set()
 
     def test_two_member_group_makes_no_greedy_call(self, greedy_calls):
         # Two members can never whiten (the module docstring's bound), so
         # their group is not covered at all.
         inst = Instance.from_graph(star_graph(2))
-        assert group_and_reduce(inst, frozenset({0}), [1, 2]) == 0
+        assert group_and_reduce(inst, frozenset({0}), [1, 2], []) == 0
         assert greedy_calls == []
 
     def test_three_members_against_a_one_vertex_cover(self, greedy_calls):
         # The smallest group that whitens: the center covers the reach,
         # so the excess is 3 - 1 - 1 = 1 and the largest leaf goes.
         inst = Instance.from_graph(star_graph(3))
-        assert group_and_reduce(inst, frozenset({0}), [1, 2, 3]) == 1
+        assert group_and_reduce(inst, frozenset({0}), [1, 2, 3], []) == 1
         assert inst.graph.white_vertices() == {3}
         assert greedy_calls == [{0, 1, 2, 3}]
 
     def test_contactless_members_are_skipped(self):
         g = colored([(0, 1)], isolated=[5])
         inst = Instance.from_graph(g)
-        assert group_and_reduce(inst, frozenset({0}), [1, 5]) == 0
+        assert group_and_reduce(inst, frozenset({0}), [1, 5], []) == 0
 
     def test_five_members_against_a_two_cover(self):
         # Five vertices all joined to both pool hubs 0 and 1; their reach
@@ -248,7 +248,7 @@ class TestGroupAndReduce:
         g = ColoredGraph.from_edges(edges)
         inst = Instance.from_graph(g)
         before = exact_dom(g.copy()).size
-        assert group_and_reduce(inst, frozenset({0, 1}), [2, 3, 4, 5, 6]) == 2
+        assert group_and_reduce(inst, frozenset({0, 1}), [2, 3, 4, 5, 6], []) == 2
         assert inst.graph.white_vertices() == {5, 6}
         assert inst.stats["sparsity_whitened"] == 2
         assert exact_dom(inst.graph).size == before
@@ -257,7 +257,7 @@ class TestGroupAndReduce:
         edges = [(h, x) for h in (0, 1) for x in range(2, 7)]
         g = ColoredGraph.from_edges(edges)
         inst = Instance.from_graph(g.copy())
-        group_and_reduce(inst, frozenset({0, 1}), [2, 3, 4, 5, 6])
+        group_and_reduce(inst, frozenset({0, 1}), [2, 3, 4, 5, 6], [])
         for z in inst.graph.white_vertices():
             relaxed = g.copy()
             relaxed.black.remove(z)
@@ -267,19 +267,19 @@ class TestGroupAndReduce:
 class TestSparsityReduce:
     def test_already_reduced_path(self):
         inst = Instance.from_graph(path_graph(3))
-        assert sparsity_reduce(inst) == 0
+        assert sparsity_reduce(inst, Touched()) == 0
         assert inst.graph.white_vertices() == set()
         assert inst.stats["sparsity_passes"] == 1
         assert inst.stats["sparsity_scatter_calls"] == 1
 
     def test_empty_and_all_white_graphs(self):
-        assert sparsity_reduce(Instance.from_graph(ColoredGraph())) == 0
+        assert sparsity_reduce(Instance.from_graph(ColoredGraph()), Touched()) == 0
         inst = Instance.from_graph(path_graph(3, white=[0, 1, 2]))
-        assert sparsity_reduce(inst) == 0
+        assert sparsity_reduce(inst, Touched()) == 0
 
     def test_apex_star_family_whitens_one_leaf_per_star(self):
         inst = Instance.from_graph(apex_stars(12, 3))
-        whitened = sparsity_reduce(inst)
+        whitened = sparsity_reduce(inst, Touched())
         assert whitened == 12
         whites = inst.graph.white_vertices()
         assert len(whites) == 12
@@ -293,7 +293,7 @@ class TestSparsityReduce:
         g = apex_stars(4, 3)
         inst = Instance.from_graph(g.copy())
         before = inst.copy()
-        assert sparsity_reduce(inst) == 4
+        assert sparsity_reduce(inst, Touched()) == 4
         assert verify_rule_safety(before, inst)
         assert exact_dom(g).size == 4
 
@@ -304,7 +304,7 @@ class TestSparsityReduce:
         # reach the dominator covers, so 10 - 1 - 1 = 8 leaves whiten per
         # dominator, all in the one pass.
         inst = Instance.from_graph(hub_graph(dominators))
-        assert sparsity_reduce(inst) == 8 * dominators
+        assert sparsity_reduce(inst, Touched()) == 8 * dominators
         assert inst.stats["sparsity_passes"] == 1
         assert inst.stats["sparsity_scatter_calls"] == 1
 
@@ -323,7 +323,7 @@ class TestSparsityReduce:
     def test_never_mutates_anything_but_colors(self):
         for g in mixed_instance_stream(seed=92, count=40, max_n=14):
             inst = Instance.from_graph(g.copy())
-            sparsity_reduce(inst)
+            sparsity_reduce(inst, Touched())
             assert inst.graph.adj == g.adj
             assert inst.solution == set()
             assert g.black >= inst.graph.black
@@ -331,14 +331,14 @@ class TestSparsityReduce:
     def test_remaining_blacks_stay_a_strict_core(self):
         for g in mixed_instance_stream(seed=93, count=120, max_n=14):
             inst = Instance.from_graph(g.copy())
-            sparsity_reduce(inst)
+            sparsity_reduce(inst, Touched())
             assert exact_dom(inst.graph).size == exact_dom(g).size
 
     def test_whitened_vertices_individually_irrelevant(self):
         checked = 0
         for g in mixed_instance_stream(seed=94, count=150, max_n=14):
             inst = Instance.from_graph(g.copy())
-            if sparsity_reduce(inst) == 0:
+            if sparsity_reduce(inst, Touched()) == 0:
                 continue
             base = exact_dom(g).size
             for z in g.black - inst.graph.black:
@@ -381,7 +381,7 @@ class TestGoldenTier4:
         deletions = []
         golden_scatter = helpers.golden_uqw_scatter
 
-        def recording(g, candidates, removed=frozenset()):
+        def recording(g, candidates, removed):
             scattered, deleted = golden_scatter(g, candidates, removed)
             deletions.append(len(deleted))
             return scattered, deleted
